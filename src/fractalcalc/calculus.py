@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, ResolutionError
+from .fde import _apply
 from .staircase import StaircaseTable, eval_staircase
 
 
@@ -53,16 +54,6 @@ def set_samples(table: StaircaseTable, per_segment: int = 0) -> np.ndarray:
     rights = t[1::2]
     w = np.linspace(0.0, 1.0, per_segment + 2)
     return (lefts[:, None] + w[None, :] * (rights - lefts)[:, None]).ravel()
-
-
-def _apply(fn, t: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(fn(t), dtype=float)
-        if out.shape == t.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(x)) for x in t])
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,13 @@ import numpy as np
 
 from .cantor import CantorSpec, generate, hausdorff_dimension, iter_levels
 from .errors import (
-    DomainError,
-    EstimationError,
     ExpressionError,
     FractalCalcError,
     NumericalBlowupError,
     ParameterError,
-    PreconditionError,
-    ResolutionError,
 )
 from .expressions import compile_expression
-from .fde import solve_first_order, solve_second_order
+from .fde import FdeSystem, _apply, solve_first_order, solve_second_order
 from .lyapunov import classify_stability, verify_theorem1, verify_theorem2
 from .staircase import (
     build_staircase,
@@ -34,16 +30,7 @@ from .staircase import (
     eval_staircase,
     gamma_dimension,
 )
-from .systems import (
-    example1_exact,
-    example1_field,
-    example2_system,
-    example3_field,
-    example3_lyapunov,
-    example3_system,
-    theorem1_toy,
-    theorem2_toy,
-)
+from .systems import _named_system, example1_exact
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 3
@@ -213,75 +200,48 @@ def cmd_integrate(args):
     return 0
 
 
-def _solve_system(args, table):
-    name = args.system
-    if name == "example1":
-        field = compile_expression("-y", ("y",))
-        return ("first", field)
-    if name == "example2":
-        return ("second", example2_system())
-    if name == "example3":
-        return ("second", example3_system(args.spring))
-    if name == "theorem1":
-        return ("second", theorem1_toy())
-    if name == "theorem2":
-        return ("second", theorem2_toy())
-    if name == "custom-first":
-        if args.field is None:
-            raise ParameterError("custom-first needs --field with an expression in y")
-        return ("first", compile_expression(args.field, ("y",)))
-    raise ParameterError(f"unknown system {name!r}")
+def _system(args, name):
+    return _named_system(name, getattr(args, "spring", 1.0),
+                         getattr(args, "field", None))
+
+
+def _trajectory_rows(traj):
+    """Columns and rows of a trajectory: t, tau, y, and z if second order."""
+    if traj.z is None:
+        return ("t", "tau", "y"), list(zip(traj.t, traj.tau, traj.y))
+    return ("t", "tau", "y", "z"), list(zip(traj.t, traj.tau, traj.y, traj.z))
 
 
 def cmd_solve(args):
     table, spec = _table_for(args, "solve")
-    kind, sys_obj = _solve_system(args, table)
+    flow = _system(args, args.system)
     t_end = spec.extent if args.t_end is None else args.t_end
-    if kind == "first":
-        traj = solve_first_order(sys_obj, table, args.y0, t_end,
-                                 dtau=args.dtau, method=args.method,
-                                 record_every=args.record_every)
-        rows = list(zip(traj.t, traj.tau, traj.y))
-        columns = ("t", "tau", "y")
+    opts = {"dtau": args.dtau, "method": args.method,
+            "record_every": args.record_every}
+    if isinstance(flow, FdeSystem):
+        traj = solve_second_order(flow, table, args.y0, args.z0, t_end, **opts)
     else:
-        traj = solve_second_order(sys_obj, table, args.y0, args.z0, t_end,
-                                  dtau=args.dtau, method=args.method,
-                                  record_every=args.record_every)
-        rows = list(zip(traj.t, traj.tau, traj.y, traj.z))
-        columns = ("t", "tau", "y", "z")
+        traj = solve_first_order(flow, table, args.y0, t_end, **opts)
+    columns, rows = _trajectory_rows(traj)
     _write_rows(args.out, columns, rows, args.format)
     return 0
 
 
 def cmd_stability(args):
     table, spec = _table_for(args, "stability")
-    if args.system == "example1":
-        report = classify_stability(example1_field, table,
-                                    horizon=args.horizon, dtau=args.dtau)
-    elif args.system == "example3":
-        report = classify_stability(example3_field(args.spring), table,
-                                    equilibrium=(0.0, 0.0),
-                                    horizon=args.horizon, dtau=args.dtau)
-    elif args.system in ("example2", "theorem1"):
-        sys_obj = example2_system() if args.system == "example2" else theorem1_toy()
-        report = classify_stability(sys_obj, table, equilibrium=(0.0, 0.0),
-                                    horizon=args.horizon, dtau=args.dtau)
-    else:
-        raise ParameterError(f"unknown system {args.system!r} for stability")
+    flow = _system(args, args.system)
+    equilibrium = (0.0, 0.0) if isinstance(flow, FdeSystem) else 0.0
+    report = classify_stability(flow, table, equilibrium=equilibrium,
+                                horizon=args.horizon, dtau=args.dtau)
     _write_json(args.out, report.to_json())
     return 0
 
 
 def cmd_verify(args):
     table, spec = _table_for(args, "verify")
-    if args.theorem == 1:
-        sys_obj = theorem1_toy() if args.system == "theorem1" else example2_system()
-        report = verify_theorem1(sys_obj, table, t_end=args.t_end,
-                                 dtau=args.dtau)
-    else:
-        sys_obj = theorem2_toy() if args.system == "theorem2" else example2_system()
-        report = verify_theorem2(sys_obj, table, t_end=args.t_end,
-                                 dtau=args.dtau)
+    verifier = verify_theorem1 if args.theorem == 1 else verify_theorem2
+    flow = _system(args, args.system or f"theorem{args.theorem}")
+    report = verifier(flow, table, t_end=args.t_end, dtau=args.dtau)
     _write_json(args.out, report.to_json())
     return 0
 
@@ -289,36 +249,24 @@ def cmd_verify(args):
 def cmd_demo(args):
     table, spec = _table_for(args, "demo")
     t_end = spec.extent if args.t_end is None else args.t_end
-    if args.which == "example1":
-        z0_list = args.y0_list or [1.0, 0.5]
-        rows = []
-        for z0 in z0_list:
-            traj = solve_first_order(lambda y: -y, table, z0, t_end,
-                                     dtau=args.dtau)
-            exact = example1_exact(z0, traj.tau)
-            for i in range(len(traj)):
-                rows.append((z0, traj.t[i], traj.tau[i], traj.y[i], exact[i]))
-        _write_rows(args.out, ("y0", "t", "tau", "y", "y_exact"), rows,
-                    args.format)
-    elif args.which == "example2":
-        sys_obj = example2_system()
-        cert = lambda y, z: sys_obj.restoring_integral(y) + 0.5 * z * z
-        traj = solve_second_order(sys_obj, table, args.y0, args.z0, t_end,
+    flow = _system(args, args.which)
+    if isinstance(flow, FdeSystem):
+        # oscillator energy v(tau) H(y) + z^2 / 2
+        traj = solve_second_order(flow, table, args.y0, args.z0, t_end,
                                   dtau=args.dtau)
-        rows = [(traj.t[i], traj.tau[i], traj.y[i], traj.z[i],
-                 cert(traj.y[i], traj.z[i])) for i in range(len(traj))]
-        _write_rows(args.out, ("t", "tau", "y", "z", "energy"), rows,
-                    args.format)
+        energy = (_apply(flow.v, traj.tau) * _apply(flow.restoring_integral, traj.y)
+                  + 0.5 * traj.z * traj.z)
+        rows = list(zip(traj.t, traj.tau, traj.y, traj.z, energy))
+        columns = ("t", "tau", "y", "z", "energy")
     else:
-        sys_obj = example3_system(args.spring)
-        L = example3_lyapunov(args.spring)
-        traj = solve_second_order(sys_obj, table, args.y0, args.z0, t_end,
-                                  dtau=args.dtau)
-        rows = [(traj.t[i], traj.tau[i], traj.y[i], traj.z[i],
-                 float(L(traj.tau[i], traj.y[i], traj.z[i])))
-                for i in range(len(traj))]
-        _write_rows(args.out, ("t", "tau", "y", "z", "energy"), rows,
-                    args.format)
+        # example1, the one first order demo, has the closed form exp(-tau)
+        rows = []
+        for z0 in args.y0_list or [1.0, 0.5]:
+            traj = solve_first_order(flow, table, z0, t_end, dtau=args.dtau)
+            rows.extend(zip([z0] * len(traj), traj.t, traj.tau, traj.y,
+                            example1_exact(z0, traj.tau)))
+        columns = ("y0", "t", "tau", "y", "y_exact")
+    _write_rows(args.out, columns, rows, args.format)
     return 0
 
 
@@ -415,7 +363,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p.add_argument("--system", default=None,
-                   help="theorem1, theorem2 or example2 (defaults per theorem)")
+                   choices=("theorem1", "theorem2", "example2"),
+                   help="system to verify (defaults per theorem)")
     p.add_argument("--t-end", dest="t_end", type=float, default=None)
     p.add_argument("--dtau", type=float, default=1e-3)
     p.set_defaults(func=cmd_verify)
@@ -440,8 +389,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "system", None) is None and args.command == "verify":
-        args.system = "theorem1" if args.theorem == 1 else "theorem2"
     try:
         return args.func(args)
     except (ParameterError, ExpressionError) as exc:
@@ -451,16 +398,9 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         traj = exc.trajectory
         if traj is not None and args.out != "-":
-            rows = (list(zip(traj.t, traj.tau, traj.y)) if traj.z is None
-                    else list(zip(traj.t, traj.tau, traj.y, traj.z)))
-            columns = (("t", "tau", "y") if traj.z is None
-                       else ("t", "tau", "y", "z"))
+            columns, rows = _trajectory_rows(traj)
             _write_rows(args.out, columns, rows, args.format)
             print(f"partial trajectory written to {args.out}", file=sys.stderr)
-        return RUNTIME_ERROR
-    except (DomainError, ResolutionError, EstimationError,
-            PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
     except FractalCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,15 @@ fixed-step classical Runge-Kutta scheme (or explicit Euler) applies; the
 results are mapped back to t through the inverse staircase ``warp_time``.
 Because S is flat across gaps, a solution in t is constant there, which the
 piecewise-linear interpolation of Trajectory.at_time reproduces.
+
+``_integrate`` is the one fixed-step loop of the package.  It marches a
+state of shape (dim,) or a block of shape (dim, B), one column per initial
+state, and handles a state that leaves the blow-up ball in one of two ways:
+"raise" stops the march (the solve_* functions turn this into a
+NumericalBlowupError carrying the partial trajectory), "freeze" clips the
+escaped columns to the ball and holds them there while the other columns
+keep integrating (the batched probes of the lyapunov module).  ``_apply``
+is the one adapter that calls a user function on arrays.
 """
 
 import math
@@ -117,33 +126,37 @@ class FdeSystem:
 def _central_diff(fn, x, rel_step=1e-6):
     x_arr = np.asarray(x, dtype=float)
     step = rel_step * np.maximum(1.0, np.abs(x_arr))
-    hi = _apply_scalar(fn, x_arr + step)
-    lo = _apply_scalar(fn, x_arr - step)
+    hi = _apply(fn, x_arr + step)
+    lo = _apply(fn, x_arr - step)
     out = (hi - lo) / (2.0 * step)
     if x_arr.ndim == 0:
         return float(out)
     return out
 
 
-def _apply_scalar(fn, x):
-    """Evaluate a scalar-to-scalar function over any array shape.
+def _apply(fn, *args):
+    """Evaluate a scalar function elementwise over broadcast arguments.
 
-    Prefers one vectorized call; constant-returning functions broadcast; a
-    per-element loop is the last resort.
+    The arguments are broadcast to one shape and fn is called once on the
+    arrays; a result of that shape is kept and a 0-d result (a constant) is
+    broadcast.  Otherwise, or when the call raises TypeError or ValueError,
+    fn runs once per element on Python floats.  All-scalar arguments give a
+    Python float.
     """
-    x_arr = np.asarray(x, dtype=float)
-    if x_arr.ndim == 0:
-        return float(fn(float(x_arr)))
+    arrs = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    shape = arrs[0].shape
+    if not shape:
+        return float(fn(*(float(a) for a in arrs)))
     try:
-        out = np.asarray(fn(x_arr), dtype=float)
-        if out.shape == x_arr.shape:
+        out = np.asarray(fn(*arrs), dtype=float)
+        if out.shape == shape:
             return out
         if out.ndim == 0:
-            return np.full(x_arr.shape, float(out))
+            return np.full(shape, float(out))
     except (TypeError, ValueError):
         pass
-    flat = np.array([float(fn(float(v))) for v in x_arr.ravel()])
-    return flat.reshape(x_arr.shape)
+    flat = [float(fn(*vals)) for vals in zip(*(a.ravel().tolist() for a in arrs))]
+    return np.array(flat).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -207,11 +220,21 @@ def _euler_step(rhs, tau, state, h):
 _STEPPERS = {"rk4": _rk4_step, "euler": _euler_step}
 
 
-def _integrate(rhs, tau_end, state0, dtau, method, record_every, blowup_limit):
+def _integrate(rhs, tau_end, state0, dtau, method, record_every,
+               limit=BLOWUP_LIMIT, on_escape="raise"):
     """Fixed-step march from tau=0 to tau_end, recording every k-th step.
 
     The last step is shortened so the grid lands exactly on tau_end.  The
-    initial state and the final state are always recorded.
+    initial state and the final state are always recorded.  Returns (taus,
+    states, escaped): states has shape (n_records,) + state0.shape and
+    escaped marks the columns (axis 1 of a (dim, B) block) that left the
+    ball |x| <= limit or went non-finite.
+
+    on_escape="raise" raises _BlowupSignal with the records so far at the
+    first escape.  on_escape="freeze" clips escaped columns to the ball and
+    holds them at that value from then on; the other columns integrate
+    undisturbed.  Each step tests the whole state once; the per-column
+    bookkeeping runs only once some column has escaped.
     """
     try:
         stepper = _STEPPERS[method]
@@ -222,22 +245,40 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, blowup_limit):
         raise ParameterError(f"dtau must be positive, got {dtau!r}")
     if record_every < 1:
         raise ParameterError("record_every must be >= 1")
-    state = np.asarray(state0, dtype=float).copy()
+    state = np.array(state0, dtype=float)
     n_steps = max(int(math.ceil(tau_end / dtau - 1e-12)), 0)
-    taus = [0.0]
-    states = [state.copy()]
+    n_records = 1 + -(-n_steps // record_every)
+    taus = np.empty(n_records)
+    states = np.empty((n_records,) + state.shape)
+    taus[0] = 0.0
+    states[0] = state
+    escaped = np.zeros(state.shape[1:], dtype=bool)
+    frozen = False
     tau = 0.0
+    r = 1
     for k in range(n_steps):
         last = k == n_steps - 1
         h = (tau_end - tau) if last else dtau
-        state = stepper(rhs, tau, state, h)
+        new = stepper(rhs, tau, state, h)
         tau = tau_end if last else (k + 1) * dtau
-        if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > blowup_limit:
-            raise _BlowupSignal(taus, states, tau)
+        # NaN fails the comparison, so one test covers non-finite values too
+        if frozen or not np.abs(new).max() <= limit:
+            if on_escape == "raise":
+                raise _BlowupSignal(taus[:r], states[:r], tau)
+            bad = ~np.all(np.abs(new) <= limit, axis=0)
+            new[:, bad] = np.clip(
+                np.nan_to_num(new[:, bad], nan=limit, posinf=limit,
+                              neginf=-limit), -limit, limit)
+            hold = escaped & ~bad
+            new[:, hold] = state[:, hold]
+            escaped |= bad
+            frozen = True
+        state = new
         if last or (k + 1) % record_every == 0:
-            taus.append(tau)
-            states.append(state.copy())
-    return np.array(taus), np.stack(states, axis=0)
+            taus[r] = tau
+            states[r] = state
+            r += 1
+    return taus[:r], states[:r], escaped
 
 
 def _tau_horizon(table, t_end):
@@ -248,12 +289,29 @@ def _tau_horizon(table, t_end):
     return float(tau_end)
 
 
-def _finish(table, taus, states, meta, second_order):
-    t = warp_time(table, taus)
-    if second_order:
-        return Trajectory(t=t, tau=taus, y=states[:, 0], z=states[:, 1],
-                          table=table, meta=meta)
-    return Trajectory(t=t, tau=taus, y=states[:, 0], z=None, table=table, meta=meta)
+def _solve(rhs, table, state0, t_end, dtau, method, record_every, blowup_limit):
+    """Integrate rhs in tau up to t_end and map the records back to time.
+
+    On blow-up a NumericalBlowupError is raised with the partial trajectory
+    attached.
+    """
+    tau_end = _tau_horizon(table, t_end)
+    meta = {"method": method, "dtau": float(dtau), "tau_end": tau_end,
+            "t_end": float(t_end), "alpha": table.alpha}
+
+    def trajectory(taus, states):
+        z = states[:, 1] if states.shape[1] > 1 else None
+        return Trajectory(t=warp_time(table, taus), tau=taus, y=states[:, 0],
+                          z=z, table=table, meta=meta)
+
+    try:
+        taus, states, _ = _integrate(rhs, tau_end, state0, dtau, method,
+                                     record_every, blowup_limit)
+    except _BlowupSignal as sig:
+        raise NumericalBlowupError(
+            f"state exceeded {blowup_limit:g} near tau={sig.offender:.6g}",
+            trajectory=trajectory(sig.taus, sig.states)) from None
+    return trajectory(taus, states)
 
 
 def solve_first_order(g, table: StaircaseTable, h0: float, t_end: float,
@@ -265,23 +323,11 @@ def solve_first_order(g, table: StaircaseTable, h0: float, t_end: float,
     On blow-up a NumericalBlowupError is raised with the partial trajectory
     attached.
     """
-    tau_end = _tau_horizon(table, t_end)
-    meta = {"method": method, "dtau": float(dtau), "tau_end": tau_end,
-            "t_end": float(t_end), "alpha": table.alpha}
-
     def rhs(tau, state):
         return np.asarray(g(state[0]), dtype=float).reshape(1)
 
-    state0 = np.array([float(h0)])
-    try:
-        taus, states = _integrate(rhs, tau_end, state0, dtau, method,
-                                  record_every, blowup_limit)
-    except _BlowupSignal as sig:
-        partial = _finish(table, np.array(sig.taus), np.stack(sig.states), meta, False)
-        raise NumericalBlowupError(
-            f"state exceeded {blowup_limit:g} near tau={sig.offender:.6g}",
-            trajectory=partial) from None
-    return _finish(table, taus, states, meta, False)
+    return _solve(rhs, table, [float(h0)], t_end, dtau, method, record_every,
+                  blowup_limit)
 
 
 def solve_second_order(sys: FdeSystem, table: StaircaseTable, y0: float,
@@ -289,24 +335,12 @@ def solve_second_order(sys: FdeSystem, table: StaircaseTable, y0: float,
                        method: str = "rk4", record_every: int = 1,
                        blowup_limit: float = BLOWUP_LIMIT) -> Trajectory:
     """Integrate the damped second order system from the anchor to t_end."""
-    tau_end = _tau_horizon(table, t_end)
-    meta = {"method": method, "dtau": float(dtau), "tau_end": tau_end,
-            "t_end": float(t_end), "alpha": table.alpha}
-
     def rhs(tau, state):
         dy, dz = sys.rhs(tau, state[0], state[1])
         return np.array([dy, dz])
 
-    state0 = np.array([float(y0), float(z0)])
-    try:
-        taus, states = _integrate(rhs, tau_end, state0, dtau, method,
-                                  record_every, blowup_limit)
-    except _BlowupSignal as sig:
-        partial = _finish(table, np.array(sig.taus), np.stack(sig.states), meta, True)
-        raise NumericalBlowupError(
-            f"state exceeded {blowup_limit:g} near tau={sig.offender:.6g}",
-            trajectory=partial) from None
-    return _finish(table, taus, states, meta, True)
+    return _solve(rhs, table, [float(y0), float(z0)], t_end, dtau, method,
+                  record_every, blowup_limit)
 
 
 def warp_time(table: StaircaseTable, tau):

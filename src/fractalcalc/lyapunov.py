@@ -23,10 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
-from .fde import FdeConstants, FdeSystem, _apply_scalar, warp_time
+from .fde import BLOWUP_LIMIT, FdeConstants, FdeSystem, _apply, _integrate, warp_time
 from .staircase import StaircaseTable, eval_staircase
-
-BLOWUP_LIMIT = 1e12
 
 
 def _jsonify(value):
@@ -150,10 +148,21 @@ def lyapunov_derivative(L: LyapunovFunction, flow, state, tau=0.0):
 
 # ---------------------------------------------------------------------------
 # batch integration shared by the empirical probes
+#
+# The probes march many initial states at once as the columns of one
+# (dim, B) block through fde._integrate, the package's one fixed-step loop,
+# with classical RK4 and the "freeze" escape policy: a column that leaves
+# the blow-up ball is clipped to it and held there while the others go on.
+# The user's flow sees whole rows of the block when it accepts arrays and
+# one column at a time otherwise.
 # ---------------------------------------------------------------------------
 
 def _vectorize_rhs(rhs, dim, n_cols, probe_block):
-    """Return f(tau, block) on (dim, n_cols) arrays, probing for array support."""
+    """Return f(tau, block) on (dim, n_cols) arrays, probing for array support.
+
+    Only TypeError and ValueError from the probe count as "no array
+    support"; any other exception is a bug in the flow and propagates.
+    """
 
     def matrix_call(tau, block):
         out = rhs(tau, tuple(block))
@@ -164,7 +173,7 @@ def _vectorize_rhs(rhs, dim, n_cols, probe_block):
         probe = matrix_call(0.0, probe_block)
         if probe.shape == (dim, n_cols) and np.all(np.isfinite(probe)):
             return matrix_call
-    except Exception:
+    except (TypeError, ValueError):
         pass
 
     def column_call(tau, block):
@@ -177,49 +186,15 @@ def _vectorize_rhs(rhs, dim, n_cols, probe_block):
 
 def _batch_integrate(rhs, dim, Y0, tau_end, dtau, record_every,
                      limit=BLOWUP_LIMIT):
-    """March many initial states at once, clipping escapes instead of raising.
+    """March the columns of Y0 with RK4, freezing escapes instead of raising.
 
     Returns (taus, blocks, escaped): blocks has shape (n_records, dim, B) and
     escaped marks columns that left the blow-up ball or went non-finite.
-    Escaped columns stay frozen at their clipped value, so the remaining
-    columns keep integrating undisturbed.
     """
     Y = np.array(Y0, dtype=float)
-    _, B = Y.shape
-    f = _vectorize_rhs(rhs, dim, B, Y)
-    if not dtau > 0.0:
-        raise ParameterError(f"dtau must be positive, got {dtau!r}")
-    n_steps = max(int(math.ceil(tau_end / dtau - 1e-12)), 0)
-    taus = [0.0]
-    blocks = [Y.copy()]
-    escaped = np.zeros(B, dtype=bool)
-    tau = 0.0
-    for k in range(n_steps):
-        last = k == n_steps - 1
-        h = (tau_end - tau) if last else dtau
-        k1 = f(tau, Y)
-        k2 = f(tau + 0.5 * h, Y + 0.5 * h * k1)
-        k3 = f(tau + 0.5 * h, Y + 0.5 * h * k2)
-        k4 = f(tau + h, Y + h * k3)
-        Y_new = Y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        finite = np.all(np.isfinite(Y_new), axis=0)
-        with np.errstate(invalid="ignore"):
-            big = np.any(np.abs(Y_new) > limit, axis=0)
-        bad = ~finite | big
-        if np.any(bad):
-            Y_new[:, bad] = np.clip(
-                np.nan_to_num(Y_new[:, bad], nan=limit, posinf=limit,
-                              neginf=-limit), -limit, limit)
-        hold = escaped & ~bad
-        if np.any(hold):
-            Y_new[:, hold] = Y[:, hold]
-        escaped |= bad
-        Y = Y_new
-        tau = tau_end if last else (k + 1) * dtau
-        if last or (k + 1) % record_every == 0:
-            taus.append(tau)
-            blocks.append(Y.copy())
-    return np.array(taus), np.stack(blocks, axis=0), escaped
+    f = _vectorize_rhs(rhs, dim, Y.shape[1], Y)
+    return _integrate(f, tau_end, Y, dtau, "rk4", record_every, limit,
+                      on_escape="freeze")
 
 
 # ---------------------------------------------------------------------------
@@ -504,36 +479,6 @@ class AssumptionReport:
         })
 
 
-def _apply_pair(fn, X, Z):
-    """fn(x, z) over same-shape arrays, with a per-element fallback."""
-    try:
-        out = np.asarray(fn(X, Z), dtype=float)
-        if out.shape == X.shape:
-            return out
-        if out.ndim == 0:
-            return np.full(X.shape, float(out))
-    except (TypeError, ValueError):
-        pass
-    flat = np.array([float(fn(a, b)) for a, b in zip(X.ravel(), Z.ravel())])
-    return flat.reshape(X.shape)
-
-
-def _apply_triple(fn, T, X, Z):
-    """fn(t, x, z) over broadcast-compatible arrays, with a fallback loop."""
-    shape = np.broadcast_shapes(np.shape(T), np.shape(X), np.shape(Z))
-    try:
-        out = np.asarray(fn(T, X, Z), dtype=float)
-        return np.broadcast_to(out, shape).copy()
-    except (TypeError, ValueError):
-        pass
-    Tb = np.broadcast_to(T, shape)
-    Xb = np.broadcast_to(X, shape)
-    Zb = np.broadcast_to(Z, shape)
-    flat = np.array([float(fn(a, b, c))
-                     for a, b, c in zip(Tb.ravel(), Xb.ravel(), Zb.ravel())])
-    return flat.reshape(shape)
-
-
 def _argmin_point(values, *coords):
     idx = int(np.argmin(values))
     return [float(np.broadcast_to(c, values.shape).ravel()[idx]) for c in coords]
@@ -543,7 +488,7 @@ def _tail_integral(fn, windows):
     """Integrals over expanding windows and the increment of the last one."""
     w = sorted(float(x) for x in windows)
     grid = np.linspace(0.0, w[-1], max(int(w[-1] / 0.05), 200) + 1)
-    vals = _apply_scalar(fn, grid)
+    vals = _apply(fn, grid)
     cum = np.concatenate(
         ([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))))
     totals = [float(np.interp(x, grid, cum)) for x in w]
@@ -569,8 +514,8 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
     z = np.asarray(grids.z, dtype=float)
 
     # C1: coefficient bounds 1 <= u0^a <= u <= E^a and 1 <= v0^a <= v <= Q^a
-    u_vals = _apply_scalar(sys.u, tau)
-    v_vals = _apply_scalar(sys.v, tau)
+    u_vals = _apply(sys.u, tau)
+    v_vals = _apply(sys.v, tau)
     u0a, Ea, v0a, Qa = c.u0 ** a, c.E ** a, c.v0 ** a, c.Q ** a
     parts = {
         "u0_alpha_ge_1": u0a - 1.0,
@@ -588,7 +533,7 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
 
     # C2: positive constants and damping shape bounded below by eps0^a
     Ymesh, Zmesh = np.meshgrid(y, z, indexing="ij")
-    f_vals = _apply_pair(sys.f, Ymesh, Zmesh)
+    f_vals = _apply(sys.f, Ymesh, Zmesh)
     const_floor = min(c.lambda1, c.lambda2, c.eps0, c.eps1, c.eps2)
     f_margin = float(np.min(f_vals - c.eps0 ** a))
     worst = min(f_margin, const_floor)
@@ -601,10 +546,10 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
     # potential unbounded in both directions
     h0 = abs(float(sys.h(0.0)))
     y_off = y[np.abs(y) > 0.0]
-    sign_vals = _apply_scalar(sys.h, y_off) * np.sign(y_off)
-    dh_vals = _apply_scalar(sys.restoring_slope, y)
-    Hg_pos = _apply_scalar(sys.restoring_integral, grids.y_growth)
-    Hg_neg = _apply_scalar(sys.restoring_integral, -np.asarray(grids.y_growth))
+    sign_vals = _apply(sys.h, y_off) * np.sign(y_off)
+    dh_vals = _apply(sys.restoring_slope, y)
+    Hg_pos = _apply(sys.restoring_integral, grids.y_growth)
+    Hg_neg = _apply(sys.restoring_integral, -np.asarray(grids.y_growth))
     grow_pos = float(Hg_pos[-1] / max(Hg_pos[0], 1e-300))
     grow_neg = float(Hg_neg[-1] / max(Hg_neg[0], 1e-300))
     parts = {
@@ -623,11 +568,11 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
 
     # C4: positive part of v' integrable and v' settling to zero
     def zeta0_of(s):
-        return np.maximum(_apply_scalar(sys.coefficient_slope, s), 0.0)
+        return np.maximum(_apply(sys.coefficient_slope, s), 0.0)
 
     totals, last_inc = _tail_integral(zeta0_of, grids.tail_windows)
     probe_end = np.linspace(0.8, 1.0, 9) * max(grids.tail_windows)
-    dv_end = float(np.max(np.abs(_apply_scalar(sys.coefficient_slope, probe_end))))
+    dv_end = float(np.max(np.abs(_apply(sys.coefficient_slope, probe_end))))
     parts = {"integral_tail": grids.tail_tol - last_inc,
              "slope_settles": grids.tail_tol - dv_end}
     worst = min(parts.values())
@@ -649,23 +594,23 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
             "parts": const_parts,
             "note": "forcing present but envelopes r1/r2 missing"})
     else:
-        r1_vals = _apply_scalar(sys.r1, tau)
-        r2_vals = _apply_scalar(sys.r2, tau)
-        _, inc1 = _tail_integral(lambda s: _apply_scalar(sys.r1, s),
+        r1_vals = _apply(sys.r1, tau)
+        r2_vals = _apply(sys.r2, tau)
+        _, inc1 = _tail_integral(lambda s: _apply(sys.r1, s),
                                  grids.tail_windows)
-        _, inc2 = _tail_integral(lambda s: _apply_scalar(sys.r2, s),
+        _, inc2 = _tail_integral(lambda s: _apply(sys.r2, s),
                                  grids.tail_windows)
         stride = max(int(grids.forcing_stride), 1)
         t_sub = tau[::stride]
         y_sub = y[::stride]
         z_sub = z[::stride]
-        H_sub = _apply_scalar(sys.restoring_integral, y_sub)
+        H_sub = _apply(sys.restoring_integral, y_sub)
         T3 = t_sub[:, None, None]
         Y3 = y_sub[None, :, None]
         Z3 = z_sub[None, None, :]
-        q_abs = np.abs(_apply_triple(sys.q, T3, Y3, Z3))
-        r1_3 = _apply_scalar(sys.r1, t_sub)[:, None, None]
-        r2_3 = _apply_scalar(sys.r2, t_sub)[:, None, None]
+        q_abs = np.abs(_apply(sys.q, T3, Y3, Z3))
+        r1_3 = _apply(sys.r1, t_sub)[:, None, None]
+        r2_3 = _apply(sys.r2, t_sub)[:, None, None]
         base = np.maximum(H_sub[None, :, None] + Z3 ** 2, 0.0)
         envelope = r1_3 + r2_3 * base ** (sigma ** a / 2.0) + Delta ** a * np.abs(Z3)
         env_margin = envelope - q_abs
@@ -706,20 +651,16 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
 # certificate functions and the theorem verifiers
 # ---------------------------------------------------------------------------
 
-def _as_arr(fn, x):
-    return _apply_scalar(fn, np.asarray(x, dtype=float))
-
-
 def stability_certificate(sys: FdeSystem) -> LyapunovFunction:
     """Energy certificate H(y) + z^2 / (2 v(tau)) for the unforced family."""
     return LyapunovFunction(
         value=lambda tau, y, z: sys.restoring_integral(y)
-        + z * z / (2.0 * _as_arr(sys.v, tau)),
+        + z * z / (2.0 * _apply(sys.v, tau)),
         grad_state=(
-            lambda tau, y, z: _as_arr(sys.h, y),
-            lambda tau, y, z: z / _as_arr(sys.v, tau)),
-        grad_tau=lambda tau, y, z: -_as_arr(sys.coefficient_slope, tau)
-        * z * z / (2.0 * _as_arr(sys.v, tau) ** 2))
+            lambda tau, y, z: _apply(sys.h, y),
+            lambda tau, y, z: z / _apply(sys.v, tau)),
+        grad_tau=lambda tau, y, z: -_apply(sys.coefficient_slope, tau)
+        * z * z / (2.0 * _apply(sys.v, tau) ** 2))
 
 
 def boundedness_certificate(sys: FdeSystem, k: float = 1.0 / 32.0) -> LyapunovFunction:
@@ -727,12 +668,12 @@ def boundedness_certificate(sys: FdeSystem, k: float = 1.0 / 32.0) -> LyapunovFu
     if not k > 0.0:
         raise ParameterError(f"k must be positive, got {k!r}")
     return LyapunovFunction(
-        value=lambda tau, y, z: _as_arr(sys.v, tau) * sys.restoring_integral(y)
+        value=lambda tau, y, z: _apply(sys.v, tau) * sys.restoring_integral(y)
         + 0.5 * z * z + k,
         grad_state=(
-            lambda tau, y, z: _as_arr(sys.v, tau) * _as_arr(sys.h, y),
+            lambda tau, y, z: _apply(sys.v, tau) * _apply(sys.h, y),
             lambda tau, y, z: z),
-        grad_tau=lambda tau, y, z: _as_arr(sys.coefficient_slope, tau)
+        grad_tau=lambda tau, y, z: _apply(sys.coefficient_slope, tau)
         * sys.restoring_integral(y))
 
 
@@ -818,10 +759,10 @@ def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
     taus, blocks, escaped = _batch_integrate(rhs, 2, Y0, tau_end, dtau,
                                              record_every)
     Yb, Zb = blocks[:, 0, :], blocks[:, 1, :]
-    u_v = _apply_scalar(sys.u, taus)[:, None]
-    v_v = _apply_scalar(sys.v, taus)[:, None]
-    dv_v = _apply_scalar(sys.coefficient_slope, taus)[:, None]
-    f_v = _apply_pair(sys.f, Yb, Zb)
+    u_v = _apply(sys.u, taus)[:, None]
+    v_v = _apply(sys.v, taus)[:, None]
+    dv_v = _apply(sys.coefficient_slope, taus)[:, None]
+    f_v = _apply(sys.f, Yb, Zb)
     drift = -dv_v / (2.0 * v_v ** 2) * Zb ** 2 - (u_v / v_v) * f_v * Zb ** 2
     max_drift = float(np.max(drift))
     drift_ok = max_drift <= drift_tol and not bool(np.any(escaped))
@@ -876,23 +817,22 @@ def _certificate_pieces(sys: FdeSystem, k: float, tau_b, Y, Z):
     tau_b must broadcast against Y and Z.  The derivative uses the closed
     form dL0 = v' H - u f z^2 + q z, in which the v h z cross terms cancel.
     """
-    shape = np.broadcast_shapes(np.shape(tau_b), np.shape(Y), np.shape(Z))
-    Tb = np.broadcast_to(np.asarray(tau_b, dtype=float), shape)
-    Yb = np.broadcast_to(np.asarray(Y, dtype=float), shape)
-    Zb = np.broadcast_to(np.asarray(Z, dtype=float), shape)
-    u_v = _apply_scalar(sys.u, Tb)
-    v_v = _apply_scalar(sys.v, Tb)
-    dv_v = _apply_scalar(sys.coefficient_slope, Tb)
-    H_v = _apply_scalar(sys.restoring_integral, Yb)
-    f_v = _apply_pair(sys.f, Yb, Zb)
+    Tb, Yb, Zb = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                       for a in (tau_b, Y, Z)))
+    shape = Tb.shape
+    u_v = _apply(sys.u, Tb)
+    v_v = _apply(sys.v, Tb)
+    dv_v = _apply(sys.coefficient_slope, Tb)
+    H_v = _apply(sys.restoring_integral, Yb)
+    f_v = _apply(sys.f, Yb, Zb)
     if sys.q is None:
         q_v = np.zeros(shape)
         r1_v = np.zeros(shape)
         r2_v = np.zeros(shape)
     else:
-        q_v = _apply_triple(sys.q, Tb, Yb, Zb)
-        r1_v = _apply_scalar(sys.r1, Tb)
-        r2_v = _apply_scalar(sys.r2, Tb)
+        q_v = _apply(sys.q, Tb, Yb, Zb)
+        r1_v = _apply(sys.r1, Tb)
+        r2_v = _apply(sys.r2, Tb)
     zeta0 = np.maximum(dv_v, 0.0)
     L0 = v_v * H_v + 0.5 * Zb ** 2 + k
     dL0 = dv_v * H_v - u_v * f_v * Zb ** 2 + q_v * Zb

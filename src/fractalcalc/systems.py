@@ -2,11 +2,14 @@
 
 Each builder returns plain library objects (callables, FdeSystem,
 LyapunovFunction) with analytic hooks filled in, so downstream checks are
-free of finite-difference noise where an exact form exists.
+free of finite-difference noise where an exact form exists.  The command
+line names these systems through the one registry at the end of the module.
 """
 
 import numpy as np
 
+from .errors import ParameterError
+from .expressions import compile_expression
 from .fde import FdeConstants, FdeSystem
 from .lyapunov import LyapunovFunction
 
@@ -150,3 +153,31 @@ def theorem2_toy() -> FdeSystem:
         r1=lambda tau: np.exp(-tau),
         r2=lambda tau: np.exp(-tau),
     )
+
+
+def _custom_first(field):
+    if field is None:
+        raise ParameterError("custom-first needs --field with an expression in y")
+    return compile_expression(field, ("y",))
+
+
+# command line system names; each flow is a scalar field g(y) or an
+# FdeSystem, and every builder gets the spring constant and the custom-first
+# field expression
+_NAMED_SYSTEMS = {
+    "example1": lambda spring, field: example1_field,
+    "example2": lambda spring, field: example2_system(),
+    "example3": lambda spring, field: example3_system(spring),
+    "theorem1": lambda spring, field: theorem1_toy(),
+    "theorem2": lambda spring, field: theorem2_toy(),
+    "custom-first": lambda spring, field: _custom_first(field),
+}
+
+
+def _named_system(name, spring=1.0, field=None):
+    """The flow a command line system name stands for."""
+    try:
+        build = _NAMED_SYSTEMS[name]
+    except KeyError:
+        raise ParameterError(f"unknown system {name!r}") from None
+    return build(spring, field)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -134,3 +135,75 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert run_cli(argv + ["--out", str(first)]) == 0
     assert run_cli(argv + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_verify_theorem2_runs_the_named_unforced_toy(tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "--theorem", "2", "--system", "theorem1",
+                    "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["forced"] is False
+
+
+@pytest.mark.parametrize("theorem,system", [("1", "bogus"), ("2", "bogus"),
+                                            ("1", "example1")])
+def test_verify_rejects_unknown_systems(theorem, system):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--theorem", theorem, "--system", system])
+    assert exc.value.code == 2
+
+
+def test_verify_theorem1_rejects_the_forced_toy(capsys):
+    assert run_cli(["verify", "--theorem", "1", "--system", "theorem2"]) == 2
+    assert "unforced systems" in capsys.readouterr().err
+
+
+# sha256 of stdout at every default configuration of the solver commands,
+# with the expected exit code; example2 fails C6, so its theorem 2 run exits
+# 3 with empty output.  A change that alters the numbers on purpose
+# re-captures these digests.
+GOLDEN = [
+    (["solve", "--system", "example1"], 0,
+     "44430a61918a787b832ec5c1b735fbbc672ca7c6c3cda3f68bd7d44acdcffccd"),
+    (["solve", "--system", "example2"], 0,
+     "c23fab42e4e31ae26e5562b93e87ba026d0eb5d5ead8fc4b57429a25643f93d3"),
+    (["solve", "--system", "example3"], 0,
+     "c7e7ce06341360b2bd3c7752525e2638849372281adeb952f9754d16c57e9168"),
+    (["solve", "--system", "theorem1"], 0,
+     "0f0f002bfa2f640b3e3880a16f6d870ffc08cfcf44bbb5affaeb5f9411df9194"),
+    (["solve", "--system", "theorem2"], 0,
+     "c8585bde8b0f28997e323353a1ce5a6b7292d3e84b1bca729c09b0456930f362"),
+    (["solve", "--system", "custom-first", "--field=-y"], 0,
+     "44430a61918a787b832ec5c1b735fbbc672ca7c6c3cda3f68bd7d44acdcffccd"),
+    (["stability", "--system", "example1"], 0,
+     "9990dd1cdad20c9e6a13fc78df99bf064587e163ba84ee465c354257e43c8534"),
+    (["stability", "--system", "example2"], 0,
+     "466a64794c0f93187b5f1622f37269124b379de1ec035b85fa9f78c6df6cdcfc"),
+    (["stability", "--system", "example3"], 0,
+     "4ab2fcb6a14e02a6e0c33eaf2c385239e2542cf2bb7c790a7f9f7c584701a7c7"),
+    (["stability", "--system", "theorem1"], 0,
+     "8f5554de4eca3ebb3e78da91f369ac49faa93b2a685d834b709fdae212f3a3ea"),
+    (["verify", "--theorem", "1"], 0,
+     "8837fe7645a7af6ca82b45f0002ffb3bf427ddeea060f9882d35ab597c3ad360"),
+    (["verify", "--theorem", "1", "--system", "example2"], 0,
+     "6beaadf0f227fbef3f18e785367ad08fff0a072f2f5cf7ac8f8ac833ec81979d"),
+    (["verify", "--theorem", "2"], 0,
+     "2e3f3feb8e82b9ad18b70734af1b6f3ac16deea0254c5b64fb5cbb57766124e8"),
+    (["verify", "--theorem", "2", "--system", "example2"], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["demo", "example1"], 0,
+     "7e72361003dd38e82d96e1ad2c1e5d264724110f09e73774f663ae9a2cd4111f"),
+    (["demo", "example2"], 0,
+     "d5976d18bddacbc21a1eba35e28b2f9f611f731bee1cad6a497e1a076e8aa097"),
+    (["demo", "example3"], 0,
+     "c368a1d6b8857be00770cfa49ca5324518657708fee15300a1e19e2ea19517e1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", GOLDEN,
+    ids=["-".join(a for a in argv if not a.startswith("--"))
+         for argv, _, _ in GOLDEN])
+def test_default_output_is_pinned(argv, code, digest, capsys):
+    assert run_cli(argv + ["--out", "-"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -128,6 +128,53 @@ def test_classify_unstable(long_table):
     assert rep.classification == "unstable-evidence"
 
 
+def test_classify_freezes_escaped_columns(long_table, monkeypatch):
+    import fractalcalc.lyapunov as lyap
+    from fractalcalc.fde import BLOWUP_LIMIT
+
+    runs = []
+    batch = lyap._batch_integrate
+
+    def spy(rhs, dim, Y0, tau_end, dtau, record_every, *rest):
+        out = batch(rhs, dim, Y0, tau_end, dtau, record_every, *rest)
+        runs.append((rhs, dim, np.array(Y0), tau_end, dtau, record_every, out))
+        return out
+
+    monkeypatch.setattr(lyap, "_batch_integrate", spy)
+    rep = classify_stability(lambda y: y * y, long_table)
+    assert rep.classification == "unstable-evidence"
+    assert "some trajectories left the blow-up ball" in rep.notes
+
+    (rhs, dim, Y0, tau_end, dtau, record_every, (taus, blocks, escaped)), = runs
+    # +delta columns reach the limit before tau = 1 / delta**alpha < 20,
+    # -delta columns decay like y0 / (1 - y0 tau)
+    assert np.array_equal(escaped, Y0[0] > 0.0)
+    for b in np.flatnonzero(escaped):
+        col = blocks[:, 0, b]
+        first = int(np.argmax(col == BLOWUP_LIMIT))
+        assert col[first] == BLOWUP_LIMIT
+        assert np.all(col[first:] == BLOWUP_LIMIT)
+        assert np.all(np.abs(col[:first]) < BLOWUP_LIMIT)
+    for b in np.flatnonzero(~escaped):
+        alone_taus, alone, alone_escaped = batch(
+            rhs, dim, Y0[:, [b]], tau_end, dtau, record_every)
+        assert not alone_escaped.any()
+        assert np.array_equal(alone_taus, taus)
+        assert np.array_equal(alone[:, :, 0], blocks[:, :, b])
+
+
+def test_classify_surfaces_errors_from_array_input(long_table):
+    # only TypeError and ValueError mean "no array support"; anything else
+    # is a bug in the flow and must not be hidden by the column-by-column path
+    def flow(y):
+        if isinstance(y, np.ndarray):
+            raise RuntimeError("flow rejects arrays")
+        return -y
+
+    with pytest.raises(RuntimeError, match="flow rejects arrays"):
+        classify_stability(flow, long_table, horizon=1.0, dtau=1e-2)
+
+
 def test_classify_rejects_non_equilibrium(long_table):
     with pytest.raises(ParameterError):
         classify_stability(example1_field, long_table, equilibrium=1.0)
