@@ -13,12 +13,18 @@ piecewise-linear interpolation of Trajectory.at_time reproduces.
 
 ``_integrate`` is the one fixed-step loop of the package.  It marches a
 state of shape (dim,) or a block of shape (dim, B), one column per initial
-state, and handles a state that leaves the blow-up ball in one of two ways:
-"raise" stops the march (the solve_* functions turn this into a
-NumericalBlowupError carrying the partial trajectory), "freeze" clips the
-escaped columns to the ball and holds them there while the other columns
-keep integrating (the batched probes of the lyapunov module).  ``_apply``
-is the one adapter that calls a user function on arrays.
+state, as a sequence of dim components: np.float64 scalars for one state,
+rows of shape (B,) for a block.  The right-hand side maps (tau, components)
+to dim component derivatives, each a scalar or an array that broadcasts to
+the rows, so no step packs the components into one array.  Scalars stay
+np.float64 rather than Python floats, so 1/0 and a negative base to a
+fractional power give inf/nan (and a blow-up) instead of raising.  A state
+that leaves the blow-up ball is handled in one of two ways: "raise" stops
+the march (the solve_* functions turn this into a NumericalBlowupError
+carrying the partial trajectory), "freeze" clips the escaped columns to the
+ball and holds them there while the other columns keep integrating (the
+batched probes of the lyapunov module).  ``_apply`` is the one adapter that
+calls a user function on arrays.
 """
 
 import math
@@ -32,6 +38,9 @@ from .errors import DomainError, NumericalBlowupError, ParameterError
 from .staircase import StaircaseTable, eval_staircase
 
 BLOWUP_LIMIT = 1e12
+# work budget of one march: the largest run in the package takes about 1e5
+# steps, and 1e7 recorded steps of a planar system already fill 240 MB
+_MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -205,16 +214,21 @@ class _BlowupSignal(Exception):
         self.offender = offender
 
 
-def _rk4_step(rhs, tau, state, h):
-    k1 = rhs(tau, state)
-    k2 = rhs(tau + 0.5 * h, state + 0.5 * h * k1)
-    k3 = rhs(tau + 0.5 * h, state + 0.5 * h * k2)
-    k4 = rhs(tau + h, state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def _rk4_step(rhs, tau, x, h):
+    # per component; the groupings (0.5*h)*k and (h/6)*(k1 + 2*(k2 + k3) + k4)
+    # are fixed, since default outputs are pinned bit for bit
+    half = 0.5 * h
+    k1 = rhs(tau, x)
+    k2 = rhs(tau + half, [xi + half * ki for xi, ki in zip(x, k1)])
+    k3 = rhs(tau + half, [xi + half * ki for xi, ki in zip(x, k2)])
+    k4 = rhs(tau + h, [xi + h * ki for xi, ki in zip(x, k3)])
+    sixth = h / 6.0
+    return [xi + sixth * (a + 2.0 * (b + c) + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
 
 
-def _euler_step(rhs, tau, state, h):
-    return state + h * rhs(tau, state)
+def _euler_step(rhs, tau, x, h):
+    return [xi + h * ki for xi, ki in zip(x, rhs(tau, x))]
 
 
 _STEPPERS = {"rk4": _rk4_step, "euler": _euler_step}
@@ -224,35 +238,57 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
                limit=BLOWUP_LIMIT, on_escape="raise"):
     """Fixed-step march from tau=0 to tau_end, recording every k-th step.
 
-    The last step is shortened so the grid lands exactly on tau_end.  The
-    initial state and the final state are always recorded.  Returns (taus,
-    states, escaped): states has shape (n_records,) + state0.shape and
-    escaped marks the columns (axis 1 of a (dim, B) block) that left the
-    ball |x| <= limit or went non-finite.
+    state0 has shape (dim,) or (dim, B); rhs(tau, comps) receives its dim
+    components (np.float64 scalars or rows of shape (B,)) and returns dim
+    component derivatives.  The last step is shortened so the grid lands
+    exactly on tau_end.  The initial state and the final state are always
+    recorded.  Returns (taus, states, escaped): states has shape
+    (n_records,) + state0.shape and escaped marks the columns (axis 1 of a
+    (dim, B) block) that left the ball |x| <= limit or went non-finite.
 
     on_escape="raise" raises _BlowupSignal with the records so far at the
     first escape.  on_escape="freeze" clips escaped columns to the ball and
     holds them at that value from then on; the other columns integrate
     undisturbed.  Each step tests the whole state once; the per-column
-    bookkeeping runs only once some column has escaped.
+    bookkeeping, on a stacked block, runs only once some column has escaped.
+
+    dtau must be finite and positive, tau_end finite and >= 0, and the
+    march at most _MAX_STEPS steps long; anything else is a ParameterError
+    raised before any allocation.
     """
     try:
         stepper = _STEPPERS[method]
     except KeyError:
         raise ParameterError(
             f"unknown method {method!r}, expected one of {sorted(_STEPPERS)}") from None
-    if not dtau > 0.0:
-        raise ParameterError(f"dtau must be positive, got {dtau!r}")
+    if not (math.isfinite(dtau) and dtau > 0.0):
+        raise ParameterError(f"dtau must be finite and positive, got {dtau!r}")
+    if not (math.isfinite(tau_end) and tau_end >= 0.0):
+        raise ParameterError(f"tau_end must be finite and >= 0, got {tau_end!r}")
     if record_every < 1:
         raise ParameterError("record_every must be >= 1")
-    state = np.array(state0, dtype=float)
-    n_steps = max(int(math.ceil(tau_end / dtau - 1e-12)), 0)
+    steps = tau_end / dtau - 1e-12
+    if steps > _MAX_STEPS:
+        raise ParameterError(
+            f"tau_end={tau_end!r} with dtau={dtau!r} needs about {steps:.3g} "
+            f"steps, more than the {_MAX_STEPS:.0e} allowed; increase dtau")
+    n_steps = max(int(math.ceil(steps)), 0)
+    block = np.array(state0, dtype=float)
     n_records = 1 + -(-n_steps // record_every)
     taus = np.empty(n_records)
-    states = np.empty((n_records,) + state.shape)
+    states = np.empty((n_records,) + block.shape)
     taus[0] = 0.0
-    states[0] = state
-    escaped = np.zeros(state.shape[1:], dtype=bool)
+    states[0] = block
+    escaped = np.zeros(block.shape[1:], dtype=bool)
+    # NaN fails the comparisons, so these tests cover non-finite values too;
+    # one reduction over the stacked rows is cheaper than one per row
+    if block.ndim == 1:
+        def inside(x):
+            return all(abs(c) <= limit for c in x)
+    else:
+        def inside(x):
+            return np.abs(x).max() <= limit
+    state = list(block)
     frozen = False
     tau = 0.0
     r = 1
@@ -261,18 +297,19 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
         h = (tau_end - tau) if last else dtau
         new = stepper(rhs, tau, state, h)
         tau = tau_end if last else (k + 1) * dtau
-        # NaN fails the comparison, so one test covers non-finite values too
-        if frozen or not np.abs(new).max() <= limit:
+        if frozen or not inside(new):
             if on_escape == "raise":
                 raise _BlowupSignal(taus[:r], states[:r], tau)
+            new = np.array(new)
             bad = ~np.all(np.abs(new) <= limit, axis=0)
             new[:, bad] = np.clip(
                 np.nan_to_num(new[:, bad], nan=limit, posinf=limit,
                               neginf=-limit), -limit, limit)
             hold = escaped & ~bad
-            new[:, hold] = state[:, hold]
+            new[:, hold] = np.array(state)[:, hold]
             escaped |= bad
             frozen = True
+            new = list(new)
         state = new
         if last or (k + 1) % record_every == 0:
             taus[r] = tau
@@ -323,8 +360,8 @@ def solve_first_order(g, table: StaircaseTable, h0: float, t_end: float,
     On blow-up a NumericalBlowupError is raised with the partial trajectory
     attached.
     """
-    def rhs(tau, state):
-        return np.asarray(g(state[0]), dtype=float).reshape(1)
+    def rhs(tau, x):
+        return (g(x[0]),)
 
     return _solve(rhs, table, [float(h0)], t_end, dtau, method, record_every,
                   blowup_limit)
@@ -335,9 +372,8 @@ def solve_second_order(sys: FdeSystem, table: StaircaseTable, y0: float,
                        method: str = "rk4", record_every: int = 1,
                        blowup_limit: float = BLOWUP_LIMIT) -> Trajectory:
     """Integrate the damped second order system from the anchor to t_end."""
-    def rhs(tau, state):
-        dy, dz = sys.rhs(tau, state[0], state[1])
-        return np.array([dy, dz])
+    def rhs(tau, x):
+        return sys.rhs(tau, x[0], x[1])
 
     return _solve(rhs, table, [float(y0), float(z0)], t_end, dtau, method,
                   record_every, blowup_limit)

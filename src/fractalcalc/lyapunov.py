@@ -94,7 +94,8 @@ def as_tau_field(flow):
 
     Accepts an FdeSystem, a scalar map g(y) for first order problems, or a
     planar field field(tau, y, z) returning (Dy, Dz).  The returned rhs maps
-    (tau, state_tuple) to a tuple of component derivatives.
+    (tau, components) to a tuple of component derivatives, the contract of
+    fde._integrate.
     """
     if isinstance(flow, FdeSystem):
         return (lambda tau, st: flow.rhs(tau, st[0], st[1])), 2
@@ -153,33 +154,35 @@ def lyapunov_derivative(L: LyapunovFunction, flow, state, tau=0.0):
 # (dim, B) block through fde._integrate, the package's one fixed-step loop,
 # with classical RK4 and the "freeze" escape policy: a column that leaves
 # the blow-up ball is clipped to it and held there while the others go on.
-# The user's flow sees whole rows of the block when it accepts arrays and
-# one column at a time otherwise.
+# The loop hands the flow the block's rows, one array of shape (B,) per
+# component, and takes back one derivative per component.  A flow that
+# accepts arrays is called as it is, with no packing per call; otherwise an
+# adapter runs it one column at a time and returns rows.
 # ---------------------------------------------------------------------------
 
-def _vectorize_rhs(rhs, dim, n_cols, probe_block):
-    """Return f(tau, block) on (dim, n_cols) arrays, probing for array support.
+def _vectorize_rhs(rhs, dim, n_cols, probe_rows):
+    """Return an rhs on component rows of length n_cols, probing rhs once.
 
-    Only TypeError and ValueError from the probe count as "no array
-    support"; any other exception is a bug in the flow and propagates.
+    rhs itself is returned when its probe result on probe_rows has dim
+    finite components that broadcast to (n_cols,).  Otherwise the returned
+    adapter calls rhs per column on scalars.  Only TypeError and ValueError
+    from the probe count as "no array support"; any other exception is a bug
+    in the flow and propagates.
     """
-
-    def matrix_call(tau, block):
-        out = rhs(tau, tuple(block))
-        return np.stack([np.broadcast_to(np.asarray(c, dtype=float), (n_cols,))
-                         for c in out])
-
     try:
-        probe = matrix_call(0.0, probe_block)
+        probe = np.stack([np.broadcast_to(np.asarray(c, dtype=float), (n_cols,))
+                          for c in rhs(0.0, probe_rows)])
         if probe.shape == (dim, n_cols) and np.all(np.isfinite(probe)):
-            return matrix_call
+            return rhs
     except (TypeError, ValueError):
         pass
 
-    def column_call(tau, block):
-        cols = [np.asarray(rhs(tau, tuple(block[:, b])), dtype=float)
-                for b in range(n_cols)]
-        return np.stack(cols, axis=1)
+    def column_call(tau, rows):
+        outs = [rhs(tau, col) for col in zip(*rows)]
+        if len(outs[0]) != dim:
+            raise ParameterError(
+                f"flow returned {len(outs[0])} component(s), expected {dim}")
+        return [np.array(c, dtype=float) for c in zip(*outs)]
 
     return column_call
 
@@ -192,7 +195,7 @@ def _batch_integrate(rhs, dim, Y0, tau_end, dtau, record_every,
     escaped marks columns that left the blow-up ball or went non-finite.
     """
     Y = np.array(Y0, dtype=float)
-    f = _vectorize_rhs(rhs, dim, Y.shape[1], Y)
+    f = _vectorize_rhs(rhs, dim, Y.shape[1], list(Y))
     return _integrate(f, tau_end, Y, dtau, "rk4", record_every, limit,
                       on_escape="freeze")
 

@@ -127,6 +127,18 @@ def test_blowup_is_runtime_error_with_partial_output(tmp_path):
     assert len(rows) > 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--t-end", "nan"],
+    ["stability", "--horizon", "nan"],
+    ["solve", "--dtau", "inf"],
+    ["solve", "--dtau", "1e-15"],
+], ids=["solve-t-end-nan", "stability-horizon-nan", "solve-dtau-inf",
+        "solve-dtau-tiny"])
+def test_bad_horizons_and_steps_are_usage_errors(argv, capsys):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

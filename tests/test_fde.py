@@ -9,6 +9,7 @@ from fractalcalc import (
     CantorSpec,
     DomainError,
     FdeConstants,
+    FdeSystem,
     NumericalBlowupError,
     ParameterError,
     build_staircase,
@@ -120,6 +121,70 @@ def test_rejects_bad_dtau(table):
     with pytest.raises(ParameterError):
         solve_first_order(lambda y: -y, table, 1.0, 1.0, dtau=1e-3,
                           method="leapfrog")
+
+
+@pytest.mark.parametrize("t_end,dtau", [
+    (math.nan, 1e-3), (1.0, math.inf), (1.0, math.nan), (1.0, -1e-3),
+    # 1e15 steps: refused by the step budget before any allocation
+    (1.0, 1e-15),
+], ids=["t_end-nan", "dtau-inf", "dtau-nan", "dtau-negative", "dtau-tiny"])
+def test_rejects_bad_horizons_and_steps(table, t_end, dtau):
+    with pytest.raises(ParameterError):
+        solve_first_order(lambda y: -y, table, 1.0, t_end, dtau=dtau)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("g", [lambda y: 1.0 / y, lambda y: (-1.0 - y) ** 0.5],
+                         ids=["reciprocal", "root-of-negative"])
+def test_scalar_state_gives_ieee_blowup(table, g):
+    # the one-state march keeps np.float64 components: 1/0 is inf and a
+    # negative base to a fractional power is nan, never a Python exception
+    with pytest.raises(NumericalBlowupError):
+        solve_first_order(g, table, 0.0, 1.0, dtau=1e-3)
+
+
+def test_one_column_batch_matches_the_solve_bit_for_bit(long_table):
+    from fractalcalc.lyapunov import _batch_integrate, as_tau_field
+
+    sys = example2_system()
+    traj = solve_second_order(sys, long_table, 0.7, -0.3, 5.0, dtau=1e-2)
+    rhs, dim = as_tau_field(sys)
+    taus, blocks, escaped = _batch_integrate(
+        rhs, dim, [[0.7], [-0.3]], traj.meta["tau_end"], 1e-2, 1)
+    assert not escaped.any()
+    assert np.array_equal(taus, traj.tau)
+    assert np.array_equal(blocks[:, 0, 0], traj.y)
+    assert np.array_equal(blocks[:, 1, 0], traj.z)
+
+
+def _counting_system(calls):
+    # sys.rhs calls u exactly once per right-hand-side evaluation
+    def u(tau):
+        calls.append(tau)
+        return 1.0
+
+    return FdeSystem(u=u, v=lambda tau: 1.0, f=lambda y, z: 1.0,
+                     h=lambda y: y)
+
+
+@pytest.mark.parametrize("method,per_step", [("rk4", 4), ("euler", 1)])
+def test_solve_calls_the_rhs_per_stage(table, method, per_step):
+    calls = []
+    traj = solve_second_order(_counting_system(calls), table, 1.0, 0.0, 1.0,
+                              dtau=1e-2, method=method)
+    n_steps = len(traj) - 1
+    assert n_steps == math.ceil(traj.meta["tau_end"] / 1e-2 - 1e-12)
+    assert len(calls) == per_step * n_steps
+
+
+def test_batch_calls_the_rhs_per_stage_plus_one_probe(table):
+    from fractalcalc.lyapunov import _batch_integrate, as_tau_field
+
+    calls = []
+    rhs, dim = as_tau_field(_counting_system(calls))
+    taus, _, _ = _batch_integrate(rhs, dim, [[1.0, 0.5, -0.5], [0.0] * 3],
+                                  0.75, 1e-2, 1)
+    assert len(calls) == 4 * (len(taus) - 1) + 1
 
 
 def test_t_end_outside_span_raises(table):

@@ -175,6 +175,39 @@ def test_classify_surfaces_errors_from_array_input(long_table):
         classify_stability(flow, long_table, horizon=1.0, dtau=1e-2)
 
 
+def test_classify_column_fallback_is_exact(long_table):
+    # math.exp rejects arrays with TypeError, so this flow runs one column
+    # at a time; the report must equal the one from the row-array path
+    def scalar_flow(tau, y, z):
+        return z, -y - (1.0 + math.exp(-y * y)) * z
+
+    def array_flow(tau, y, z):
+        return z, -y - (1.0 + np.exp(-y * y)) * z
+
+    reports = [classify_stability(flow, long_table, equilibrium=(0.0, 0.0),
+                                  horizon=5.0, dtau=1e-2).to_json()
+               for flow in (scalar_flow, array_flow)]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("exp", [math.exp, np.exp], ids=["math", "numpy"])
+def test_classify_rejects_a_missing_component(long_table, exp):
+    # a planar field that returns one derivative fails the array probe, and
+    # the column-by-column path refuses it instead of marching a short state
+    def flow(tau, y, z):
+        return (-y * exp(-z * z),)
+
+    with pytest.raises(ParameterError, match="1 component"):
+        classify_stability(flow, long_table, equilibrium=(0.0, 0.0),
+                           horizon=1.0, dtau=1e-2)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, -1.0])
+def test_classify_rejects_bad_horizons(long_table, horizon):
+    with pytest.raises(ParameterError):
+        classify_stability(example1_field, long_table, horizon=horizon)
+
+
 def test_classify_rejects_non_equilibrium(long_table):
     with pytest.raises(ParameterError):
         classify_stability(example1_field, long_table, equilibrium=1.0)
