@@ -11,28 +11,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cantor import _in_key_order
 from .errors import DomainError, ParameterError, ResolutionError
 from .fde import _apply
 from .staircase import StaircaseTable, eval_staircase
 
 
-def _segment_index(table: StaircaseTable, t: float):
+def _segment_index(table: StaircaseTable, t):
     # breakpoints alternate interval-start/interval-end, so even segments
     # are covering intervals and odd segments are gaps
     grid = table.t
-    if not grid[0] <= t <= grid[-1]:
-        raise DomainError(f"t={t!r} outside the tabulated span")
-    i = int(np.searchsorted(grid, t, side="right")) - 1
-    return min(max(i, 0), grid.size - 2)
+    t = np.asarray(t, dtype=float)
+    inside = (grid[0] <= t) & (t <= grid[-1])  # NaN is outside
+    if not inside.all():
+        first = float(t[~inside].flat[0])
+        raise DomainError(f"t={first!r} outside the tabulated span")
+    i = _in_key_order(lambda x: np.searchsorted(grid, x, side="right"), t) - 1
+    # t >= grid[0] keeps i >= 0; only t == grid[-1] lands past the last segment
+    return np.minimum(i, grid.size - 2)
+
+
+def _in_set(table: StaircaseTable, t: np.ndarray) -> np.ndarray:
+    """Membership of every point of t in the table's depth-m set."""
+    i = _segment_index(table, t)
+    # inside a gap segment only the endpoints belong to the set
+    return (i % 2 == 0) | (t == table.t[i]) | (t == table.t[i + 1])
 
 
 def in_set(table: StaircaseTable, t: float) -> bool:
     """Whether t lies in the depth-m set the table was built from."""
-    i = _segment_index(table, t)
-    if i % 2 == 0:
-        return True
-    # inside a gap segment only the endpoints belong to the set
-    return t == table.t[i] or t == table.t[i + 1]
+    return bool(_in_set(table, np.float64(t)))
 
 
 def set_samples(table: StaircaseTable, per_segment: int = 0) -> np.ndarray:
@@ -105,10 +113,10 @@ class GridFunction:
 
     @staticmethod
     def _require_set_points(table, t):
-        bad = [x for x in np.atleast_1d(t) if not in_set(table, float(x))]
-        if bad:
+        bad = t[~_in_set(table, t)]
+        if bad.size:
             raise ParameterError(
-                f"{len(bad)} sample point(s) fall outside the set, first: {bad[0]!r}")
+                f"{bad.size} sample point(s) fall outside the set, first: {bad[0]!r}")
 
 
 def fractal_derivative(f: GridFunction, t: float) -> float:

@@ -144,6 +144,26 @@ def generate(spec: CantorSpec) -> IntervalSet:
     return IntervalSet(left, right)
 
 
+def _in_key_order(search, keys):
+    """Apply the pointwise ``search`` to ``keys`` in ascending key order.
+
+    ``search`` maps an array of keys to one result per key, such as a binary
+    search over a breakpoint table followed by gathers from it.  Keys that
+    are not already ascending are sorted first and the results scattered
+    back, so successive searches touch neighbouring table entries and a
+    2^22-entry table stays in cache.  Each result depends on its key alone,
+    so the output is the same as ``search(keys)``, bit for bit.
+    """
+    flat = keys.reshape(-1)
+    if flat.size < 2 or not (flat[1:] < flat[:-1]).any():
+        return search(keys)
+    order = np.argsort(flat)
+    found = search(flat[order])
+    out = np.empty_like(found)
+    out[order] = found
+    return out.reshape(keys.shape)
+
+
 def contains(iset: IntervalSet, t):
     """Closed-interval membership test, vectorized over ``t``.
 
@@ -151,9 +171,13 @@ def contains(iset: IntervalSet, t):
     outside the base span are simply reported as absent.
     """
     t_arr = np.asarray(t, dtype=float)
-    idx = np.searchsorted(iset.left, t_arr, side="right") - 1
-    safe = np.clip(idx, 0, len(iset) - 1)
-    inside = (idx >= 0) & (t_arr <= iset.right[safe])
+
+    def search(x):
+        idx = np.searchsorted(iset.left, x, side="right") - 1
+        safe = np.clip(idx, 0, len(iset) - 1)
+        return (idx >= 0) & (x <= iset.right[safe])
+
+    inside = _in_key_order(search, t_arr)
     if t_arr.ndim == 0:
         return bool(inside)
     return inside

@@ -24,11 +24,11 @@ from .expressions import compile_expression
 from .fde import FdeSystem, _apply, solve_first_order, solve_second_order
 from .lyapunov import classify_stability, verify_theorem1, verify_theorem2
 from .staircase import (
+    _crossing,
     build_staircase,
     characteristic,
     dimension_sweep,
     eval_staircase,
-    gamma_dimension,
 )
 from .systems import _named_system, example1_exact
 
@@ -40,32 +40,25 @@ _DEPTH_DEFAULTS = {"cantor": 6, "staircase": 10, "chi": 10, "dimension": 16,
                    "stability": 12, "verify": 12}
 
 
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
+def _write_rows(path, names, columns, fmt):
+    """Write equal-length columns as a table, formatting one column at a time.
 
-
-def _write_rows(path, columns, rows, fmt):
+    Integer columns are written as integers, every other column as floats.
+    """
+    arrays = [np.asarray(col) for col in columns]
+    ints = [arr.dtype.kind in "iu" for arr in arrays]
+    values = [arr.tolist() if is_int else arr.astype(float).tolist()
+              for arr, is_int in zip(arrays, ints)]
     if fmt == "json":
-        payload = {"columns": list(columns),
-                   "rows": [[_jsonnum(v) for v in row] for row in rows]}
+        payload = {"columns": list(names),
+                   "rows": [list(row) for row in zip(*values)]}
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        cells = [map(str if is_int else "{:.12g}".format, col)
+                 for col, is_int in zip(values, ints)]
+        lines = [",".join(names), *map(",".join, zip(*cells))]
         text = "\n".join(lines) + "\n"
     _write_text(path, text)
-
-
-def _jsonnum(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
 
 
 def _write_text(path, text):
@@ -109,25 +102,26 @@ def _table_for(args, command):
 
 def _time_grid(args, spec):
     n = args.samples
+    if n < 0:
+        raise ParameterError(f"--samples must be >= 0, got {n}")
     return np.linspace(spec.origin, spec.extent, n)
 
 
 def cmd_cantor(args):
     spec = _spec_from(args, "cantor")
-    rows = []
-    for level, iset in iter_levels(spec):
-        for index, (a, b) in enumerate(iset):
-            rows.append((level, index, a, b))
-    _write_rows(args.out, ("level", "index", "left", "right"), rows, args.format)
+    levels = list(iter_levels(spec))
+    columns = (np.concatenate([np.full(len(iset), level) for level, iset in levels]),
+               np.concatenate([np.arange(len(iset)) for _, iset in levels]),
+               np.concatenate([iset.left for _, iset in levels]),
+               np.concatenate([iset.right for _, iset in levels]))
+    _write_rows(args.out, ("level", "index", "left", "right"), columns, args.format)
     return 0
 
 
 def cmd_staircase(args):
     table, spec = _table_for(args, "staircase")
     t = _time_grid(args, spec)
-    s = eval_staircase(table, t)
-    rows = list(zip(t, s))
-    _write_rows(args.out, ("t", "s"), rows, args.format)
+    _write_rows(args.out, ("t", "s"), (t, eval_staircase(table, t)), args.format)
     return 0
 
 
@@ -135,9 +129,8 @@ def cmd_chi(args):
     spec = _spec_from(args, "chi")
     alpha = _resolve_alpha(args, spec)
     t = _time_grid(args, spec)
-    values = characteristic(spec, alpha, t)
-    rows = list(zip(t, values))
-    _write_rows(args.out, ("t", "chi"), rows, args.format)
+    _write_rows(args.out, ("t", "chi"), (t, characteristic(spec, alpha, t)),
+                args.format)
     return 0
 
 
@@ -147,7 +140,7 @@ def cmd_dimension(args):
     coarse_depth = max(spec.depth - 4, 1)
     coarse = spec.base_length * spec.keep_ratio ** coarse_depth
     alphas, ratios, ratio_fn = dimension_sweep(spec, coarse, fine)
-    estimate = gamma_dimension(spec, coarse, fine)
+    estimate = _crossing(alphas, ratios, ratio_fn)
     closed_form = hausdorff_dimension(spec.mu)
     if args.format == "json":
         payload = {
@@ -161,9 +154,8 @@ def cmd_dimension(args):
         }
         _write_json(args.out, payload)
     else:
-        rows = [(a, r) for a, r in zip(alphas, ratios)]
-        rows.append((estimate, ratio_fn(estimate)))
-        _write_rows(args.out, ("alpha", "ratio"), rows, args.format)
+        columns = (np.append(alphas, estimate), np.append(ratios, ratio_fn(estimate)))
+        _write_rows(args.out, ("alpha", "ratio"), columns, args.format)
     return 0
 
 
@@ -180,8 +172,7 @@ def cmd_deriv(args):
 
     f, table, _ = _grid_function(args, "deriv")
     d = derivative_grid(f)
-    rows = list(zip(f.t, f.values, d.values))
-    _write_rows(args.out, ("t", "f", "deriv"), rows, args.format)
+    _write_rows(args.out, ("t", "f", "deriv"), (f.t, f.values, d.values), args.format)
     return 0
 
 
@@ -195,7 +186,7 @@ def cmd_integrate(args):
     if args.format == "json":
         _write_json(args.out, {"lower": a, "upper": b, "value": value})
     else:
-        _write_rows(args.out, ("lower", "upper", "value"), [(a, b, value)],
+        _write_rows(args.out, ("lower", "upper", "value"), ([a], [b], [value]),
                     args.format)
     return 0
 
@@ -205,11 +196,11 @@ def _system(args, name):
                          getattr(args, "field", None))
 
 
-def _trajectory_rows(traj):
-    """Columns and rows of a trajectory: t, tau, y, and z if second order."""
+def _trajectory_columns(traj):
+    """Names and columns of a trajectory: t, tau, y, and z if second order."""
     if traj.z is None:
-        return ("t", "tau", "y"), list(zip(traj.t, traj.tau, traj.y))
-    return ("t", "tau", "y", "z"), list(zip(traj.t, traj.tau, traj.y, traj.z))
+        return ("t", "tau", "y"), (traj.t, traj.tau, traj.y)
+    return ("t", "tau", "y", "z"), (traj.t, traj.tau, traj.y, traj.z)
 
 
 def cmd_solve(args):
@@ -222,8 +213,7 @@ def cmd_solve(args):
         traj = solve_second_order(flow, table, args.y0, args.z0, t_end, **opts)
     else:
         traj = solve_first_order(flow, table, args.y0, t_end, **opts)
-    columns, rows = _trajectory_rows(traj)
-    _write_rows(args.out, columns, rows, args.format)
+    _write_rows(args.out, *_trajectory_columns(traj), args.format)
     return 0
 
 
@@ -256,17 +246,18 @@ def cmd_demo(args):
                                   dtau=args.dtau)
         energy = (_apply(flow.v, traj.tau) * _apply(flow.restoring_integral, traj.y)
                   + 0.5 * traj.z * traj.z)
-        rows = list(zip(traj.t, traj.tau, traj.y, traj.z, energy))
-        columns = ("t", "tau", "y", "z", "energy")
+        names = ("t", "tau", "y", "z", "energy")
+        columns = (traj.t, traj.tau, traj.y, traj.z, energy)
     else:
         # example1, the one first order demo, has the closed form exp(-tau)
-        rows = []
+        runs = []
         for z0 in args.y0_list or [1.0, 0.5]:
             traj = solve_first_order(flow, table, z0, t_end, dtau=args.dtau)
-            rows.extend(zip([z0] * len(traj), traj.t, traj.tau, traj.y,
-                            example1_exact(z0, traj.tau)))
-        columns = ("y0", "t", "tau", "y", "y_exact")
-    _write_rows(args.out, columns, rows, args.format)
+            runs.append((np.full(len(traj), z0), traj.t, traj.tau, traj.y,
+                         example1_exact(z0, traj.tau)))
+        names = ("y0", "t", "tau", "y", "y_exact")
+        columns = [np.concatenate(col) for col in zip(*runs)]
+    _write_rows(args.out, names, columns, args.format)
     return 0
 
 
@@ -398,8 +389,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         traj = exc.trajectory
         if traj is not None and args.out != "-":
-            columns, rows = _trajectory_rows(traj)
-            _write_rows(args.out, columns, rows, args.format)
+            _write_rows(args.out, *_trajectory_columns(traj), args.format)
             print(f"partial trajectory written to {args.out}", file=sys.stderr)
         return RUNTIME_ERROR
     except FractalCalcError as exc:

@@ -76,6 +76,15 @@ class Expression:
         except SyntaxError as exc:
             raise ExpressionError(f"cannot parse {self.source!r}: {exc.msg}") from None
         _validate(tree, set(self.variables))
+        # float literals keep every power and product in floating point, so
+        # 9**9**9 overflows at once instead of building a huge integer
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):
+                try:
+                    node.value = float(node.value)
+                except OverflowError:
+                    raise ExpressionError(
+                        "a numeric literal is too large for a float") from None
         code = compile(tree, "<expression>", "eval")
         object.__setattr__(self, "_code", code)
 
@@ -86,7 +95,10 @@ class Expression:
                 f"got {len(args)}")
         scope = dict(zip(self.variables, args))
         scope.update(_FUNCTIONS)
-        return eval(self._code, {"__builtins__": {}}, scope)  # noqa: S307
+        try:
+            return eval(self._code, {"__builtins__": {}}, scope)  # noqa: S307
+        except OverflowError as exc:
+            raise ExpressionError(f"{self.source!r} overflows: {exc}") from None
 
 
 def compile_expression(source: str, variables) -> Expression:

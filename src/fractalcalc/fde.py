@@ -34,6 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
+from .cantor import _in_key_order
 from .errors import DomainError, NumericalBlowupError, ParameterError
 from .staircase import StaircaseTable, eval_staircase
 
@@ -390,14 +391,18 @@ def warp_time(table: StaircaseTable, tau):
     if np.any(arr < s[0]) or np.any(arr > s[-1]):
         raise DomainError(
             f"tau outside the staircase range [{s[0]!r}, {s[-1]!r}]")
-    j = np.searchsorted(s, arr, side="left")
-    j = np.clip(j, 0, s.size - 1)
-    exact = s[j] == arr
-    j0 = np.maximum(j - 1, 0)
-    ds = s[j] - s[j0]
-    frac = np.where(ds > 0.0, (arr - s[j0]) / np.where(ds > 0.0, ds, 1.0), 0.0)
-    t_between = table.t[j0] + frac * (table.t[j] - table.t[j0])
-    out = np.where(exact, table.t[j], t_between)
+
+    def search(x):
+        j = np.searchsorted(s, x, side="left")
+        j = np.clip(j, 0, s.size - 1)
+        exact = s[j] == x
+        j0 = np.maximum(j - 1, 0)
+        ds = s[j] - s[j0]
+        frac = np.where(ds > 0.0, (x - s[j0]) / np.where(ds > 0.0, ds, 1.0), 0.0)
+        t_between = table.t[j0] + frac * (table.t[j] - table.t[j0])
+        return np.where(exact, table.t[j], t_between)
+
+    out = _in_key_order(search, arr)
     if arr.ndim == 0:
         return float(out)
     return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import CantorSpec, IntervalSet, contains, generate, max_depth
+from .cantor import CantorSpec, IntervalSet, _in_key_order, contains, generate, max_depth
 from .errors import DomainError, EstimationError, ParameterError, ResolutionError
 
 
@@ -160,16 +160,21 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
             f"anchor t0={t0!r} falls outside [{spec.origin}, {spec.extent}]")
     iset = generate(spec)
     g = math.gamma(alpha + 1.0)
-    masses = g * iset.lengths() ** alpha
-    cum = np.concatenate(([0.0], np.cumsum(masses)))
     n = len(iset)
-    t = np.empty(2 * n)
+    # in-place work keeps the peak at the interval ends plus t and s; the
+    # masses array is freed before t is allocated
+    masses = iset.lengths()
+    masses **= alpha
+    masses *= g
     s = np.empty(2 * n)
+    np.cumsum(masses, out=s[1::2])
+    del masses
+    s[0] = 0.0
+    s[2::2] = s[1:-1:2]
+    t = np.empty(2 * n)
     t[0::2] = iset.left
     t[1::2] = iset.right
-    s[0::2] = cum[:-1]
-    s[1::2] = cum[1:]
-    s = s - np.interp(t0, t, s)
+    s -= np.interp(t0, t, s)
     return StaircaseTable(alpha=float(alpha), spec=spec, t=t, s=s, t0=t0,
                           gamma_factor=g)
 
@@ -180,7 +185,7 @@ def eval_staircase(table: StaircaseTable, t):
     lo, hi = table.span
     if np.any(t_arr < lo) or np.any(t_arr > hi):
         raise DomainError(f"t outside the tabulated span [{lo}, {hi}]")
-    out = np.interp(t_arr, table.t, table.s)
+    out = _in_key_order(lambda x: np.interp(x, table.t, table.s), t_arr)
     if t_arr.ndim == 0:
         return float(out)
     return out
@@ -199,10 +204,16 @@ def characteristic(spec: CantorSpec, alpha: float, t):
     return out
 
 
-def _total_mass(lengths: np.ndarray, alpha: float) -> float:
-    # one depth has a single interval length; collapse duplicates before the power
-    vals, counts = np.unique(lengths, return_counts=True)
-    return float(math.gamma(alpha + 1.0) * np.sum(counts * vals ** alpha))
+def _total_mass(iset: IntervalSet):
+    """Total mass of the intervals of ``iset`` as a function of alpha."""
+    # one depth has a single interval length; collapse duplicates once, so
+    # each alpha raises only the distinct lengths to its power
+    vals, counts = np.unique(iset.lengths(), return_counts=True)
+
+    def mass(alpha):
+        return float(math.gamma(alpha + 1.0) * np.sum(counts * vals ** alpha))
+
+    return mass
 
 
 def dimension_sweep(spec: CantorSpec, delta1: float, delta2: float, alphas=None):
@@ -219,11 +230,11 @@ def dimension_sweep(spec: CantorSpec, delta1: float, delta2: float, alphas=None)
     if m2 <= m1:
         raise ParameterError(
             f"delta1={delta1!r} and delta2={delta2!r} resolve to the same depth {m1}")
-    len1 = generate(spec.with_depth(m1)).lengths()
-    len2 = generate(spec.with_depth(m2)).lengths()
+    mass1 = _total_mass(generate(spec.with_depth(m1)))
+    mass2 = _total_mass(generate(spec.with_depth(m2)))
 
     def ratio_fn(alpha):
-        return _total_mass(len2, alpha) / _total_mass(len1, alpha)
+        return mass2(alpha) / mass1(alpha)
 
     if alphas is None:
         alphas = np.linspace(0.05, 1.0, 96)
@@ -245,7 +256,11 @@ def gamma_dimension(spec: CantorSpec, delta1: float, delta2: float,
     then bisects inside the first bracket where the ratio crosses 1.  Raises
     EstimationError (with the sweep attached) when no crossing exists.
     """
-    grid, ratios, ratio_fn = dimension_sweep(spec, delta1, delta2, alphas)
+    return _crossing(*dimension_sweep(spec, delta1, delta2, alphas), tol=tol)
+
+
+def _crossing(grid, ratios, ratio_fn, tol: float = 1e-10) -> float:
+    """First alpha where a dimension sweep's ratio crosses 1, by bisection."""
     diff = ratios - 1.0
     exact = np.flatnonzero(diff == 0.0)
     if exact.size:

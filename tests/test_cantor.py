@@ -156,7 +156,7 @@ def test_generate_rejects_sub_resolution_depth():
         generate(CantorSpec(mu=0.99, depth=10))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(mu=st.floats(0.01, 0.9), depth=st.integers(0, 10))
 def test_intervals_stay_sorted_and_disjoint(mu, depth):
     iset = generate(CantorSpec(mu=mu, depth=depth))
@@ -165,7 +165,7 @@ def test_intervals_stay_sorted_and_disjoint(mu, depth):
     assert np.all(iset.left[1:] > iset.right[:-1])
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(mu=st.floats(0.01, 0.9), depth=st.integers(1, 10))
 def test_refinement_nests(mu, depth):
     coarse = generate(CantorSpec(mu=mu, depth=depth - 1))
@@ -176,7 +176,7 @@ def test_refinement_nests(mu, depth):
     assert np.all(fine.right <= coarse.right[idx] + 1e-15)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(mu=st.floats(0.05, 0.95))
 def test_dimension_between_zero_and_one(mu):
     d = hausdorff_dimension(mu)

@@ -132,8 +132,12 @@ def test_blowup_is_runtime_error_with_partial_output(tmp_path):
     ["stability", "--horizon", "nan"],
     ["solve", "--dtau", "inf"],
     ["solve", "--dtau", "1e-15"],
+    ["staircase", "--samples", "-1"],
+    ["chi", "--samples", "-1"],
+    ["deriv", "--function", "t*10**400"],
 ], ids=["solve-t-end-nan", "stability-horizon-nan", "solve-dtau-inf",
-        "solve-dtau-tiny"])
+        "solve-dtau-tiny", "staircase-samples-negative", "chi-samples-negative",
+        "deriv-function-overflow"])
 def test_bad_horizons_and_steps_are_usage_errors(argv, capsys):
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")

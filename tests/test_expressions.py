@@ -52,6 +52,20 @@ def test_vectorizes_over_arrays():
     assert np.array_equal(out, np.array([1.0, 4.0, 9.0]))
 
 
+@pytest.mark.parametrize("source", ["t*10**400", "9**9**6", "pow(t, 10**400)"])
+def test_overflow_is_an_expression_error(source):
+    # literals are floats, so huge powers overflow at once instead of
+    # building a many-digit integer
+    f = compile_expression(source, ("t",))
+    with pytest.raises(ExpressionError):
+        f(np.array([1.0, 2.0]))
+
+
+def test_rejects_literals_beyond_float_range():
+    with pytest.raises(ExpressionError):
+        compile_expression("t*1" + "0" * 400, ("t",))
+
+
 def test_wrong_arity_call_rejected():
     f = compile_expression("y", ("y",))
     with pytest.raises(ExpressionError):

@@ -236,7 +236,7 @@ def test_classical_identity_clock_recovers_ode():
     assert traj.y[-1] == pytest.approx(math.exp(-5.0), rel=1e-9)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(c=st.floats(0.1, 3.0))
 def test_linear_decay_scales_with_initial_value(c, table):
     traj = solve_first_order(lambda y: -y, table, c, 1.0, dtau=1e-2)

@@ -195,7 +195,7 @@ def test_rejects_bad_alpha(alpha):
         build_staircase(spec, alpha)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(mu=st.floats(0.1, 0.9), t0=st.floats(0.0, 1.0))
 def test_staircase_zero_at_anchor(mu, t0):
     table = build_staircase(CantorSpec(mu=mu, depth=8),
@@ -203,9 +203,33 @@ def test_staircase_zero_at_anchor(mu, t0):
     assert abs(eval_staircase(table, t0)) <= 1e-12
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(depth=st.integers(2, 12))
 def test_total_mass_depth_stationary(depth):
     spec = CantorSpec(mu=0.2, depth=depth)
     table = build_staircase(spec, ALPHA_02)
     assert eval_staircase(table, 1.0) == pytest.approx(GAMMA_02, rel=1e-9)
+
+
+def _reference_staircase(spec, alpha, t0):
+    # the breakpoint table as a plain cumulative sum, without in-place work
+    iset = generate(spec)
+    masses = math.gamma(alpha + 1.0) * iset.lengths() ** alpha
+    cum = np.concatenate(([0.0], np.cumsum(masses)))
+    t = np.empty(2 * len(iset))
+    s = np.empty(2 * len(iset))
+    t[0::2] = iset.left
+    t[1::2] = iset.right
+    s[0::2] = cum[:-1]
+    s[1::2] = cum[1:]
+    return t, s - np.interp(t0, t, s)
+
+
+@pytest.mark.parametrize("depth", [12, 16])
+@pytest.mark.parametrize("alpha,t0", [(ALPHA_02, 0.0), (0.5, 0.3), (1.0, 1.0)])
+def test_build_staircase_matches_the_reference_formula(depth, alpha, t0):
+    spec = CantorSpec(mu=0.2, depth=depth)
+    table = build_staircase(spec, alpha, t0=t0)
+    t, s = _reference_staircase(spec, alpha, t0)
+    assert np.array_equal(table.t, t)
+    assert np.array_equal(table.s, s)
