@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import _in_key_order
 from .errors import DomainError, ParameterError, ResolutionError
 from .fde import _apply
 from .staircase import StaircaseTable, eval_staircase
@@ -26,7 +25,7 @@ def _segment_index(table: StaircaseTable, t):
     if not inside.all():
         first = float(t[~inside].flat[0])
         raise DomainError(f"t={first!r} outside the tabulated span")
-    i = _in_key_order(lambda x: np.searchsorted(grid, x, side="right"), t) - 1
+    i = np.searchsorted(grid, t, side="right") - 1
     # t >= grid[0] keeps i >= 0; only t == grid[-1] lands past the last segment
     return np.minimum(i, grid.size - 2)
 

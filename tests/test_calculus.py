@@ -54,6 +54,12 @@ def test_from_function_defaults_to_breakpoints(table):
 def test_from_values_requires_set_points(table):
     with pytest.raises(ParameterError):
         GridFunction.from_values(table, [0.0, 0.5], [1.0, 1.0])
+    # the message counts the off-set points and names the first
+    with pytest.raises(ParameterError, match=r"2 sample point\(s\).*0\.5"):
+        GridFunction.from_values(table, [0.0, 0.5, 0.52, 1.0], np.zeros(4))
+    for t in ([0.0, 1.5], [0.0, math.nan], [-0.1, 0.5]):
+        with pytest.raises(DomainError):
+            GridFunction.from_values(table, t, np.zeros(len(t)))
 
 
 def test_derivative_of_staircase_is_one(staircase_fn):

@@ -11,15 +11,12 @@ import json
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalcalc import (
     CantorSpec,
-    DomainError,
     GridFunction,
-    ParameterError,
     build_staircase,
     contains,
     eval_staircase,
@@ -94,15 +91,3 @@ def test_cli_dimension_sweeps_once(mu, depth):
     assert payload["estimate"] == gamma_dimension(
         spec, payload["delta_coarse"], payload["delta_fine"])
 
-
-def test_off_set_points_are_counted_and_the_first_is_named():
-    table = _table(0.2, 6, 0.0)
-    with pytest.raises(ParameterError, match=r"2 sample point\(s\).*0\.5"):
-        GridFunction.from_values(table, [0.0, 0.5, 0.52, 1.0], np.zeros(4))
-
-
-@pytest.mark.parametrize("t", [[0.0, 1.5], [0.0, float("nan")], [-0.1, 0.5]])
-def test_points_outside_the_span_are_domain_errors(t):
-    table = _table(0.2, 6, 0.0)
-    with pytest.raises(DomainError):
-        GridFunction.from_values(table, t, np.zeros(len(t)))
