@@ -13,12 +13,15 @@ piecewise-linear interpolation of Trajectory.at_time reproduces.
 
 ``_integrate`` is the one fixed-step loop of the package.  It marches a
 state of shape (dim,) or a block of shape (dim, B), one column per initial
-state, as a sequence of dim components: np.float64 scalars for one state,
-rows of shape (B,) for a block.  The right-hand side maps (tau, components)
-to dim component derivatives, each a scalar or an array that broadcasts to
-the rows, so no step packs the components into one array.  Scalars stay
-np.float64 rather than Python floats, so 1/0 and a negative base to a
-fractional power give inf/nan (and a blow-up) instead of raising.  A state
+state, as a sequence of dim components: Python floats for one state, rows
+of shape (B,) for a block.  The right-hand side maps (tau, components) to
+dim component derivatives, each a scalar or an array that broadcasts to
+the rows, so no step packs the components into one array.  Results are
+those of a march on np.float64 scalars, bit for bit: a step on Python
+floats that raises (1/0, an overflowing power) or yields anything but
+floats (a complex root, a narrower numpy scalar) is redone on np.float64,
+so 1/0 and a negative base to a fractional power give inf/nan (and a
+blow-up) instead of raising.  A state
 that leaves the blow-up ball is handled in one of two ways: "raise" stops
 the march (the solve_* functions turn this into a NumericalBlowupError
 carrying the partial trajectory), "freeze" clips the escaped columns to the
@@ -228,11 +231,38 @@ def _rk4_step(rhs, tau, x, h):
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
 
 
+def _rk4_step1(rhs, tau, x, h):
+    # _rk4_step unrolled for one component, with the same groupings
+    y, = x
+    half = 0.5 * h
+    a, = rhs(tau, x)
+    b, = rhs(tau + half, [y + half * a])
+    c, = rhs(tau + half, [y + half * b])
+    d, = rhs(tau + h, [y + h * c])
+    sixth = h / 6.0
+    return [y + sixth * (a + 2.0 * (b + c) + d)]
+
+
+def _rk4_step2(rhs, tau, x, h):
+    # _rk4_step unrolled for two components, with the same groupings
+    y, z = x
+    half = 0.5 * h
+    a, p = rhs(tau, x)
+    b, q = rhs(tau + half, [y + half * a, z + half * p])
+    c, r = rhs(tau + half, [y + half * b, z + half * q])
+    d, s = rhs(tau + h, [y + h * c, z + h * r])
+    sixth = h / 6.0
+    return [y + sixth * (a + 2.0 * (b + c) + d),
+            z + sixth * (p + 2.0 * (q + r) + s)]
+
+
 def _euler_step(rhs, tau, x, h):
     return [xi + h * ki for xi, ki in zip(x, rhs(tau, x))]
 
 
 _STEPPERS = {"rk4": _rk4_step, "euler": _euler_step}
+# every flow of the package has one or two components
+_UNROLLED_RK4 = {1: _rk4_step1, 2: _rk4_step2}
 
 
 def _integrate(rhs, tau_end, state0, dtau, method, record_every,
@@ -240,12 +270,21 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
     """Fixed-step march from tau=0 to tau_end, recording every k-th step.
 
     state0 has shape (dim,) or (dim, B); rhs(tau, comps) receives its dim
-    components (np.float64 scalars or rows of shape (B,)) and returns dim
-    component derivatives.  The last step is shortened so the grid lands
-    exactly on tau_end.  The initial state and the final state are always
-    recorded.  Returns (taus, states, escaped): states has shape
-    (n_records,) + state0.shape and escaped marks the columns (axis 1 of a
-    (dim, B) block) that left the ball |x| <= limit or went non-finite.
+    components (floats, or rows of shape (B,)) and returns dim component
+    derivatives.  The last step is shortened so the grid lands exactly on
+    tau_end.  The initial state and the final state are always recorded.
+    Returns (taus, states, escaped): states has shape (n_records,) +
+    state0.shape and escaped marks the columns (axis 1 of a (dim, B) block)
+    that left the ball |x| <= limit or went non-finite.
+
+    A (dim,) march carries Python floats, which round + - * / ** exactly as
+    np.float64 does.  They differ where Python raises ZeroDivisionError or
+    OverflowError, returns a complex, or yields to another numpy scalar
+    type; a step that raises one of those errors or yields anything but
+    Python floats is redone from its start on np.float64 components, and
+    the march stays on them.  A flow that returns np.float64 scalars thus
+    costs one repeated step, and results always match a march on np.float64
+    components bit for bit.
 
     on_escape="raise" raises _BlowupSignal with the records so far at the
     first escape.  on_escape="freeze" clips escaped columns to the ball and
@@ -275,28 +314,69 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
             f"steps, more than the {_MAX_STEPS:.0e} allowed; increase dtau")
     n_steps = max(int(math.ceil(steps)), 0)
     block = np.array(state0, dtype=float)
+    if stepper is _rk4_step:
+        stepper = _UNROLLED_RK4.get(len(block), _rk4_step)
     n_records = 1 + -(-n_steps // record_every)
     taus = np.empty(n_records)
     states = np.empty((n_records,) + block.shape)
     taus[0] = 0.0
     states[0] = block
     escaped = np.zeros(block.shape[1:], dtype=bool)
-    # NaN fails the comparisons, so these tests cover non-finite values too;
-    # one reduction over the stacked rows is cheaper than one per row
+    # NaN fails the comparisons, so these tests cover non-finite values too
     if block.ndim == 1:
-        def inside(x):
-            return all(abs(c) <= limit for c in x)
+        state = block.tolist()
+        # spelled out for one and two components, the single-state flows of
+        # the package: the generic forms add about a fifth to a step
+        if len(state) == 1:
+            def floats_only(x):
+                return type(x[0]) is float
+
+            def inside(x):
+                return abs(x[0]) <= limit
+        elif len(state) == 2:
+            def floats_only(x):
+                return type(x[0]) is float and type(x[1]) is float
+
+            def inside(x):
+                return abs(x[0]) <= limit and abs(x[1]) <= limit
+        else:
+            def floats_only(x):
+                return all(type(c) is float for c in x)
+
+            def inside(x):
+                return all(abs(c) <= limit for c in x)
     else:
+        # a rounded |x|^2 <= (limit/2)^2 proves every |x_i| < limit, as long
+        # as limit^2 neither under- nor overflows; only a failed (or NaN)
+        # pre-test pays for the exact test
+        square = limit * limit
+        cap = 0.25 * square if 0.0 < square < math.inf else -1.0
+        rows = np.empty(block.shape)
+        flat = rows.reshape(-1)
+
         def inside(x):
-            return np.abs(x).max() <= limit
-    state = list(block)
+            rows[:] = x
+            return flat @ flat <= cap or np.abs(flat).max() <= limit
+        state = list(block)
+    floats = block.ndim == 1
     frozen = False
     tau = 0.0
     r = 1
     for k in range(n_steps):
         last = k == n_steps - 1
         h = (tau_end - tau) if last else dtau
-        new = stepper(rhs, tau, state, h)
+        if floats:
+            try:
+                new = stepper(rhs, tau, state, h)
+                floats = floats_only(new)
+            except (ZeroDivisionError, OverflowError):
+                floats = False
+            if not floats:
+                # np.float64 would differ here: redo the step on it, and stay
+                state = [np.float64(c) for c in state]
+                new = stepper(rhs, tau, state, h)
+        else:
+            new = stepper(rhs, tau, state, h)
         tau = tau_end if last else (k + 1) * dtau
         if frozen or not inside(new):
             if on_escape == "raise":
@@ -320,6 +400,8 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
 
 
 def _tau_horizon(table, t_end):
+    if math.isnan(t_end):
+        raise ParameterError("t_end must be a number, got nan")
     tau_end = eval_staircase(table, t_end)
     if tau_end < 0.0:
         raise ParameterError(
@@ -388,9 +470,10 @@ def warp_time(table: StaircaseTable, tau):
     """
     arr = np.asarray(tau, dtype=float)
     s = table.s
-    if np.any(arr < s[0]) or np.any(arr > s[-1]):
+    # written so that NaN fails it too
+    if not (np.all(arr >= s[0]) and np.all(arr <= s[-1])):
         raise DomainError(
-            f"tau outside the staircase range [{s[0]!r}, {s[-1]!r}]")
+            f"tau outside the staircase range [{s[0]!r}, {s[-1]!r}] or NaN")
 
     def search(x):
         j = np.searchsorted(s, x, side="left")

@@ -14,6 +14,8 @@ Everything returns plain report dataclasses with a ``to_json`` method; no
 routine prints or plots.
 """
 
+from __future__ import annotations
+
 import inspect
 import math
 from collections import OrderedDict
@@ -23,8 +25,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
-from .fde import BLOWUP_LIMIT, FdeConstants, FdeSystem, _apply, _integrate, warp_time
-from .staircase import StaircaseTable, eval_staircase
+from .fde import (BLOWUP_LIMIT, FdeConstants, FdeSystem, _apply, _integrate,
+                  _tau_horizon, warp_time)
+from .staircase import StaircaseTable
 
 
 def _jsonify(value):
@@ -687,10 +690,7 @@ def _compass_states(radii, n_dirs=8):
 
 def _tau_end_for(table, t_end):
     t_end = table.span[1] if t_end is None else float(t_end)
-    tau_end = float(eval_staircase(table, t_end))
-    if tau_end < 0.0:
-        raise ParameterError("t_end precedes the staircase anchor")
-    return t_end, tau_end
+    return t_end, _tau_horizon(table, t_end)
 
 
 @dataclass

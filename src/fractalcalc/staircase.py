@@ -183,8 +183,9 @@ def eval_staircase(table: StaircaseTable, t):
     """Evaluate S(t); vectorized, exact at breakpoints and constant on gaps."""
     t_arr = np.asarray(t, dtype=float)
     lo, hi = table.span
-    if np.any(t_arr < lo) or np.any(t_arr > hi):
-        raise DomainError(f"t outside the tabulated span [{lo}, {hi}]")
+    # written so that NaN fails it too
+    if not (np.all(t_arr >= lo) and np.all(t_arr <= hi)):
+        raise DomainError(f"t outside the tabulated span [{lo}, {hi}] or NaN")
     out = _in_key_order(lambda x: np.interp(x, table.t, table.s), t_arr)
     if t_arr.ndim == 0:
         return float(out)

@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalcalc.cli import main
 
@@ -141,6 +146,44 @@ def test_blowup_is_runtime_error_with_partial_output(tmp_path):
 def test_bad_horizons_and_steps_are_usage_errors(argv, capsys):
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_SPECIAL = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
+# bounded so that no draw runs more than a few hundred steps
+_FLAGS = {
+    "--t-end": st.one_of(_SPECIAL, st.floats(-0.5, 1.5)),
+    "--dtau": st.one_of(_SPECIAL, st.floats(1e-2, 2.0)),
+    "--horizon": st.one_of(_SPECIAL, st.floats(-1.0, 5.0)),
+    "--y0": st.one_of(_SPECIAL, st.floats(-1e3, 1e3)),
+    "--z0": st.one_of(_SPECIAL, st.floats(-1e3, 1e3)),
+    "--record-every": st.integers(-2, 5),
+}
+_COMMANDS = {
+    "solve": (["solve", "--system", "example1"], ["solve", "--system", "example2"],
+              ("--t-end", "--dtau", "--y0", "--z0", "--record-every")),
+    "stability": (["stability", "--system", "example1"],
+                  ["stability", "--system", "example3"], ("--horizon", "--dtau")),
+    "demo": (["demo", "example1"], ["demo", "example3"],
+             ("--t-end", "--dtau", "--y0", "--z0")),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=120)
+@given(data=st.data())
+def test_numeric_flags_end_in_a_documented_exit_code(data):
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)), label="command")
+    *prefixes, flags = _COMMANDS[command]
+    argv = list(data.draw(st.sampled_from(prefixes), label="prefix"))
+    argv += ["--depth", "8", "--out", "-"]
+    for flag in flags:
+        if data.draw(st.booleans(), label=f"set {flag}"):
+            # the = form, since argparse reads a bare "-inf" as an option
+            argv.append(f"{flag}={data.draw(_FLAGS[flag], label=flag)!r}")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(argv)
+    assert code in (0, 2, 3), argv
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

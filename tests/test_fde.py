@@ -22,6 +22,13 @@ from fractalcalc import (
     theorem2_toy,
     warp_time,
 )
+from fractalcalc.fde import (
+    BLOWUP_LIMIT,
+    _BlowupSignal,
+    _euler_step,
+    _integrate,
+    _rk4_step,
+)
 
 ALPHA = 0.7564707973660301
 
@@ -157,6 +164,103 @@ def test_one_column_batch_matches_the_solve_bit_for_bit(long_table):
     assert np.array_equal(blocks[:, 1, 0], traj.z)
 
 
+def _reference_march(rhs, tau_end, state0, dtau, method, record_every, limit):
+    # the march on np.float64 components (rows for a block) through the
+    # generic steppers, raising at the first escape like on_escape="raise"
+    step = {"rk4": _rk4_step, "euler": _euler_step}[method]
+    state = list(np.array(state0, dtype=float))
+    n_steps = max(math.ceil(tau_end / dtau - 1e-12), 0)
+    taus, states = [0.0], [np.array(state)]
+    tau = 0.0
+    for k in range(n_steps):
+        last = k == n_steps - 1
+        h = tau_end - tau if last else dtau
+        state = step(rhs, tau, state, h)
+        tau = tau_end if last else (k + 1) * dtau
+        if not np.abs(np.array(state)).max() <= limit:
+            raise _BlowupSignal(np.array(taus), np.array(states), tau)
+        if last or (k + 1) % record_every == 0:
+            taus.append(tau)
+            states.append(np.array(state))
+    return np.array(taus), np.array(states), np.zeros(np.shape(state0)[1:], bool)
+
+
+def _outcome(march, *args):
+    try:
+        return march(*args)
+    except _BlowupSignal as sig:
+        return "escape", sig.taus, sig.states, sig.offender
+
+
+def _assert_same_outcome(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def _random_flow(coef, dim, numpy_calls):
+    # linear coupling, a tau drive, a bounded rational term and a power: the
+    # operations of the package's flows, on floats and on rows alike
+    def rhs(tau, x):
+        out = []
+        for i, c in enumerate(coef):
+            d = sum(c[j] * x[j] for j in range(dim)) + c[dim] * tau
+            d = d + c[dim + 1] * x[i] * x[i] / (1.0 + x[i] * x[i])
+            d = d + c[dim + 2] * abs(x[i]) ** 1.5
+            if numpy_calls:
+                d = d + np.sin(x[i])
+            out.append(d)
+        return out
+
+    return rhs
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200)
+@given(data=st.data())
+def test_march_matches_the_float64_reference(data):
+    dim = data.draw(st.integers(1, 3), label="dim")
+    # one state (cols 0) as often as a block
+    cols = data.draw(st.sampled_from([0, 0, 1, 5]), label="cols (0: one state)")
+    unit = st.floats(-2.0, 2.0)
+    coef = data.draw(st.lists(st.lists(unit, min_size=dim + 3, max_size=dim + 3),
+                              min_size=dim, max_size=dim), label="coef")
+    rhs = _random_flow(coef, dim, data.draw(st.booleans(), label="numpy"))
+    shape = (dim, cols) if cols else (dim,)
+    state0 = np.array(data.draw(
+        st.lists(st.floats(-1.5, 1.5), min_size=math.prod(shape),
+                 max_size=math.prod(shape)), label="state0")).reshape(shape)
+    args = (rhs, data.draw(st.floats(0.0, 2.0), label="tau_end"), state0,
+            data.draw(st.floats(0.01, 0.5), label="dtau"),
+            data.draw(st.sampled_from(["rk4", "euler"]), label="method"),
+            data.draw(st.integers(1, 4), label="record_every"),
+            data.draw(st.sampled_from([1.0, 2.0, BLOWUP_LIMIT]), label="limit"))
+    _assert_same_outcome(_outcome(_integrate, *args),
+                         _outcome(_reference_march, *args))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("g,y0,tau_end", [
+    # a narrower numpy scalar: Python float arithmetic would keep np.float32
+    (lambda y: np.float32(-y), 1.0, 1.0),
+    # y**400 raises OverflowError past y = 23.5; numpy's inf gives a finite
+    # slope of 2, so the march goes on, on np.float64
+    (lambda y: 2.0 - 1.0 / (1.0 + (y / 4.0) ** 400), 0.0, 15.0),
+    # real while y > 0, complex (Python) or nan (numpy) after a stage y < 0
+    (lambda y: -1.0 + 0.5 * y ** 0.5, 1.0, 3.0),
+    (lambda y: 1.0 / y, 0.0, 1.0),
+    (lambda y: (-1.0 - y) ** 0.5, 0.0, 1.0),
+], ids=["float32", "pow-overflow", "complex-after-sign-change", "reciprocal",
+        "root-of-negative"])
+def test_fallback_matches_the_float64_march(g, y0, tau_end):
+    def rhs(tau, x):
+        return (g(x[0]),)
+
+    args = (rhs, tau_end, [y0], 1e-2, "rk4", 1, BLOWUP_LIMIT)
+    _assert_same_outcome(_outcome(_integrate, *args),
+                         _outcome(_reference_march, *args))
+
+
 def _counting_system(calls):
     # sys.rhs calls u exactly once per right-hand-side evaluation
     def u(tau):
@@ -218,6 +322,10 @@ def test_warp_time_outside_range_raises(table):
         warp_time(table, -0.5)
     with pytest.raises(DomainError):
         warp_time(table, 100.0)
+    with pytest.raises(DomainError):
+        warp_time(table, math.nan)
+    with pytest.raises(DomainError):
+        warp_time(table, np.array([0.1, math.nan]))
 
 
 def test_constants_defaults_and_delta():

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fractalcalc
 from fractalcalc import (
     AssumptionGrids,
     CantorSpec,
@@ -407,3 +411,35 @@ def test_theorem2_report_serializes(long_table):
 
     rep = verify_theorem2(theorem2_toy(), long_table, dtau=1e-2)
     json.dumps(rep.to_json())
+
+
+# ---------------------------------------------------------------------------
+# re-import
+# ---------------------------------------------------------------------------
+
+_REIMPORT = """
+import gc, sys, weakref
+import fractalcalc
+first = [weakref.ref(fractalcalc.lyapunov.DecayFit),
+         weakref.ref(fractalcalc.lyapunov.AssumptionGrids),
+         weakref.ref(fractalcalc.CantorSpec)]
+for name in [n for n in sys.modules if n.split(".")[0] == "fractalcalc"]:
+    del sys.modules[name]
+del fractalcalc
+import fractalcalc
+gc.collect()
+print(sum(ref() is not None for ref in first))
+"""
+
+
+def test_reimport_frees_the_previous_classes():
+    # a fresh import must leave nothing (a typing cache, say) pinning the
+    # previous generation's classes and module dicts; a child process keeps
+    # this suite's own modules untouched
+    src = os.path.dirname(os.path.dirname(fractalcalc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _REIMPORT], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]

@@ -145,6 +145,11 @@ def test_eval_outside_span_raises(table02):
         eval_staircase(table02, -0.01)
     with pytest.raises(DomainError):
         eval_staircase(table02, 1.01)
+    # NaN is no point of the span, alone or inside an array
+    with pytest.raises(DomainError):
+        eval_staircase(table02, math.nan)
+    with pytest.raises(DomainError):
+        eval_staircase(table02, np.array([0.2, math.nan, 0.9]))
 
 
 def test_characteristic_values():
