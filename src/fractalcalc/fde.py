@@ -16,18 +16,17 @@ state of shape (dim,) or a block of shape (dim, B), one column per initial
 state, as a sequence of dim components: Python floats for one state, rows
 of shape (B,) for a block.  The right-hand side maps (tau, components) to
 dim component derivatives, each a scalar or an array that broadcasts to
-the rows, so no step packs the components into one array.  Results are
-those of a march on np.float64 scalars, bit for bit: a step on Python
-floats that raises (1/0, an overflowing power) or yields anything but
-floats (a complex root, a narrower numpy scalar) is redone on np.float64,
-so 1/0 and a negative base to a fractional power give inf/nan (and a
-blow-up) instead of raising.  A state
-that leaves the blow-up ball is handled in one of two ways: "raise" stops
-the march (the solve_* functions turn this into a NumericalBlowupError
-carrying the partial trajectory), "freeze" clips the escaped columns to the
-ball and holds them there while the other columns keep integrating (the
-batched probes of the lyapunov module).  ``_apply`` is the one adapter that
-calls a user function on arrays.
+the rows, so no step packs the components into one array.  A step on
+Python floats that raises (1/0, an overflowing power) or yields anything
+but floats (a complex root, a narrower numpy scalar) is redone on
+np.float64, so 1/0 and a negative base to a fractional power give inf/nan
+(and a blow-up) instead of raising.  A state that leaves the blow-up ball
+is handled in one of two ways: "raise" stops the march (the solve_*
+functions turn this into a NumericalBlowupError carrying the partial
+trajectory), "freeze" clips the escaped columns to the ball and holds them
+there while the other columns keep integrating (the batched probes of the
+lyapunov module).  ``_apply`` is the one adapter that calls a user
+function on arrays.
 """
 
 import math
@@ -278,13 +277,16 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
     that left the ball |x| <= limit or went non-finite.
 
     A (dim,) march carries Python floats, which round + - * / ** exactly as
-    np.float64 does.  They differ where Python raises ZeroDivisionError or
-    OverflowError, returns a complex, or yields to another numpy scalar
-    type; a step that raises one of those errors or yields anything but
-    Python floats is redone from its start on np.float64 components, and
-    the march stays on them.  A flow that returns np.float64 scalars thus
-    costs one repeated step, and results always match a march on np.float64
-    components bit for bit.
+    np.float64 does.  They differ where Python raises (1/0, an overflowing
+    power) or returns a complex, and where a narrower numpy scalar takes
+    over the arithmetic.  A step that raises any exception or yields
+    anything but Python floats is redone from its start on np.float64
+    components, and the march stays on them; an error of the flow itself
+    raises again there.  A flow that returns np.float64 scalars thus costs
+    one repeated step.  Results match a march on np.float64 components bit
+    for bit whenever the difference shows in the flow's results, as an
+    exception or a type; a flow that turns a complex back into a float
+    (abs() or .real of a complex root) hides it and may not match.
 
     on_escape="raise" raises _BlowupSignal with the records so far at the
     first escape.  on_escape="freeze" clips escaped columns to the ball and
@@ -322,41 +324,15 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
     taus[0] = 0.0
     states[0] = block
     escaped = np.zeros(block.shape[1:], dtype=bool)
-    # NaN fails the comparisons, so these tests cover non-finite values too
+    # NaN fails the comparisons, so these tests cover non-finite values too;
+    # one reduction over the stacked rows is cheaper than one per row
     if block.ndim == 1:
-        state = block.tolist()
-        # spelled out for one and two components, the single-state flows of
-        # the package: the generic forms add about a fifth to a step
-        if len(state) == 1:
-            def floats_only(x):
-                return type(x[0]) is float
-
-            def inside(x):
-                return abs(x[0]) <= limit
-        elif len(state) == 2:
-            def floats_only(x):
-                return type(x[0]) is float and type(x[1]) is float
-
-            def inside(x):
-                return abs(x[0]) <= limit and abs(x[1]) <= limit
-        else:
-            def floats_only(x):
-                return all(type(c) is float for c in x)
-
-            def inside(x):
-                return all(abs(c) <= limit for c in x)
-    else:
-        # a rounded |x|^2 <= (limit/2)^2 proves every |x_i| < limit, as long
-        # as limit^2 neither under- nor overflows; only a failed (or NaN)
-        # pre-test pays for the exact test
-        square = limit * limit
-        cap = 0.25 * square if 0.0 < square < math.inf else -1.0
-        rows = np.empty(block.shape)
-        flat = rows.reshape(-1)
-
         def inside(x):
-            rows[:] = x
-            return flat @ flat <= cap or np.abs(flat).max() <= limit
+            return all(abs(c) <= limit for c in x)
+        state = block.tolist()
+    else:
+        def inside(x):
+            return np.abs(x).max() <= limit
         state = list(block)
     floats = block.ndim == 1
     frozen = False
@@ -368,11 +344,12 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
         if floats:
             try:
                 new = stepper(rhs, tau, state, h)
-                floats = floats_only(new)
-            except (ZeroDivisionError, OverflowError):
+                floats = all(type(c) is float for c in new)
+            except Exception:
+                # a real error of the flow raises again on the retry
                 floats = False
             if not floats:
-                # np.float64 would differ here: redo the step on it, and stay
+                # np.float64 may differ here: redo the step on it, and stay
                 state = [np.float64(c) for c in state]
                 new = stepper(rhs, tau, state, h)
         else:

@@ -121,6 +121,7 @@ def test_unknown_alpha_keyword_is_usage_error():
     assert run_cli(["staircase", "--alpha", "brisk"]) == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_blowup_is_runtime_error_with_partial_output(tmp_path):
     out = tmp_path / "partial.csv"
     code = run_cli(["solve", "--system", "custom-first", "--field", "y*y",
@@ -130,6 +131,13 @@ def test_blowup_is_runtime_error_with_partial_output(tmp_path):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "t,tau,y"
     assert len(rows) > 2
+    # a power that overflows a Python float is inf on np.float64: a blow-up
+    # too, not a usage error
+    for field, y0 in [("y**400", "10"), ("y**3", "1e11")]:
+        code = run_cli(["solve", "--system", "custom-first", f"--field={field}",
+                        f"--y0={y0}", "--depth", "8", "--out", str(out)])
+        assert code == 3, field
+        assert out.read_text().startswith("t,tau,y\n")
 
 
 @pytest.mark.parametrize("argv", [

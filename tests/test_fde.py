@@ -22,6 +22,7 @@ from fractalcalc import (
     theorem2_toy,
     warp_time,
 )
+from fractalcalc.expressions import compile_expression
 from fractalcalc.fde import (
     BLOWUP_LIMIT,
     _BlowupSignal,
@@ -250,8 +251,13 @@ def test_march_matches_the_float64_reference(data):
     (lambda y: -1.0 + 0.5 * y ** 0.5, 1.0, 3.0),
     (lambda y: 1.0 / y, 0.0, 1.0),
     (lambda y: (-1.0 - y) ** 0.5, 0.0, 1.0),
+    # an expression reports a Python OverflowError as an ExpressionError;
+    # 1e11**3 is finite, the cube at the last stage is not
+    (compile_expression("y**3", ("y",)), 1e11, 1.0),
+    # min() of a complex root raises TypeError; min(nan, 1.0) is nan
+    (lambda y: -2.0 + min(y ** 0.5, 1.0), 1.0, 3.0),
 ], ids=["float32", "pow-overflow", "complex-after-sign-change", "reciprocal",
-        "root-of-negative"])
+        "root-of-negative", "expression-overflow", "min-of-complex"])
 def test_fallback_matches_the_float64_march(g, y0, tau_end):
     def rhs(tau, x):
         return (g(x[0]),)
