@@ -329,7 +329,8 @@ def build_parser():
                    choices=("example1", "example2", "example3", "theorem1",
                             "theorem2", "custom-first"))
     p.add_argument("--field", default=None,
-                   help="expression in y for custom-first")
+                   help="expression in y for custom-first; write one that "
+                        "starts with '-' as --field=-y")
     p.add_argument("--y0", type=float, default=1.0)
     p.add_argument("--z0", type=float, default=0.0)
     p.add_argument("--t-end", dest="t_end", type=float, default=None)

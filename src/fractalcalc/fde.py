@@ -13,12 +13,12 @@ piecewise-linear interpolation of Trajectory.at_time reproduces.
 
 ``_integrate`` is the one fixed-step loop of the package.  It marches a
 state of shape (dim,) or a block of shape (dim, B), one column per initial
-state, as a sequence of dim components: Python floats for one state, rows
-of shape (B,) for a block.  The right-hand side maps (tau, components) to
-dim component derivatives, each a scalar or an array that broadcasts to
-the rows, so no step packs the components into one array.  A step on
-Python floats that raises (1/0, an overflowing power) or yields anything
-but floats (a complex root, a narrower numpy scalar) is redone on
+state, as a sequence of dim components, 1 or 2: Python floats for one
+state, rows of shape (B,) for a block.  The right-hand side maps (tau,
+components) to dim component derivatives, each a scalar or an array that
+broadcasts to the rows, so no step packs the components into one array.
+A step on Python floats that raises (1/0, an overflowing power) or yields
+anything but floats (a complex root, a narrower numpy scalar) is redone on
 np.float64, so 1/0 and a negative base to a fractional power give inf/nan
 (and a blow-up) instead of raising.  A state that leaves the blow-up ball
 is handled in one of two ways: "raise" stops the march (the solve_*
@@ -217,21 +217,10 @@ class _BlowupSignal(Exception):
         self.offender = offender
 
 
-def _rk4_step(rhs, tau, x, h):
-    # per component; the groupings (0.5*h)*k and (h/6)*(k1 + 2*(k2 + k3) + k4)
-    # are fixed, since default outputs are pinned bit for bit
-    half = 0.5 * h
-    k1 = rhs(tau, x)
-    k2 = rhs(tau + half, [xi + half * ki for xi, ki in zip(x, k1)])
-    k3 = rhs(tau + half, [xi + half * ki for xi, ki in zip(x, k2)])
-    k4 = rhs(tau + h, [xi + h * ki for xi, ki in zip(x, k3)])
-    sixth = h / 6.0
-    return [xi + sixth * (a + 2.0 * (b + c) + d)
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
-
-
 def _rk4_step1(rhs, tau, x, h):
-    # _rk4_step unrolled for one component, with the same groupings
+    # classical RK4 on one component; the groupings (0.5*h)*k and
+    # (h/6)*(k1 + 2*(k2 + k3) + k4) are fixed, since default outputs are
+    # pinned bit for bit
     y, = x
     half = 0.5 * h
     a, = rhs(tau, x)
@@ -243,7 +232,7 @@ def _rk4_step1(rhs, tau, x, h):
 
 
 def _rk4_step2(rhs, tau, x, h):
-    # _rk4_step unrolled for two components, with the same groupings
+    # classical RK4 on two components, with the groupings of _rk4_step1
     y, z = x
     half = 0.5 * h
     a, p = rhs(tau, x)
@@ -259,22 +248,23 @@ def _euler_step(rhs, tau, x, h):
     return [xi + h * ki for xi, ki in zip(x, rhs(tau, x))]
 
 
-_STEPPERS = {"rk4": _rk4_step, "euler": _euler_step}
-# every flow of the package has one or two components
-_UNROLLED_RK4 = {1: _rk4_step1, 2: _rk4_step2}
+# by method, then by component count: every flow of the package has one or
+# two components
+_STEPPERS = {"rk4": {1: _rk4_step1, 2: _rk4_step2},
+             "euler": {1: _euler_step, 2: _euler_step}}
 
 
 def _integrate(rhs, tau_end, state0, dtau, method, record_every,
                limit=BLOWUP_LIMIT, on_escape="raise"):
     """Fixed-step march from tau=0 to tau_end, recording every k-th step.
 
-    state0 has shape (dim,) or (dim, B); rhs(tau, comps) receives its dim
-    components (floats, or rows of shape (B,)) and returns dim component
-    derivatives.  The last step is shortened so the grid lands exactly on
-    tau_end.  The initial state and the final state are always recorded.
-    Returns (taus, states, escaped): states has shape (n_records,) +
-    state0.shape and escaped marks the columns (axis 1 of a (dim, B) block)
-    that left the ball |x| <= limit or went non-finite.
+    state0 has shape (dim,) or (dim, B) with dim 1 or 2; rhs(tau, comps)
+    receives its dim components (floats, or rows of shape (B,)) and returns
+    dim component derivatives.  The last step is shortened so the grid
+    lands exactly on tau_end.  The initial state and the final state are
+    always recorded.  Returns (taus, states, escaped): states has shape
+    (n_records,) + state0.shape and escaped marks the columns (axis 1 of a
+    (dim, B) block) that left the ball |x| <= limit or went non-finite.
 
     A (dim,) march carries Python floats, which round + - * / ** exactly as
     np.float64 does.  They differ where Python raises (1/0, an overflowing
@@ -294,12 +284,12 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
     undisturbed.  Each step tests the whole state once; the per-column
     bookkeeping, on a stacked block, runs only once some column has escaped.
 
-    dtau must be finite and positive, tau_end finite and >= 0, and the
-    march at most _MAX_STEPS steps long; anything else is a ParameterError
-    raised before any allocation.
+    dtau must be finite and positive, tau_end finite and >= 0, the state 1
+    or 2 components, and the march at most _MAX_STEPS steps long; anything
+    else is a ParameterError raised before any allocation.
     """
     try:
-        stepper = _STEPPERS[method]
+        by_dim = _STEPPERS[method]
     except KeyError:
         raise ParameterError(
             f"unknown method {method!r}, expected one of {sorted(_STEPPERS)}") from None
@@ -316,8 +306,10 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
             f"steps, more than the {_MAX_STEPS:.0e} allowed; increase dtau")
     n_steps = max(int(math.ceil(steps)), 0)
     block = np.array(state0, dtype=float)
-    if stepper is _rk4_step:
-        stepper = _UNROLLED_RK4.get(len(block), _rk4_step)
+    stepper = by_dim.get(len(block)) if block.ndim in (1, 2) else None
+    if stepper is None:
+        raise ParameterError(
+            f"state must have 1 or 2 components, got shape {block.shape}")
     n_records = 1 + -(-n_steps // record_every)
     taus = np.empty(n_records)
     states = np.empty((n_records,) + block.shape)

@@ -152,55 +152,40 @@ def lyapunov_derivative(L: LyapunovFunction, flow, state, tau=0.0):
 
 # ---------------------------------------------------------------------------
 # batch integration shared by the empirical probes
-#
-# The probes march many initial states at once as the columns of one
-# (dim, B) block through fde._integrate, the package's one fixed-step loop,
-# with classical RK4 and the "freeze" escape policy: a column that leaves
-# the blow-up ball is clipped to it and held there while the others go on.
-# The loop hands the flow the block's rows, one array of shape (B,) per
-# component, and takes back one derivative per component.  A flow that
-# accepts arrays is called as it is, with no packing per call; otherwise an
-# adapter runs it one column at a time and returns rows.
 # ---------------------------------------------------------------------------
 
-def _vectorize_rhs(rhs, dim, n_cols, probe_rows):
-    """Return an rhs on component rows of length n_cols, probing rhs once.
+def _batch_integrate(rhs, dim, Y0, tau_end, dtau, record_every,
+                     limit=BLOWUP_LIMIT):
+    """March the columns of Y0 with RK4, freezing escapes instead of raising.
 
-    rhs itself is returned when its probe result on probe_rows has dim
-    finite components that broadcast to (n_cols,).  Otherwise the returned
-    adapter calls rhs per column on scalars.  Only TypeError and ValueError
-    from the probe count as "no array support"; any other exception is a bug
-    in the flow and propagates.
+    A column that leaves the blow-up ball is clipped to it and held there
+    while the others go on.  The flow gets the block's rows, one array of
+    shape (B,) per component, when one probe call on the rows of Y0 gives
+    dim finite components that broadcast to (B,); otherwise an adapter calls
+    it once per column on scalars.  Only TypeError and ValueError from the
+    probe mean "no array support"; any other exception propagates.
+
+    Returns (taus, blocks, escaped): blocks has shape (n_records, dim, B) and
+    escaped marks columns that left the blow-up ball or went non-finite.
     """
+    Y = np.array(Y0, dtype=float)
+    n_cols = Y.shape[1]
     try:
         probe = np.stack([np.broadcast_to(np.asarray(c, dtype=float), (n_cols,))
-                          for c in rhs(0.0, probe_rows)])
-        if probe.shape == (dim, n_cols) and np.all(np.isfinite(probe)):
-            return rhs
+                          for c in rhs(0.0, list(Y))])
+        on_rows = probe.shape == (dim, n_cols) and bool(np.all(np.isfinite(probe)))
     except (TypeError, ValueError):
-        pass
+        on_rows = False
 
-    def column_call(tau, rows):
+    def by_column(tau, rows):
         outs = [rhs(tau, col) for col in zip(*rows)]
         if len(outs[0]) != dim:
             raise ParameterError(
                 f"flow returned {len(outs[0])} component(s), expected {dim}")
         return [np.array(c, dtype=float) for c in zip(*outs)]
 
-    return column_call
-
-
-def _batch_integrate(rhs, dim, Y0, tau_end, dtau, record_every,
-                     limit=BLOWUP_LIMIT):
-    """March the columns of Y0 with RK4, freezing escapes instead of raising.
-
-    Returns (taus, blocks, escaped): blocks has shape (n_records, dim, B) and
-    escaped marks columns that left the blow-up ball or went non-finite.
-    """
-    Y = np.array(Y0, dtype=float)
-    f = _vectorize_rhs(rhs, dim, Y.shape[1], list(Y))
-    return _integrate(f, tau_end, Y, dtau, "rk4", record_every, limit,
-                      on_escape="freeze")
+    return _integrate(rhs if on_rows else by_column, tau_end, Y, dtau, "rk4",
+                      record_every, limit, on_escape="freeze")
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +286,8 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=0.0,
     delta_list = sorted((float(d) for d in delta_grid), reverse=True)
     if not eps_list or not delta_list:
         raise ParameterError("eps_grid and delta_grid must be non-empty")
-    if eps_list[0] <= 0.0 or delta_list[-1] <= 0.0:
-        raise ParameterError("eps and delta values must be positive")
+    if not all(math.isfinite(x) and x > 0.0 for x in eps_list + delta_list):
+        raise ParameterError("eps and delta values must be finite and positive")
 
     alpha = table.alpha
     tau_end = min(float(horizon), table.s_range[1])
@@ -683,14 +668,41 @@ def boundedness_certificate(sys: FdeSystem, k: float = 1.0 / 32.0) -> LyapunovFu
         * sys.restoring_integral(y))
 
 
-def _compass_states(radii, n_dirs=8):
-    angles = 2.0 * math.pi * np.arange(n_dirs) / n_dirs
-    return [(r * math.cos(th), r * math.sin(th)) for r in radii for th in angles]
+def _march_fan(sys, table, conditions, grids, initial_states, t_end, dtau,
+               record_every):
+    """Check the inputs and the named conditions, then march the fan.
 
-
-def _tau_end_for(table, t_end):
+    The fan defaults to eight compass states at radii 1 and 2, t_end to the
+    end of the span.  Returns (report, t_end, tau_end, taus, blocks, escaped)
+    with blocks of shape (n_records, 2, n_states).
+    """
     t_end = table.span[1] if t_end is None else float(t_end)
-    return t_end, _tau_horizon(table, t_end)
+    tau_end = _tau_horizon(table, t_end)
+    if tau_end <= 0.0:
+        raise ParameterError("t_end must advance the staircase past the anchor")
+    if initial_states is None:
+        initial_states = [(r * math.cos(th), r * math.sin(th)) for r in (1.0, 2.0)
+                          for th in 2.0 * math.pi * np.arange(8) / 8]
+    try:
+        Y0 = np.array(initial_states, dtype=float)
+        fan_ok = Y0.ndim == 2 and Y0.shape[1] == 2 and Y0.size > 0 \
+            and bool(np.all(np.isfinite(Y0)))
+    except (TypeError, ValueError):
+        fan_ok = False
+    if not fan_ok:
+        raise ParameterError(
+            "initial_states must be a non-empty list of finite (y, z) pairs")
+    report = check_assumptions(sys, grids or AssumptionGrids(alpha=table.alpha))
+    failing = report.failing(conditions)
+    if failing:
+        raise PreconditionError(
+            "structural conditions fail: "
+            + ", ".join(f"{n} (margin {report[n].worst_margin:.3g})"
+                        for n in failing),
+            failing=failing)
+    rhs, _ = as_tau_field(sys)
+    return (report, t_end, tau_end,
+            *_batch_integrate(rhs, 2, Y0.T, tau_end, dtau, record_every))
 
 
 @dataclass
@@ -743,24 +755,17 @@ def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
         raise ParameterError(
             "the decrease certificate applies to unforced systems; "
             "use the boundedness verifier for forced ones")
-    grids = grids or AssumptionGrids(alpha=table.alpha)
-    report = check_assumptions(sys, grids)
-    failing = report.failing(("C1", "C2", "C3", "C4"))
-    if failing:
-        raise PreconditionError(
-            "structural conditions fail: "
-            + ", ".join(f"{n} (margin {report[n].worst_margin:.3g})"
-                        for n in failing),
-            failing=failing)
-
+    if not grid_points >= 2:
+        raise ParameterError(f"grid_points must be at least 2, got {grid_points!r}")
+    if not (math.isfinite(grid_halfwidth) and grid_halfwidth > 0.0):
+        raise ParameterError(
+            f"grid_halfwidth must be finite and positive, got {grid_halfwidth!r}")
+    if math.isnan(drift_tol):
+        raise ParameterError("drift_tol must be a number, got nan")
+    report, t_end, tau_end, taus, blocks, escaped = _march_fan(
+        sys, table, ("C1", "C2", "C3", "C4"), grids, initial_states, t_end,
+        dtau, record_every)
     alpha = table.alpha
-    t_end, tau_end = _tau_end_for(table, t_end)
-    if initial_states is None:
-        initial_states = _compass_states((1.0, 2.0))
-    Y0 = np.array(initial_states, dtype=float).T
-    rhs, _ = as_tau_field(sys)
-    taus, blocks, escaped = _batch_integrate(rhs, 2, Y0, tau_end, dtau,
-                                             record_every)
     Yb, Zb = blocks[:, 0, :], blocks[:, 1, :]
     u_v = _apply(sys.u, taus)[:, None]
     v_v = _apply(sys.v, taus)[:, None]
@@ -788,7 +793,7 @@ def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
 
     passed = drift_ok and bound_ok and zero_ok
     meta = {"tau_end": tau_end, "t_end": t_end, "dtau": float(dtau),
-            "n_states": Y0.shape[1], "record_every": int(record_every),
+            "n_states": blocks.shape[2], "record_every": int(record_every),
             "escaped": bool(np.any(escaped)), "alpha": alpha,
             "recorded_steps": int(taus.size),
             "grid": [float(gp[0]), float(gp[-1]), int(grid_points)]}
@@ -921,30 +926,20 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
     terminal smallness of |y| and |z| at conv_tau close the verdict.  A
     system without forcing runs the same checks with r1 = r2 = 0.
     """
-    if not k >= 1.0 / 32.0:
-        raise ParameterError(f"k must be at least 1/32, got {k!r}")
-    grids = grids or AssumptionGrids(alpha=table.alpha)
-    report = check_assumptions(sys, grids)
-    failing = report.failing(("C1", "C2", "C3", "C4", "C5", "C6", "C7"))
-    if failing:
-        raise PreconditionError(
-            "structural conditions fail: "
-            + ", ".join(f"{n} (margin {report[n].worst_margin:.3g})"
-                        for n in failing),
-            failing=failing)
-
+    if not (k >= 1.0 / 32.0 and math.isfinite(k)):
+        raise ParameterError(f"k must be finite and at least 1/32, got {k!r}")
+    if not (n_random >= 1 and seed >= 0):
+        raise ParameterError(
+            f"n_random must be at least 1 and seed >= 0, got {n_random!r} "
+            f"and {seed!r}")
+    if not (conv_tau >= 0.0 and conv_threshold >= 0.0):
+        raise ParameterError(
+            f"conv_tau and conv_threshold must be >= 0, got {conv_tau!r} "
+            f"and {conv_threshold!r}")
+    report, t_end, tau_end, taus, blocks, escaped = _march_fan(
+        sys, table, ("C1", "C2", "C3", "C4", "C5", "C6", "C7"), grids,
+        initial_states, t_end, dtau, record_every)
     alpha = table.alpha
-    t_end, tau_end = _tau_end_for(table, t_end)
-    if tau_end <= 0.0:
-        raise ParameterError("t_end must advance the staircase past the anchor")
-    if initial_states is None:
-        initial_states = _compass_states((1.0, 2.0))
-    norms = [math.hypot(s[0], s[1]) for s in initial_states]
-    Y0 = np.array(initial_states, dtype=float).T
-
-    rhs, _ = as_tau_field(sys)
-    taus, blocks, escaped = _batch_integrate(rhs, 2, Y0, tau_end, dtau,
-                                             record_every)
     Yb, Zb = blocks[:, 0, :], blocks[:, 1, :]
     bounded = not bool(np.any(escaped))
     sup_norm = float(np.max(np.hypot(Yb, Zb)))
@@ -990,8 +985,9 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
     constants["E5_alpha"] = e5a
     constants["weight_integral_end"] = float(W[-1])
     meta = {"tau_end": tau_end, "t_end": t_end, "dtau": float(dtau),
-            "conv_tau": conv_at, "n_states": Y0.shape[1],
-            "max_initial_norm": float(max(norms)), "n_random": int(n_random),
+            "conv_tau": conv_at, "n_states": blocks.shape[2],
+            "max_initial_norm": max(map(math.hypot, *blocks[0].tolist())),
+            "n_random": int(n_random),
             "seed": int(seed), "record_every": int(record_every),
             "alpha": alpha, "recorded_steps": int(taus.size),
             "forced": sys.q is not None}

@@ -99,15 +99,13 @@ def l_alpha_sum(iset: IntervalSet, alpha: float, subdivision) -> float:
 
 
 def depth_for_resolution(spec: CantorSpec, delta: float) -> int:
-    """Coarsest depth whose covering intervals are no longer than delta."""
+    """Coarsest depth d with base_length * keep_ratio**d <= delta."""
     if not delta > 0.0:
         raise ParameterError(f"delta must be positive, got {delta!r}")
     cap = max_depth()
-    length = spec.base_length
     depth = 0
-    while length > delta:
+    while spec.base_length * spec.keep_ratio ** depth > delta:
         depth += 1
-        length *= spec.keep_ratio
         if depth > cap:
             raise ResolutionError(
                 f"resolving delta={delta!r} needs depth > {cap}; "

@@ -51,6 +51,16 @@ def test_from_function_defaults_to_breakpoints(table):
     assert np.array_equal(f.t, table.t)
 
 
+def test_from_function_falls_back_per_element(table):
+    # math.exp refuses an array, so _apply calls it once per sample; the
+    # result is math.exp of each sample exactly, and within two ulps of
+    # np.exp, whose own algorithm may round differently
+    f = GridFunction.from_function(table, math.exp)
+    exact = np.array([math.exp(t) for t in table.t.tolist()])
+    assert f.values.tobytes() == exact.tobytes()
+    assert np.allclose(f.values, np.exp(table.t), rtol=4e-16, atol=0.0)
+
+
 def test_from_values_requires_set_points(table):
     with pytest.raises(ParameterError):
         GridFunction.from_values(table, [0.0, 0.5], [1.0, 1.0])

@@ -148,9 +148,10 @@ def test_blowup_is_runtime_error_with_partial_output(tmp_path):
     ["staircase", "--samples", "-1"],
     ["chi", "--samples", "-1"],
     ["deriv", "--function", "t*10**400"],
+    ["verify", "--theorem", "1", "--t-end", "0"],
 ], ids=["solve-t-end-nan", "stability-horizon-nan", "solve-dtau-inf",
         "solve-dtau-tiny", "staircase-samples-negative", "chi-samples-negative",
-        "deriv-function-overflow"])
+        "deriv-function-overflow", "verify-t-end-zero"])
 def test_bad_horizons_and_steps_are_usage_errors(argv, capsys):
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -225,9 +226,9 @@ def test_verify_theorem1_rejects_the_forced_toy(capsys):
 
 
 # sha256 of stdout at every default configuration of the solver commands,
-# with the expected exit code; example2 fails C6, so its theorem 2 run exits
-# 3 with empty output.  A change that alters the numbers on purpose
-# re-captures these digests.
+# and of every other subcommand at its defaults, with the expected exit code;
+# example2 fails C6, so its theorem 2 run exits 3 with empty output.  A
+# change that alters the numbers on purpose re-captures these digests.
 GOLDEN = [
     (["solve", "--system", "example1"], 0,
      "44430a61918a787b832ec5c1b735fbbc672ca7c6c3cda3f68bd7d44acdcffccd"),
@@ -263,6 +264,18 @@ GOLDEN = [
      "d5976d18bddacbc21a1eba35e28b2f9f611f731bee1cad6a497e1a076e8aa097"),
     (["demo", "example3"], 0,
      "c368a1d6b8857be00770cfa49ca5324518657708fee15300a1e19e2ea19517e1"),
+    (["cantor"], 0,
+     "9b7d22d087903d16162ab68cc939fe04e8c7ae9d9792c51de13b715a1583303d"),
+    (["staircase"], 0,
+     "0d91576a2ddaed29153ee24d91c0d2667d2b54ba556fca3ee30abb86305395c4"),
+    (["chi"], 0,
+     "35be434c0aab86f8c82ffcefb0d0b62a93e434af4d8381de3edd374443189fdf"),
+    (["dimension"], 0,
+     "45400b5d1a19f33a55d2e15bba3989ae5b45572a10f487616b289475307913a4"),
+    (["deriv", "--function", "t**2"], 0,
+     "01e72d2d0217fae956ae3ef697f0d95d9f7e4cce530d5b6d8d5169b1aca6e216"),
+    (["integrate", "--function", "1"], 0,
+     "cfc720d7f037f7ab225b9e52e1679d92cb1d122aca46613aab9a420cdbf9bf85"),
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from fractalcalc import (
     example1_exact,
     example2_system,
     example3_system,
+    linear_damped_system,
     solve_first_order,
     solve_second_order,
     theorem2_toy,
@@ -28,7 +30,6 @@ from fractalcalc.fde import (
     _BlowupSignal,
     _euler_step,
     _integrate,
-    _rk4_step,
 )
 
 ALPHA = 0.7564707973660301
@@ -114,6 +115,48 @@ def test_at_time_interpolates(table):
     assert y_mid == pytest.approx(math.exp(-tau_mid), rel=1e-6)
 
 
+def test_second_order_trajectory_queries(table):
+    traj = solve_second_order(example3_system(1.0), table, 1.0, 0.0, 1.0,
+                              dtau=1e-3)
+    assert traj.terminal == (float(traj.y[-1]), float(traj.z[-1]))
+    assert solve_first_order(lambda y: -y, table, 1.0, 1.0).terminal == (
+        pytest.approx(math.exp(-traj.tau[-1]), rel=1e-9),)
+    # the undamped oscillator from (1, 0) is (cos tau, -sin tau), up to the
+    # linear interpolation between records 1e-3 apart
+    y, z = traj.at_time(0.7)
+    assert type(y) is float and type(z) is float
+    tau = eval_staircase(table, 0.7)
+    assert (y, z) == (pytest.approx(math.cos(tau), abs=1e-6),
+                      pytest.approx(-math.sin(tau), abs=1e-6))
+    # an array query matches the scalar ones; the central gap holds the
+    # state of its left edge
+    ts = np.array([0.0, 0.4, 0.5, 0.7, 1.0])
+    ys, zs = traj.at_time(ts)
+    assert ys.tolist() == [traj.at_time(t)[0] for t in ts]
+    assert zs.tolist() == [traj.at_time(t)[1] for t in ts]
+    assert (ys[2], zs[2]) == (ys[1], zs[1])
+
+
+def test_numeric_hooks_match_the_analytic_ones():
+    # without its analytic hooks the system falls back to quad for H and to
+    # central differences for h' and v'
+    exact = linear_damped_system()
+    bare = dataclasses.replace(exact, h_integral=None, h_derivative=None,
+                               v_derivative=None)
+    ys = np.linspace(-3.0, 3.0, 13)
+    for y in (ys, 1.5):
+        assert bare.restoring_integral(y) == pytest.approx(
+            exact.restoring_integral(y), rel=1e-12, abs=1e-15)
+        assert bare.restoring_slope(y) == pytest.approx(
+            exact.restoring_slope(y), rel=1e-8)
+        assert bare.coefficient_slope(y) == pytest.approx(
+            exact.coefficient_slope(y), abs=1e-8)
+    assert type(bare.restoring_integral(1.5)) is float
+    assert bare.restoring_integral(ys).shape == ys.shape
+    assert type(bare.restoring_slope(1.5)) is float
+    assert bare.coefficient_slope(ys).shape == ys.shape
+
+
 def test_blowup_raises_with_partial_trajectory(long_table):
     with pytest.raises(NumericalBlowupError) as exc:
         solve_first_order(lambda y: y * y, long_table, 3.0, 60.0, dtau=1e-3)
@@ -163,6 +206,19 @@ def test_one_column_batch_matches_the_solve_bit_for_bit(long_table):
     assert np.array_equal(taus, traj.tau)
     assert np.array_equal(blocks[:, 0, 0], traj.y)
     assert np.array_equal(blocks[:, 1, 0], traj.z)
+
+
+def _rk4_step(rhs, tau, x, h):
+    # classical RK4 for any number of components, with the groupings of the
+    # package's steppers
+    half = 0.5 * h
+    k1 = rhs(tau, x)
+    k2 = rhs(tau + half, [xi + half * ki for xi, ki in zip(x, k1)])
+    k3 = rhs(tau + half, [xi + half * ki for xi, ki in zip(x, k2)])
+    k4 = rhs(tau + h, [xi + h * ki for xi, ki in zip(x, k3)])
+    sixth = h / 6.0
+    return [xi + sixth * (a + 2.0 * (b + c) + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
 
 
 def _reference_march(rhs, tau_end, state0, dtau, method, record_every, limit):
@@ -220,7 +276,7 @@ def _random_flow(coef, dim, numpy_calls):
 @settings(max_examples=200)
 @given(data=st.data())
 def test_march_matches_the_float64_reference(data):
-    dim = data.draw(st.integers(1, 3), label="dim")
+    dim = data.draw(st.integers(1, 2), label="dim")
     # one state (cols 0) as often as a block
     cols = data.draw(st.sampled_from([0, 0, 1, 5]), label="cols (0: one state)")
     unit = st.floats(-2.0, 2.0)
@@ -238,6 +294,17 @@ def test_march_matches_the_float64_reference(data):
             data.draw(st.sampled_from([1.0, 2.0, BLOWUP_LIMIT]), label="limit"))
     _assert_same_outcome(_outcome(_integrate, *args),
                          _outcome(_reference_march, *args))
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("shape", [(), (0,), (3,), (3, 4), (2, 2, 2)],
+                         ids=["scalar", "dim0", "dim3", "dim3-block", "3d-block"])
+def test_integrate_rejects_other_component_counts(shape, method):
+    def rhs(tau, x):
+        raise AssertionError("the flow must not run")
+
+    with pytest.raises(ParameterError, match="1 or 2 components"):
+        _integrate(rhs, 1.0, np.zeros(shape), 1e-2, method, 1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

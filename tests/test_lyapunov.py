@@ -212,6 +212,18 @@ def test_classify_rejects_bad_horizons(long_table, horizon):
         classify_stability(example1_field, long_table, horizon=horizon)
 
 
+@pytest.mark.parametrize("grid", [
+    {"eps_grid": (math.nan,)}, {"delta_grid": (math.inf,)},
+    {"eps_grid": (0.5, -0.1)}, {"delta_grid": (0.5, 0.0)},
+    {"delta_grid": (0.1, math.nan)}, {"eps_grid": ()},
+], ids=["eps-nan", "delta-inf", "eps-negative", "delta-zero", "delta-nan",
+        "eps-empty"])
+def test_classify_rejects_bad_grids(long_table, grid):
+    with pytest.raises(ParameterError):
+        classify_stability(example1_field, long_table, horizon=1.0, dtau=1e-2,
+                           **grid)
+
+
 def test_classify_rejects_non_equilibrium(long_table):
     with pytest.raises(ParameterError):
         classify_stability(example1_field, long_table, equilibrium=1.0)
@@ -356,6 +368,31 @@ def test_theorem1_precondition_failure(long_table):
     assert "C3" in exc.value.failing
 
 
+# fans and horizons that both verifiers reject in their shared set-up,
+# before any march: a raw numpy error, or a verdict on one recorded state,
+# is not a documented result
+_BAD_FANS = [
+    {"initial_states": []},
+    {"initial_states": [(1.0, 0.0, 0.0)]},
+    {"initial_states": [(1.0, 0.0), (1.0,)]},
+    {"initial_states": [(math.nan, 0.0)]},
+    {"initial_states": [1.0, 0.0]},
+    {"t_end": 0.0},
+]
+_BAD_FAN_IDS = ["empty", "three-components", "ragged", "nan-state",
+                "flat-pair", "t-end-zero"]
+
+
+@pytest.mark.parametrize("kwargs", _BAD_FANS + [
+    {"grid_points": 0}, {"grid_points": 1}, {"grid_halfwidth": math.nan},
+    {"grid_halfwidth": 0.0}, {"drift_tol": math.nan},
+], ids=_BAD_FAN_IDS + ["grid-points-0", "grid-points-1", "halfwidth-nan",
+                       "halfwidth-zero", "drift-tol-nan"])
+def test_theorem1_rejects_bad_inputs(long_table, kwargs):
+    with pytest.raises(ParameterError):
+        verify_theorem1(theorem1_toy(), long_table, **kwargs)
+
+
 def test_theorem1_report_serializes(long_table):
     import json
 
@@ -393,6 +430,18 @@ def test_theorem2_precondition_failure(long_table):
     with pytest.raises(PreconditionError) as exc:
         verify_theorem2(example2_system(), long_table)
     assert "C6" in exc.value.failing
+
+
+@pytest.mark.parametrize("kwargs", _BAD_FANS + [
+    {"n_random": 0}, {"n_random": -1}, {"conv_tau": math.nan},
+    {"conv_tau": -1.0}, {"conv_threshold": math.nan}, {"k": math.inf},
+    {"seed": -1},
+], ids=_BAD_FAN_IDS + ["n-random-0", "n-random-negative", "conv-tau-nan",
+                       "conv-tau-negative", "conv-threshold-nan", "k-inf",
+                       "seed-negative"])
+def test_theorem2_rejects_bad_inputs(long_table, kwargs):
+    with pytest.raises(ParameterError):
+        verify_theorem2(theorem2_toy(), long_table, **kwargs)
 
 
 def test_theorem2_constants(long_table):

@@ -21,6 +21,7 @@ from fractalcalc import (
     generate,
     hausdorff_dimension,
     l_alpha_sum,
+    max_depth,
 )
 
 ALPHA_02 = 0.7564707973660301          # order matching the mu=0.2 set
@@ -82,6 +83,13 @@ def test_depth_for_resolution():
         depth_for_resolution(spec, 1e-30)
     with pytest.raises(ParameterError):
         depth_for_resolution(spec, 0.0)
+    # the length of depth d, written as callers write it, resolves to d
+    for mu in np.linspace(0.01, 0.99, 99):
+        for extent in (1.0, 60.0):
+            spec = CantorSpec(mu=float(mu), depth=1, extent=extent)
+            for d in range(max_depth() + 1):
+                delta = spec.base_length * spec.keep_ratio ** d
+                assert depth_for_resolution(spec, delta) == d, (mu, extent, d)
 
 
 @pytest.mark.parametrize("mu", [0.2, 1.0 / 3.0, 0.5])
