@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, ResolutionError
 from .fde import _apply
-from .staircase import StaircaseTable, eval_staircase
+from .staircase import StaircaseTable, _interp_staircase, eval_staircase
 
 
 def _segment_index(table: StaircaseTable, t):
@@ -100,15 +100,13 @@ class GridFunction:
             t = table.t
         t = np.atleast_1d(np.asarray(t, dtype=float))
         cls._require_set_points(table, t)
-        s = np.interp(t, table.t, table.s)
-        return cls(table=table, t=t, s=s, values=_apply(fn, t))
+        return cls(table=table, t=t, s=_interp_staircase(table, t), values=_apply(fn, t))
 
     @classmethod
     def from_values(cls, table: StaircaseTable, t, values) -> "GridFunction":
         t = np.atleast_1d(np.asarray(t, dtype=float))
         cls._require_set_points(table, t)
-        s = np.interp(t, table.t, table.s)
-        return cls(table=table, t=t, s=s, values=values)
+        return cls(table=table, t=t, s=_interp_staircase(table, t), values=values)
 
     @staticmethod
     def _require_set_points(table, t):

@@ -13,6 +13,7 @@ shared freely across threads.
 """
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -26,8 +27,10 @@ DEFAULT_MAX_DEPTH = 24
 def max_depth():
     """Return the depth cap, honoring the FRACTAL_CALC_MAX_DEPTH override.
 
-    The cap exists because a depth-m realization stores 2^m intervals; the
-    default of 24 keeps a single realization comfortably under a gigabyte.
+    The cap exists because a depth-m realization stores 2^m intervals in
+    16 * 2^m bytes and a staircase table over it takes 32 * 2^m bytes; at the
+    default of 24 that is 256 MiB and 512 MiB, and generating the intervals
+    peaks at 448 MiB.
     """
     raw = os.environ.get("FRACTAL_CALC_MAX_DEPTH")
     if raw is None:
@@ -44,7 +47,11 @@ def max_depth():
 
 @dataclass(frozen=True)
 class CantorSpec:
-    """Parameters of one construction: removed fraction, depth, base interval."""
+    """Parameters of one construction: removed fraction, depth, base interval.
+
+    An integral depth given as a float or a numpy integer is stored as an
+    int; the base interval must be finite.
+    """
 
     mu: float
     depth: int
@@ -54,13 +61,23 @@ class CantorSpec:
     def __post_init__(self):
         if not (isinstance(self.mu, (int, float)) and 0.0 < self.mu < 1.0):
             raise ParameterError(f"mu must lie strictly in (0, 1), got {self.mu!r}")
-        if int(self.depth) != self.depth or self.depth < 0:
-            raise ParameterError(f"depth must be a non-negative integer, got {self.depth!r}")
+        depth = self.depth
+        if isinstance(depth, bool) or not (
+                isinstance(depth, numbers.Real) and math.isfinite(depth)
+                and depth == int(depth) and depth >= 0):
+            raise ParameterError(f"depth must be a non-negative integer, got {depth!r}")
+        object.__setattr__(self, "depth", int(depth))
         cap = max_depth()
         if self.depth > cap:
             raise ParameterError(
                 f"depth {self.depth} exceeds the cap of {cap}; "
                 "set FRACTAL_CALC_MAX_DEPTH to raise it")
+        if not (all(isinstance(x, numbers.Real) and math.isfinite(x)
+                    for x in (self.origin, self.extent))
+                and math.isfinite(self.extent - self.origin)):
+            raise ParameterError(
+                "origin and extent must be finite numbers a finite distance "
+                f"apart, got {self.origin!r} and {self.extent!r}")
         if not self.origin < self.extent:
             raise ParameterError("origin must be strictly less than extent")
 
@@ -133,12 +150,15 @@ def generate(spec: CantorSpec) -> IntervalSet:
     left = np.array([spec.origin], dtype=float)
     right = np.array([spec.extent], dtype=float)
     for _ in range(spec.depth):
-        width = right - left
+        # the children's ends are written straight into the strided halves,
+        # so a level holds the parents, one cut array and the children
+        cut = right - left
+        cut *= r
         new_left = np.empty(2 * left.size)
         new_right = np.empty(2 * right.size)
         new_left[0::2] = left
-        new_right[0::2] = left + r * width
-        new_left[1::2] = right - r * width
+        np.add(left, cut, out=new_right[0::2])
+        np.subtract(right, cut, out=new_left[1::2])
         new_right[1::2] = right
         left, right = new_left, new_right
     return IntervalSet(left, right)

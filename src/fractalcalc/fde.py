@@ -284,9 +284,10 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
     undisturbed.  Each step tests the whole state once; the per-column
     bookkeeping, on a stacked block, runs only once some column has escaped.
 
-    dtau must be finite and positive, tau_end finite and >= 0, the state 1
-    or 2 components, and the march at most _MAX_STEPS steps long; anything
-    else is a ParameterError raised before any allocation.
+    dtau must be finite and positive, tau_end finite and >= 0, record_every
+    an int or numpy integer >= 1 (not a bool), the state 1 or 2 components,
+    and the march at most _MAX_STEPS steps long; anything else is a
+    ParameterError raised before any allocation.
     """
     try:
         by_dim = _STEPPERS[method]
@@ -297,8 +298,11 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
         raise ParameterError(f"dtau must be finite and positive, got {dtau!r}")
     if not (math.isfinite(tau_end) and tau_end >= 0.0):
         raise ParameterError(f"tau_end must be finite and >= 0, got {tau_end!r}")
-    if record_every < 1:
-        raise ParameterError("record_every must be >= 1")
+    if isinstance(record_every, bool) or not (
+            isinstance(record_every, (int, np.integer)) and record_every >= 1):
+        raise ParameterError(
+            f"record_every must be an integer >= 1, got {record_every!r}")
+    record_every = int(record_every)
     steps = tau_end / dtau - 1e-12
     if steps > _MAX_STEPS:
         raise ParameterError(

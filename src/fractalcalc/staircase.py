@@ -50,6 +50,12 @@ class StaircaseTable:
     the staircase values there; linear interpolation between breakpoints
     reproduces S exactly because mass accrues linearly in length^alpha
     within a covering interval and not at all across a gap.
+
+    The arrays passed in as ``t`` and ``s`` are made read-only and kept.
+    Queries read them through writable views kept privately, because
+    np.interp copies a read-only breakpoint array on every call; an array
+    that is read-only already, such as another table's ``t``, is copied once
+    here instead.
     """
 
     alpha: float
@@ -60,8 +66,12 @@ class StaircaseTable:
     gamma_factor: float
 
     def __post_init__(self):
-        self.t.setflags(write=False)
-        self.s.setflags(write=False)
+        for name in ("t", "s"):
+            arr = np.require(getattr(self, name), dtype=float, requirements=["C", "W"])
+            # a view taken before the lock stays writable
+            object.__setattr__(self, "_" + name, arr.view())
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def span(self):
@@ -159,22 +169,28 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
     iset = generate(spec)
     g = math.gamma(alpha + 1.0)
     n = len(iset)
-    # in-place work keeps the peak at the interval ends plus t and s; the
-    # masses array is freed before t is allocated
-    masses = iset.lengths()
-    masses **= alpha
-    masses *= g
-    s = np.empty(2 * n)
-    np.cumsum(masses, out=s[1::2])
-    del masses
-    s[0] = 0.0
-    s[2::2] = s[1:-1:2]
     t = np.empty(2 * n)
     t[0::2] = iset.left
     t[1::2] = iset.right
+    del iset
+    # each covering interval's rise is worked out in place in the slot of
+    # its right end, so the peak is exactly t plus s
+    s = np.empty(2 * n)
+    rises = s[1::2]
+    np.subtract(t[1::2], t[0::2], out=rises)
+    rises **= alpha
+    rises *= g
+    np.cumsum(rises, out=rises)
+    s[0] = 0.0
+    s[2::2] = s[1:-1:2]
     s -= np.interp(t0, t, s)
     return StaircaseTable(alpha=float(alpha), spec=spec, t=t, s=s, t0=t0,
                           gamma_factor=g)
+
+
+def _interp_staircase(table: StaircaseTable, t_arr: np.ndarray) -> np.ndarray:
+    """S at the points of t_arr, which must lie in the span; no checks."""
+    return _in_key_order(lambda x: np.interp(x, table._t, table._s), t_arr)
 
 
 def eval_staircase(table: StaircaseTable, t):
@@ -184,7 +200,7 @@ def eval_staircase(table: StaircaseTable, t):
     # written so that NaN fails it too
     if not (np.all(t_arr >= lo) and np.all(t_arr <= hi)):
         raise DomainError(f"t outside the tabulated span [{lo}, {hi}] or NaN")
-    out = _in_key_order(lambda x: np.interp(x, table.t, table.s), t_arr)
+    out = _interp_staircase(table, t_arr)
     if t_arr.ndim == 0:
         return float(out)
     return out

@@ -128,15 +128,29 @@ def test_rejects_bad_mu(mu):
 
 
 def test_rejects_bad_depth():
-    with pytest.raises(ParameterError):
-        CantorSpec(mu=0.2, depth=-1)
-    with pytest.raises(ParameterError):
-        CantorSpec(mu=0.2, depth=max_depth() + 1)
+    # a bool is not a depth, and nan, inf and None raised raw errors once
+    for depth in (-1, max_depth() + 1, True, np.True_, 2.5, math.nan, math.inf,
+                  "3", None):
+        with pytest.raises(ParameterError):
+            CantorSpec(mu=0.2, depth=depth)
+
+
+@pytest.mark.parametrize("depth", [2.0, np.int64(2), np.float64(2.0)],
+                         ids=["float", "numpy-int", "numpy-float"])
+def test_integral_depth_is_stored_as_int(depth):
+    spec = CantorSpec(mu=0.2, depth=depth)
+    assert spec.depth == 2 and type(spec.depth) is int
+    assert generate(spec).intervals == DEPTH2_INTERVALS
+    assert [level for level, _ in iter_levels(spec)] == [1, 2]
 
 
 def test_rejects_degenerate_interval():
-    with pytest.raises(ParameterError):
-        CantorSpec(mu=0.2, depth=1, origin=1.0, extent=1.0)
+    # an infinite end passed here once, and generate then blamed the depth
+    for origin, extent in ((1.0, 1.0), (0.0, math.inf), (-math.inf, 1.0),
+                           (math.nan, 1.0), (0.0, math.nan), (-1e308, 1e308),
+                           (0.0, "1")):
+        with pytest.raises(ParameterError):
+            CantorSpec(mu=0.2, depth=1, origin=origin, extent=extent)
 
 
 def test_depth_cap_from_environment(monkeypatch):
@@ -154,6 +168,50 @@ def test_generate_rejects_sub_resolution_depth():
     # and cannot be told apart near t=1 in float arithmetic
     with pytest.raises(ResolutionError):
         generate(CantorSpec(mu=0.99, depth=10))
+
+
+def _reference_generate(spec):
+    # the doubling loop with a fresh width and r * width products per level
+    r = spec.keep_ratio
+    left = np.array([spec.origin], dtype=float)
+    right = np.array([spec.extent], dtype=float)
+    for _ in range(spec.depth):
+        width = right - left
+        new_left = np.empty(2 * left.size)
+        new_right = np.empty(2 * right.size)
+        new_left[0::2] = left
+        new_right[0::2] = left + r * width
+        new_left[1::2] = right - r * width
+        new_right[1::2] = right
+        left, right = new_left, new_right
+    return left, right
+
+
+def _assert_matches_reference(spec):
+    try:
+        iset = generate(spec)
+    except ResolutionError:
+        return False
+    left, right = _reference_generate(spec)
+    assert np.array_equal(iset.left, left)
+    assert np.array_equal(iset.right, right)
+    return True
+
+
+@pytest.mark.parametrize("origin,extent", [(0.0, 1.0), (-3.5, 60.0), (1e3, 1e3 + 7.25)])
+@pytest.mark.parametrize("mu", [0.2, 1.0 / 3.0, 0.5, 0.9])
+def test_generate_matches_the_reference_loop(mu, origin, extent):
+    built = [_assert_matches_reference(CantorSpec(mu, d, origin, extent))
+             for d in range(17)]
+    # every depth up to float resolution was compared, not skipped
+    assert built[:8] == [True] * 8
+
+
+@settings(max_examples=50)
+@given(mu=st.floats(0.01, 0.99), depth=st.integers(0, 12),
+       origin=st.floats(-1e3, 1e3), length=st.floats(1e-3, 1e3))
+def test_generate_matches_the_reference_loop_property(mu, depth, origin, length):
+    _assert_matches_reference(CantorSpec(mu, depth, origin, origin + length))
 
 
 @settings(max_examples=50)

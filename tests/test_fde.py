@@ -87,6 +87,25 @@ def test_record_every_thins_output(table):
     assert thin.y[-1] == dense.y[-1]
 
 
+@pytest.mark.parametrize("every", [1.5, 10.0, True, 0, -2, "10", None],
+                         ids=["fractional", "integral-float", "bool", "zero",
+                              "negative", "string", "none"])
+def test_record_every_must_be_a_positive_integer(table, every):
+    with pytest.raises(ParameterError, match="record_every"):
+        solve_first_order(lambda y: -y, table, 1.0, 1.0, record_every=every)
+    with pytest.raises(ParameterError, match="record_every"):
+        solve_second_order(example2_system(), table, 1.0, 0.0, 1.0,
+                           record_every=every)
+
+
+def test_record_every_takes_numpy_integers(table):
+    plain = solve_first_order(lambda y: -y, table, 1.0, 1.0, record_every=10)
+    numpy = solve_first_order(lambda y: -y, table, 1.0, 1.0,
+                              record_every=np.int64(10))
+    assert np.array_equal(plain.tau, numpy.tau)
+    assert np.array_equal(plain.y, numpy.y)
+
+
 def test_second_order_oscillator_conserves_energy(table):
     sys = example3_system(1.0)
     traj = solve_second_order(sys, table, 1.0, 0.0, 1.0, dtau=1e-3)

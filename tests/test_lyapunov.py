@@ -224,6 +224,14 @@ def test_classify_rejects_bad_grids(long_table, grid):
                            **grid)
 
 
+@pytest.mark.parametrize("every", [2.5, 20.0, True],
+                         ids=["fractional", "integral-float", "bool"])
+def test_classify_rejects_bad_record_every(long_table, every):
+    with pytest.raises(ParameterError, match="record_every"):
+        classify_stability(example1_field, long_table, horizon=1.0, dtau=1e-2,
+                           record_every=every)
+
+
 def test_classify_rejects_non_equilibrium(long_table):
     with pytest.raises(ParameterError):
         classify_stability(example1_field, long_table, equilibrium=1.0)
@@ -386,8 +394,10 @@ _BAD_FAN_IDS = ["empty", "three-components", "ragged", "nan-state",
 @pytest.mark.parametrize("kwargs", _BAD_FANS + [
     {"grid_points": 0}, {"grid_points": 1}, {"grid_halfwidth": math.nan},
     {"grid_halfwidth": 0.0}, {"drift_tol": math.nan},
+    {"record_every": 2.5}, {"record_every": True},
 ], ids=_BAD_FAN_IDS + ["grid-points-0", "grid-points-1", "halfwidth-nan",
-                       "halfwidth-zero", "drift-tol-nan"])
+                       "halfwidth-zero", "drift-tol-nan",
+                       "record-every-fractional", "record-every-bool"])
 def test_theorem1_rejects_bad_inputs(long_table, kwargs):
     with pytest.raises(ParameterError):
         verify_theorem1(theorem1_toy(), long_table, **kwargs)

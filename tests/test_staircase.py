@@ -238,7 +238,7 @@ def _reference_staircase(spec, alpha, t0):
     return t, s - np.interp(t0, t, s)
 
 
-@pytest.mark.parametrize("depth", [12, 16])
+@pytest.mark.parametrize("depth", [12, 16, 18])
 @pytest.mark.parametrize("alpha,t0", [(ALPHA_02, 0.0), (0.5, 0.3), (1.0, 1.0)])
 def test_build_staircase_matches_the_reference_formula(depth, alpha, t0):
     spec = CantorSpec(mu=0.2, depth=depth)
