@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ResolutionError
+from .errors import DomainError, ParameterError, ResolutionError, _count, _real
 from .fde import _apply
 from .staircase import StaircaseTable, _interp_staircase, eval_staircase
 
@@ -52,8 +52,7 @@ def set_samples(table: StaircaseTable, per_segment: int = 0) -> np.ndarray:
     and integrate it exactly, so refinement effects only show up once
     segments carry interior samples.
     """
-    if per_segment < 0:
-        raise ParameterError(f"per_segment must be >= 0, got {per_segment!r}")
+    per_segment = _count("per_segment", per_segment, 0)
     t = table.t
     if per_segment == 0:
         return t.copy()
@@ -162,7 +161,7 @@ def fractal_integral(f: GridFunction, a: float, b: float) -> float:
     Needs at least two samples inside [a, b] unless the staircase is flat
     there, in which case the integral is exactly zero (gaps carry no mass).
     """
-    a, b = float(a), float(b)
+    a, b = _real("a", a, "[-inf, inf]"), _real("b", b, "[-inf, inf]")
     if not a < b:
         raise ParameterError("integration bounds need a < b")
     lo, hi = f.table.span

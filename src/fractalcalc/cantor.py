@@ -13,13 +13,12 @@ shared freely across threads.
 """
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ResolutionError
+from .errors import ParameterError, ResolutionError, _count, _real
 
 DEFAULT_MAX_DEPTH = 24
 
@@ -49,8 +48,9 @@ def max_depth():
 class CantorSpec:
     """Parameters of one construction: removed fraction, depth, base interval.
 
-    An integral depth given as a float or a numpy integer is stored as an
-    int; the base interval must be finite.
+    The numbers are stored as floats and the depth as an int, also when it
+    is given as an integral float or a numpy number; the base interval must
+    be finite.
     """
 
     mu: float
@@ -59,27 +59,20 @@ class CantorSpec:
     extent: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.mu, (int, float)) and 0.0 < self.mu < 1.0):
-            raise ParameterError(f"mu must lie strictly in (0, 1), got {self.mu!r}")
+        for name, interval in (("mu", "(0, 1)"), ("origin", "(-inf, inf)"),
+                               ("extent", "(-inf, inf)")):
+            object.__setattr__(self, name, _real(name, getattr(self, name), interval))
         depth = self.depth
-        if isinstance(depth, bool) or not (
-                isinstance(depth, numbers.Real) and math.isfinite(depth)
-                and depth == int(depth) and depth >= 0):
-            raise ParameterError(f"depth must be a non-negative integer, got {depth!r}")
-        object.__setattr__(self, "depth", int(depth))
+        # README documents integral float depths such as 2.0 as valid
+        if isinstance(depth, (float, np.floating)) and depth.is_integer():
+            depth = int(depth)
+        object.__setattr__(self, "depth", _count("depth", depth, 0))
         cap = max_depth()
         if self.depth > cap:
             raise ParameterError(
                 f"depth {self.depth} exceeds the cap of {cap}; "
                 "set FRACTAL_CALC_MAX_DEPTH to raise it")
-        if not (all(isinstance(x, numbers.Real) and math.isfinite(x)
-                    for x in (self.origin, self.extent))
-                and math.isfinite(self.extent - self.origin)):
-            raise ParameterError(
-                "origin and extent must be finite numbers a finite distance "
-                f"apart, got {self.origin!r} and {self.extent!r}")
-        if not self.origin < self.extent:
-            raise ParameterError("origin must be strictly less than extent")
+        _real("extent - origin", self.extent - self.origin, "(0, inf)")
 
     @property
     def keep_ratio(self) -> float:
@@ -223,8 +216,7 @@ def hausdorff_dimension(mu: float) -> float:
     Strictly decreasing in mu and maps (0, 1) onto (0, 1); mu -> 0 recovers
     dimension 1 and mu -> 1 collapses to dimension 0.
     """
-    if not 0.0 < mu < 1.0:
-        raise ParameterError(f"mu must lie strictly in (0, 1), got {mu!r}")
+    mu = _real("mu", mu, "(0, 1)")
     return math.log(2.0) / (math.log(2.0) - math.log(1.0 - mu))
 
 

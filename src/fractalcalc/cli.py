@@ -19,6 +19,7 @@ from .errors import (
     FractalCalcError,
     NumericalBlowupError,
     ParameterError,
+    _count,
 )
 from .expressions import compile_expression
 from .fde import FdeSystem, _apply, solve_first_order, solve_second_order
@@ -101,10 +102,7 @@ def _table_for(args, command):
 
 
 def _time_grid(args, spec):
-    n = args.samples
-    if n < 0:
-        raise ParameterError(f"--samples must be >= 0, got {n}")
-    return np.linspace(spec.origin, spec.extent, n)
+    return np.linspace(spec.origin, spec.extent, _count("--samples", args.samples, 0))
 
 
 def cmd_cantor(args):

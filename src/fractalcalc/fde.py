@@ -37,7 +37,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .cantor import _in_key_order
-from .errors import DomainError, NumericalBlowupError, ParameterError
+from .errors import DomainError, NumericalBlowupError, ParameterError, _count, _real
 from .staircase import StaircaseTable, eval_staircase
 
 BLOWUP_LIMIT = 1e12
@@ -115,12 +115,8 @@ class FdeSystem:
         """Potential H(y), the integral of h from 0 to y."""
         if self.h_integral is not None:
             return self.h_integral(y)
-        y_arr = np.asarray(y, dtype=float)
-        out = np.array([quad(self.h, 0.0, float(val), limit=200)[0]
-                        for val in y_arr.ravel()])
-        if y_arr.ndim == 0:
-            return float(out[0])
-        return out.reshape(y_arr.shape)
+        # quad takes scalar bounds only, so _apply calls it once per element
+        return _apply(lambda v: quad(self.h, 0.0, v, limit=200)[0], y)
 
     def restoring_slope(self, y):
         """h'(y), analytic when available, else a central difference."""
@@ -284,25 +280,19 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
     undisturbed.  Each step tests the whole state once; the per-column
     bookkeeping, on a stacked block, runs only once some column has escaped.
 
-    dtau must be finite and positive, tau_end finite and >= 0, record_every
-    an int or numpy integer >= 1 (not a bool), the state 1 or 2 components,
-    and the march at most _MAX_STEPS steps long; anything else is a
-    ParameterError raised before any allocation.
+    dtau and limit must be finite and positive, tau_end finite and >= 0,
+    record_every an integer >= 1, the state 1 or 2 components and the march
+    at most _MAX_STEPS steps, or a ParameterError is raised before any work.
     """
     try:
         by_dim = _STEPPERS[method]
     except KeyError:
         raise ParameterError(
             f"unknown method {method!r}, expected one of {sorted(_STEPPERS)}") from None
-    if not (math.isfinite(dtau) and dtau > 0.0):
-        raise ParameterError(f"dtau must be finite and positive, got {dtau!r}")
-    if not (math.isfinite(tau_end) and tau_end >= 0.0):
-        raise ParameterError(f"tau_end must be finite and >= 0, got {tau_end!r}")
-    if isinstance(record_every, bool) or not (
-            isinstance(record_every, (int, np.integer)) and record_every >= 1):
-        raise ParameterError(
-            f"record_every must be an integer >= 1, got {record_every!r}")
-    record_every = int(record_every)
+    dtau = _real("dtau", dtau, "(0, inf)")
+    tau_end = _real("tau_end", tau_end, "[0, inf)")
+    record_every = _count("record_every", record_every, 1)
+    limit = _real("blowup_limit", limit, "(0, inf)")
     steps = tau_end / dtau - 1e-12
     if steps > _MAX_STEPS:
         raise ParameterError(
@@ -373,13 +363,13 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
 
 
 def _tau_horizon(table, t_end):
-    if math.isnan(t_end):
-        raise ParameterError("t_end must be a number, got nan")
+    """Return t_end and S(t_end) as floats, refusing a t_end before the anchor."""
+    t_end = _real("t_end", t_end, "[-inf, inf]")
     tau_end = eval_staircase(table, t_end)
     if tau_end < 0.0:
         raise ParameterError(
             f"t_end={t_end!r} precedes the staircase anchor t0={table.t0!r}")
-    return float(tau_end)
+    return t_end, tau_end
 
 
 def _solve(rhs, table, state0, t_end, dtau, method, record_every, blowup_limit):
@@ -388,11 +378,12 @@ def _solve(rhs, table, state0, t_end, dtau, method, record_every, blowup_limit):
     On blow-up a NumericalBlowupError is raised with the partial trajectory
     attached.
     """
-    tau_end = _tau_horizon(table, t_end)
-    meta = {"method": method, "dtau": float(dtau), "tau_end": tau_end,
-            "t_end": float(t_end), "alpha": table.alpha}
+    t_end, tau_end = _tau_horizon(table, t_end)
 
     def trajectory(taus, states):
+        # built after _integrate has checked dtau
+        meta = {"method": method, "dtau": float(dtau), "tau_end": tau_end,
+                "t_end": t_end, "alpha": table.alpha}
         z = states[:, 1] if states.shape[1] > 1 else None
         return Trajectory(t=warp_time(table, taus), tau=taus, y=states[:, 0],
                           z=z, table=table, meta=meta)

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError, _count, _real
 from .fde import (BLOWUP_LIMIT, FdeConstants, FdeSystem, _apply, _integrate,
                   _tau_horizon, warp_time)
 from .staircase import StaircaseTable
@@ -282,17 +282,19 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=0.0,
     if not resid < 1e-9:
         raise ParameterError(
             f"not an equilibrium: field magnitude {resid:.3g} at the given state")
-    eps_list = sorted(float(e) for e in eps_grid)
-    delta_list = sorted((float(d) for d in delta_grid), reverse=True)
+    eps_list = sorted(_real("eps", e, "(0, inf)") for e in eps_grid)
+    delta_list = sorted(_real("delta", d, "(0, inf)") for d in delta_grid)[::-1]
     if not eps_list or not delta_list:
         raise ParameterError("eps_grid and delta_grid must be non-empty")
-    if not all(math.isfinite(x) and x > 0.0 for x in eps_list + delta_list):
-        raise ParameterError("eps and delta values must be finite and positive")
+    horizon = _real("horizon", horizon, "(0, inf]")
+    settle_rtol = _real("settle_rtol", settle_rtol, "[0, inf)")
+    fit_min_r2 = _real("fit_min_r2", fit_min_r2, "[0, 1]")
+    bound_slack = _real("bound_slack", bound_slack, "[0, inf)")
 
     alpha = table.alpha
-    tau_end = min(float(horizon), table.s_range[1])
+    tau_end = min(horizon, table.s_range[1])
     notes = ["deviation balls scale as radius**alpha with alpha from the table"]
-    if tau_end < float(horizon):
+    if tau_end < horizon:
         notes.append(
             f"horizon truncated to tau={tau_end:.6g}, the staircase range end")
 
@@ -375,7 +377,7 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=0.0,
     else:
         classification = "asymptotically-stable"
 
-    meta = {"horizon": float(horizon), "tau_end": tau_end, "dtau": float(dtau),
+    meta = {"horizon": horizon, "tau_end": tau_end, "dtau": float(dtau),
             "record_every": int(record_every), "settle_rtol": settle_rtol,
             "fit_min_r2": fit_min_r2, "bound_slack": bound_slack,
             "directions": int(n_dirs), "equilibrium_residual": resid}
@@ -411,7 +413,7 @@ class AssumptionGrids:
     increment over the last of the expanding ``tail_windows``, which must
     fall below ``tail_tol``; unboundedness of the potential is judged by a
     growth factor across ``y_growth``.  A pass is therefore grid-supported
-    evidence, not a proof.
+    evidence, not a proof.  Every grid must be non-empty and finite.
     """
 
     alpha: float
@@ -427,8 +429,15 @@ class AssumptionGrids:
     forcing_stride: int = 8
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        for name, interval in (("alpha", "(0, 1]"), ("tail_tol", "[0, inf)"),
+                               ("zero_tol", "[0, inf)"), ("slack", "[0, inf)"),
+                               ("growth_factor", "(0, inf)")):
+            _real(name, getattr(self, name), interval)
+        _count("forcing_stride", self.forcing_stride, 1)
+        for name in ("tau", "y", "z", "y_growth", "tail_windows"):
+            grid = np.asarray(getattr(self, name), dtype=float)
+            if grid.size == 0 or not np.all(np.isfinite(grid)):
+                raise ParameterError(f"{name} must be non-empty and finite")
 
 
 @dataclass(frozen=True)
@@ -591,7 +600,7 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
                                  grids.tail_windows)
         _, inc2 = _tail_integral(lambda s: _apply(sys.r2, s),
                                  grids.tail_windows)
-        stride = max(int(grids.forcing_stride), 1)
+        stride = grids.forcing_stride
         t_sub = tau[::stride]
         y_sub = y[::stride]
         z_sub = z[::stride]
@@ -656,8 +665,7 @@ def stability_certificate(sys: FdeSystem) -> LyapunovFunction:
 
 def boundedness_certificate(sys: FdeSystem, k: float = 1.0 / 32.0) -> LyapunovFunction:
     """Shifted certificate v(tau) H(y) + z^2 / 2 + k for the forced family."""
-    if not k > 0.0:
-        raise ParameterError(f"k must be positive, got {k!r}")
+    k = _real("k", k, "(0, inf)")
     return LyapunovFunction(
         value=lambda tau, y, z: _apply(sys.v, tau) * sys.restoring_integral(y)
         + 0.5 * z * z + k,
@@ -676,8 +684,7 @@ def _march_fan(sys, table, conditions, grids, initial_states, t_end, dtau,
     end of the span.  Returns (report, t_end, tau_end, taus, blocks, escaped)
     with blocks of shape (n_records, 2, n_states).
     """
-    t_end = table.span[1] if t_end is None else float(t_end)
-    tau_end = _tau_horizon(table, t_end)
+    t_end, tau_end = _tau_horizon(table, table.span[1] if t_end is None else t_end)
     if tau_end <= 0.0:
         raise ParameterError("t_end must advance the staircase past the anchor")
     if initial_states is None:
@@ -755,13 +762,9 @@ def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
         raise ParameterError(
             "the decrease certificate applies to unforced systems; "
             "use the boundedness verifier for forced ones")
-    if not grid_points >= 2:
-        raise ParameterError(f"grid_points must be at least 2, got {grid_points!r}")
-    if not (math.isfinite(grid_halfwidth) and grid_halfwidth > 0.0):
-        raise ParameterError(
-            f"grid_halfwidth must be finite and positive, got {grid_halfwidth!r}")
-    if math.isnan(drift_tol):
-        raise ParameterError("drift_tol must be a number, got nan")
+    grid_points = _count("grid_points", grid_points, 2)
+    grid_halfwidth = _real("grid_halfwidth", grid_halfwidth, "(0, inf)")
+    drift_tol = _real("drift_tol", drift_tol, "[-inf, inf]")
     report, t_end, tau_end, taus, blocks, escaped = _march_fan(
         sys, table, ("C1", "C2", "C3", "C4"), grids, initial_states, t_end,
         dtau, record_every)
@@ -777,7 +780,7 @@ def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
 
     c = sys.constants
     lambda_bar = min(c.lambda2, 1.0 / (2.0 * c.Q ** alpha))
-    gp = np.linspace(-grid_halfwidth, grid_halfwidth, int(grid_points))
+    gp = np.linspace(-grid_halfwidth, grid_halfwidth, grid_points)
     Yg, Zg = np.meshgrid(gp, gp, indexing="ij")
     L2 = stability_certificate(sys)
     margins = []
@@ -796,9 +799,9 @@ def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
             "n_states": blocks.shape[2], "record_every": int(record_every),
             "escaped": bool(np.any(escaped)), "alpha": alpha,
             "recorded_steps": int(taus.size),
-            "grid": [float(gp[0]), float(gp[-1]), int(grid_points)]}
+            "grid": [float(gp[0]), float(gp[-1]), grid_points]}
     return Theorem1Report(
-        assumptions=report, max_drift=max_drift, drift_tol=float(drift_tol),
+        assumptions=report, max_drift=max_drift, drift_tol=drift_tol,
         drift_ok=drift_ok, lambda_bar=float(lambda_bar),
         bound_margin=bound_margin, bound_ok=bound_ok, zero_value=zero_value,
         zero_ok=zero_ok, passed=passed, meta=meta)
@@ -926,16 +929,11 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
     terminal smallness of |y| and |z| at conv_tau close the verdict.  A
     system without forcing runs the same checks with r1 = r2 = 0.
     """
-    if not (k >= 1.0 / 32.0 and math.isfinite(k)):
-        raise ParameterError(f"k must be finite and at least 1/32, got {k!r}")
-    if not (n_random >= 1 and seed >= 0):
-        raise ParameterError(
-            f"n_random must be at least 1 and seed >= 0, got {n_random!r} "
-            f"and {seed!r}")
-    if not (conv_tau >= 0.0 and conv_threshold >= 0.0):
-        raise ParameterError(
-            f"conv_tau and conv_threshold must be >= 0, got {conv_tau!r} "
-            f"and {conv_threshold!r}")
+    k = _real("k", k, "[0.03125, inf)")  # 1/32
+    n_random = _count("n_random", n_random, 1)
+    seed = _count("seed", seed, 0)
+    conv_tau = _real("conv_tau", conv_tau, "[0, inf]")
+    conv_threshold = _real("conv_threshold", conv_threshold, "[0, inf]")
     report, t_end, tau_end, taus, blocks, escaped = _march_fan(
         sys, table, ("C1", "C2", "C3", "C4", "C5", "C6", "C7"), grids,
         initial_states, t_end, dtau, record_every)
@@ -970,7 +968,7 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
     lemma1_random = float(min(np.min(r1_lo), np.min(r1_hi)))
     lemma2_random = float(np.min(r2m))
 
-    conv_at = min(float(conv_tau), tau_end)
+    conv_at = min(conv_tau, tau_end)
     idx = min(int(np.searchsorted(taus, conv_at)), taus.size - 1)
     terminal_y = float(np.max(np.abs(Yb[idx:, :])))
     terminal_z = float(np.max(np.abs(Zb[idx:, :])))
@@ -987,8 +985,8 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
     meta = {"tau_end": tau_end, "t_end": t_end, "dtau": float(dtau),
             "conv_tau": conv_at, "n_states": blocks.shape[2],
             "max_initial_norm": max(map(math.hypot, *blocks[0].tolist())),
-            "n_random": int(n_random),
-            "seed": int(seed), "record_every": int(record_every),
+            "n_random": n_random, "seed": seed,
+            "record_every": int(record_every),
             "alpha": alpha, "recorded_steps": int(taus.size),
             "forced": sys.q is not None}
     return Theorem2Report(
@@ -999,4 +997,4 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
         weighted_margin=weighted_margin, weighted_ok=weighted_ok,
         bounded=bounded, sup_norm=sup_norm, terminal_y=terminal_y,
         terminal_z=terminal_z, converged=converged,
-        conv_threshold=float(conv_threshold), passed=passed, meta=meta)
+        conv_threshold=conv_threshold, passed=passed, meta=meta)

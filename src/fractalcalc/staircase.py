@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import CantorSpec, IntervalSet, _in_key_order, contains, generate, max_depth
-from .errors import DomainError, EstimationError, ParameterError, ResolutionError
-
-
-def _check_alpha(alpha):
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha <= 1.0):
-        raise ParameterError(f"alpha must lie in (0, 1], got {alpha!r}")
+from .errors import DomainError, EstimationError, ParameterError, ResolutionError, _real
 
 
 @dataclass(frozen=True)
@@ -94,12 +89,11 @@ def l_alpha_sum(iset: IntervalSet, alpha: float, subdivision) -> float:
     only in a boundary point does not count, since such a subinterval can be
     shrunk away when taking the infimum.
     """
-    _check_alpha(alpha)
+    alpha = _real("alpha", alpha, "(0, 1]")
     q = np.asarray(subdivision, dtype=float)
-    if q.ndim != 1 or q.size < 2:
-        raise ParameterError("subdivision needs at least two points")
-    if np.any(np.diff(q) <= 0):
-        raise ParameterError("subdivision must be strictly increasing")
+    if q.ndim != 1 or q.size < 2 or not np.all(np.isfinite(q)) \
+            or not np.all(np.diff(q) > 0):
+        raise ParameterError("subdivision needs two or more finite, increasing points")
     starts, ends = q[:-1], q[1:]
     # first covering interval that ends past the subinterval start
     idx = np.searchsorted(iset.right, starts, side="right")
@@ -110,8 +104,7 @@ def l_alpha_sum(iset: IntervalSet, alpha: float, subdivision) -> float:
 
 def depth_for_resolution(spec: CantorSpec, delta: float) -> int:
     """Coarsest depth d with base_length * keep_ratio**d <= delta."""
-    if not delta > 0.0:
-        raise ParameterError(f"delta must be positive, got {delta!r}")
+    delta = _real("delta", delta, "(0, inf]")
     cap = max_depth()
     depth = 0
     while spec.base_length * spec.keep_ratio ** depth > delta:
@@ -141,7 +134,8 @@ def estimate_mass(spec: CantorSpec, alpha: float, c1: float, c2: float,
     result is independent of depth, since each generation multiplies the
     interval count by 2 and length^alpha by 1/2.
     """
-    _check_alpha(alpha)
+    alpha = _real("alpha", alpha, "(0, 1]")
+    c1, c2 = _real("c1", c1, "[-inf, inf]"), _real("c2", c2, "[-inf, inf]")
     if not c1 < c2:
         raise ParameterError("mass window needs c1 < c2")
     depth = depth_for_resolution(spec, delta)
@@ -151,7 +145,7 @@ def estimate_mass(spec: CantorSpec, alpha: float, c1: float, c2: float,
         value = 0.0
     else:
         value = float(math.gamma(alpha + 1.0) * np.sum((hi - lo) ** alpha))
-    return MassEstimate(alpha=float(alpha), delta=float(delta), value=value, depth=depth)
+    return MassEstimate(alpha=alpha, delta=float(delta), value=value, depth=depth)
 
 
 def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
@@ -161,11 +155,8 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
     the depth-m realization and is flat across gaps; S(t0) = 0 and points
     before the anchor get negative values.
     """
-    _check_alpha(alpha)
-    t0 = spec.origin if t0 is None else float(t0)
-    if not spec.origin <= t0 <= spec.extent:
-        raise ParameterError(
-            f"anchor t0={t0!r} falls outside [{spec.origin}, {spec.extent}]")
+    alpha = _real("alpha", alpha, "(0, 1]")
+    t0 = spec.origin if t0 is None else _real("t0", t0, f"[{spec.origin}, {spec.extent}]")
     iset = generate(spec)
     g = math.gamma(alpha + 1.0)
     n = len(iset)
@@ -184,7 +175,7 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
     s[0] = 0.0
     s[2::2] = s[1:-1:2]
     s -= np.interp(t0, t, s)
-    return StaircaseTable(alpha=float(alpha), spec=spec, t=t, s=s, t0=t0,
+    return StaircaseTable(alpha=alpha, spec=spec, t=t, s=s, t0=t0,
                           gamma_factor=g)
 
 
@@ -208,7 +199,7 @@ def eval_staircase(table: StaircaseTable, t):
 
 def characteristic(spec: CantorSpec, alpha: float, t):
     """Indicator scaled by 1/Gamma(alpha+1) on the depth-m set, zero off it."""
-    _check_alpha(alpha)
+    alpha = _real("alpha", alpha, "(0, 1]")
     iset = generate(spec)
     t_arr = np.asarray(t, dtype=float)
     inside = contains(iset, t_arr)
@@ -238,13 +229,11 @@ def dimension_sweep(spec: CantorSpec, delta1: float, delta2: float, alphas=None)
     ratio at arbitrary alpha.  Ratios above 1 mean mass still grows under
     refinement (alpha below the dimension); below 1 it decays.
     """
-    if not 0.0 < delta2 < delta1:
-        raise ParameterError("resolutions need 0 < delta2 < delta1")
     m1 = depth_for_resolution(spec, delta1)
     m2 = depth_for_resolution(spec, delta2)
     if m2 <= m1:
         raise ParameterError(
-            f"delta1={delta1!r} and delta2={delta2!r} resolve to the same depth {m1}")
+            f"delta2={delta2!r} resolves no deeper than delta1={delta1!r}")
     mass1 = _total_mass(generate(spec.with_depth(m1)))
     mass2 = _total_mass(generate(spec.with_depth(m2)))
 
@@ -255,7 +244,7 @@ def dimension_sweep(spec: CantorSpec, delta1: float, delta2: float, alphas=None)
         alphas = np.linspace(0.05, 1.0, 96)
     else:
         alphas = np.asarray(alphas, dtype=float)
-        if alphas.ndim != 1 or alphas.size < 2 or np.any(np.diff(alphas) <= 0):
+        if alphas.ndim != 1 or alphas.size < 2 or not np.all(np.diff(alphas) > 0):
             raise ParameterError("alphas must be an increasing grid of >= 2 points")
         if alphas[0] <= 0.0 or alphas[-1] > 1.0:
             raise ParameterError("alphas must lie in (0, 1]")
@@ -271,6 +260,7 @@ def gamma_dimension(spec: CantorSpec, delta1: float, delta2: float,
     then bisects inside the first bracket where the ratio crosses 1.  Raises
     EstimationError (with the sweep attached) when no crossing exists.
     """
+    tol = _real("tol", tol, "(0, inf)")
     return _crossing(*dimension_sweep(spec, delta1, delta2, alphas), tol=tol)
 
 
@@ -290,6 +280,8 @@ def _crossing(grid, ratios, ratio_fn, tol: float = 1e-10) -> float:
     flo = diff[i]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the bracket is down to two adjacent floats
         fmid = ratio_fn(mid) - 1.0
         if fmid == 0.0:
             return mid

@@ -1,0 +1,228 @@
+"""The argument policy: every checked scalar ends in a result or a FractalCalcError.
+
+Every scalar parameter that goes through ``errors._real`` or
+``errors._count`` is called with special values (NaN, the infinities, zero,
+a negative number, a fraction, a bool, numpy scalars, a string and None) on
+a small table and short horizons.  The call must return normally or raise a
+FractalCalcError, never another exception.
+"""
+
+import contextlib
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fractalcalc import (
+    AssumptionGrids,
+    CantorSpec,
+    FractalCalcError,
+    GridFunction,
+    ParameterError,
+    boundedness_certificate,
+    build_staircase,
+    characteristic,
+    check_assumptions,
+    classify_stability,
+    depth_for_resolution,
+    dimension_sweep,
+    estimate_mass,
+    example1_field,
+    example3_system,
+    fractal_integral,
+    gamma_dimension,
+    generate,
+    hausdorff_dimension,
+    l_alpha_sum,
+    set_samples,
+    solve_first_order,
+    solve_second_order,
+    theorem1_toy,
+    theorem2_toy,
+    verify_theorem1,
+    verify_theorem2,
+)
+from fractalcalc.cli import main
+
+MU = 0.2
+ALPHA = hausdorff_dimension(MU)
+SPEC = CantorSpec(mu=MU, depth=6, extent=2.0)
+TABLE = build_staircase(SPEC, ALPHA)
+ISET = generate(SPEC)
+SAMPLES = GridFunction.from_function(TABLE, lambda t: t)
+SMALL_GRIDS = {"tau": np.linspace(0.0, 20.0, 41), "y": np.linspace(-5.0, 5.0, 21),
+               "z": np.linspace(-5.0, 5.0, 21)}
+
+VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, 1.5, True,
+                          np.float32(0.25), np.int64(3), "1", None])
+
+
+def _decay(y):
+    return -y
+
+
+def _grids(**kw):
+    return AssumptionGrids(**{"alpha": ALPHA, **SMALL_GRIDS, **kw})
+
+
+def _assumptions(**kw):
+    return check_assumptions(theorem2_toy(), _grids(**kw))
+
+
+def _solve1(**kw):
+    args = {"t_end": 1.0, "dtau": 0.05, **kw}
+    return solve_first_order(_decay, TABLE, 1.0, **args)
+
+
+def _solve2(**kw):
+    args = {"t_end": 1.0, "dtau": 0.05, **kw}
+    return solve_second_order(example3_system(), TABLE, 1.0, 0.0, **args)
+
+
+def _classify(**kw):
+    return classify_stability(example1_field, TABLE, **{"horizon": 1.0, "dtau": 0.05,
+                                                       **kw})
+
+
+def _verify1(**kw):
+    return verify_theorem1(theorem1_toy(), TABLE, **{"dtau": 0.05, "grids": _grids(),
+                                                     **kw})
+
+
+def _verify2(**kw):
+    return verify_theorem2(theorem2_toy(), TABLE, **{"dtau": 0.05, "grids": _grids(),
+                                                     "n_random": 4, **kw})
+
+
+CALLS = {
+    "CantorSpec.mu": lambda v: CantorSpec(mu=v, depth=3),
+    "CantorSpec.depth": lambda v: CantorSpec(mu=MU, depth=v),
+    "CantorSpec.origin": lambda v: CantorSpec(mu=MU, depth=3, origin=v),
+    "CantorSpec.extent": lambda v: CantorSpec(mu=MU, depth=3, extent=v),
+    "hausdorff_dimension.mu": hausdorff_dimension,
+    "depth_for_resolution.delta": lambda v: depth_for_resolution(SPEC, v),
+    "l_alpha_sum.alpha": lambda v: l_alpha_sum(ISET, v, [0.0, 0.5, 2.0]),
+    "estimate_mass.alpha": lambda v: estimate_mass(SPEC, v, 0.0, 1.0, 0.01),
+    "estimate_mass.c1": lambda v: estimate_mass(SPEC, ALPHA, v, 1.0, 0.01),
+    "estimate_mass.c2": lambda v: estimate_mass(SPEC, ALPHA, 0.0, v, 0.01),
+    "estimate_mass.delta": lambda v: estimate_mass(SPEC, ALPHA, 0.0, 1.0, v),
+    "build_staircase.alpha": lambda v: build_staircase(SPEC, v),
+    "build_staircase.t0": lambda v: build_staircase(SPEC, ALPHA, t0=v),
+    "characteristic.alpha": lambda v: characteristic(SPEC, v, 0.5),
+    "dimension_sweep.delta1": lambda v: dimension_sweep(SPEC, v, 1e-3),
+    "dimension_sweep.delta2": lambda v: dimension_sweep(SPEC, 0.5, v),
+    "gamma_dimension.tol": lambda v: gamma_dimension(SPEC, 0.1, 1e-3, tol=v),
+    "set_samples.per_segment": lambda v: set_samples(TABLE, v),
+    "fractal_integral.a": lambda v: fractal_integral(SAMPLES, v, 2.0),
+    "fractal_integral.b": lambda v: fractal_integral(SAMPLES, 0.0, v),
+    "solve_first_order.t_end": lambda v: _solve1(t_end=v),
+    "solve_first_order.dtau": lambda v: _solve1(dtau=v),
+    "solve_first_order.record_every": lambda v: _solve1(record_every=v),
+    "solve_first_order.blowup_limit": lambda v: _solve1(blowup_limit=v),
+    "solve_second_order.t_end": lambda v: _solve2(t_end=v),
+    "solve_second_order.dtau": lambda v: _solve2(dtau=v),
+    "solve_second_order.record_every": lambda v: _solve2(record_every=v),
+    "solve_second_order.blowup_limit": lambda v: _solve2(blowup_limit=v),
+    "classify_stability.eps_grid": lambda v: _classify(eps_grid=(0.5, v)),
+    "classify_stability.delta_grid": lambda v: _classify(delta_grid=(0.5, v)),
+    "classify_stability.horizon": lambda v: _classify(horizon=v),
+    "classify_stability.dtau": lambda v: _classify(dtau=v),
+    "classify_stability.settle_rtol": lambda v: _classify(settle_rtol=v),
+    "classify_stability.fit_min_r2": lambda v: _classify(fit_min_r2=v),
+    "classify_stability.bound_slack": lambda v: _classify(bound_slack=v),
+    "classify_stability.record_every": lambda v: _classify(record_every=v),
+    "AssumptionGrids.alpha": lambda v: _assumptions(alpha=v),
+    "AssumptionGrids.tail_tol": lambda v: _assumptions(tail_tol=v),
+    "AssumptionGrids.zero_tol": lambda v: _assumptions(zero_tol=v),
+    "AssumptionGrids.slack": lambda v: _assumptions(slack=v),
+    "AssumptionGrids.growth_factor": lambda v: _assumptions(growth_factor=v),
+    "AssumptionGrids.forcing_stride": lambda v: _assumptions(forcing_stride=v),
+    "boundedness_certificate.k": lambda v: boundedness_certificate(theorem2_toy(), k=v),
+    "verify_theorem1.t_end": lambda v: _verify1(t_end=v),
+    "verify_theorem1.dtau": lambda v: _verify1(dtau=v),
+    "verify_theorem1.drift_tol": lambda v: _verify1(drift_tol=v),
+    "verify_theorem1.grid_halfwidth": lambda v: _verify1(grid_halfwidth=v),
+    "verify_theorem1.grid_points": lambda v: _verify1(grid_points=v),
+    "verify_theorem1.record_every": lambda v: _verify1(record_every=v),
+    "verify_theorem2.k": lambda v: _verify2(k=v),
+    "verify_theorem2.t_end": lambda v: _verify2(t_end=v),
+    "verify_theorem2.dtau": lambda v: _verify2(dtau=v),
+    "verify_theorem2.conv_tau": lambda v: _verify2(conv_tau=v),
+    "verify_theorem2.conv_threshold": lambda v: _verify2(conv_threshold=v),
+    "verify_theorem2.n_random": lambda v: _verify2(n_random=v),
+    "verify_theorem2.seed": lambda v: _verify2(seed=v),
+    "verify_theorem2.record_every": lambda v: _verify2(record_every=v),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(CALLS))
+@given(value=VALUES)
+def test_scalar_arguments_end_in_a_result_or_a_package_error(name, value):
+    try:
+        CALLS[name](value)
+    except FractalCalcError:
+        pass
+
+
+def test_numpy_scalars_are_real_numbers():
+    spec = CantorSpec(mu=np.float32(0.2), depth=2, extent=np.int64(3))
+    assert spec.mu == float(np.float32(0.2)) and spec.extent == 3.0
+    assert type(spec.mu) is float and type(spec.extent) is float
+
+
+# inputs that once ended in a raw TypeError, a silent NaN or a changed verdict
+HOLES = {
+    "theorem2-n-random-fraction": lambda: _verify2(n_random=1.5),
+    "theorem2-n-random-bool": lambda: _verify2(n_random=True),
+    "theorem2-seed-fraction": lambda: _verify2(seed=1.5),
+    "theorem1-grid-points-fraction": lambda: _verify1(grid_points=2.5),
+    "set-samples-fraction": lambda: set_samples(TABLE, 1.5),
+    "set-samples-nan": lambda: set_samples(TABLE, math.nan),
+    "staircase-alpha-bool": lambda: build_staircase(SPEC, True),
+    "staircase-t0-string": lambda: build_staircase(SPEC, ALPHA, t0="0.3"),
+    "certificate-k-inf": lambda: boundedness_certificate(theorem2_toy(), k=math.inf),
+    "solve-dtau-string": lambda: _solve1(dtau="0.1"),
+    "solve-t-end-none": lambda: _solve1(t_end=None),
+    "solve-blowup-limit-string": lambda: _solve1(blowup_limit="1e12"),
+    "dimension-string": lambda: hausdorff_dimension("0.2"),
+    "classify-horizon-string": lambda: _classify(horizon="5"),
+    "classify-horizon-zero": lambda: _classify(horizon=0.0),
+    "classify-settle-rtol-nan": lambda: _classify(settle_rtol=math.nan),
+    "classify-fit-min-r2-nan": lambda: _classify(fit_min_r2=math.nan),
+    "classify-bound-slack-nan": lambda: _classify(bound_slack=math.nan),
+    "gamma-dimension-tol-nan": lambda: gamma_dimension(SPEC, 0.1, 1e-3, tol=math.nan),
+    "gamma-dimension-alphas-nan": lambda: gamma_dimension(
+        SPEC, 0.1, 1e-3, alphas=[0.1, math.nan]),
+    "l-alpha-sum-nan-point": lambda: l_alpha_sum(ISET, ALPHA, [0.0, math.nan, 2.0]),
+    "l-alpha-sum-inf-point": lambda: l_alpha_sum(ISET, ALPHA, [0.0, 1.0, math.inf]),
+    "estimate-mass-c1-none": lambda: estimate_mass(SPEC, ALPHA, None, 1.0, 0.01),
+    "integral-bound-none": lambda: fractal_integral(SAMPLES, None, 1.0),
+    "grids-empty": lambda: AssumptionGrids(alpha=0.5, tau=np.array([])),
+    "grids-no-tail-windows": lambda: AssumptionGrids(alpha=0.5, tail_windows=()),
+    "grids-nan-state": lambda: AssumptionGrids(alpha=0.5, y=np.array([0.0, math.nan])),
+    "grids-slack-nan": lambda: AssumptionGrids(alpha=0.5, slack=math.nan),
+    "grids-forcing-stride-zero": lambda: AssumptionGrids(alpha=0.5, forcing_stride=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOLES))
+def test_holes_are_parameter_errors(name):
+    with pytest.raises(ParameterError):
+        HOLES[name]()
+
+
+def test_stability_horizon_zero_is_a_usage_error():
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["stability", "--horizon=0", "--depth", "8"]) == 2
+
+
+def test_bisection_stops_at_float_resolution():
+    # a tolerance below the spacing of floats near the answer used to hang
+    coarse = gamma_dimension(SPEC, 0.1, 1e-3)
+    fine = gamma_dimension(SPEC, 0.1, 1e-3, tol=1e-300)
+    assert abs(fine - coarse) <= 1e-10

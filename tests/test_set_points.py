@@ -91,3 +91,21 @@ def test_cli_dimension_sweeps_once(mu, depth):
     assert payload["estimate"] == gamma_dimension(
         spec, payload["delta_coarse"], payload["delta_fine"])
 
+
+
+@settings(max_examples=40)
+@given(mu=MUS, depth=st.integers(0, 8), origin=st.floats(-10.0, 10.0),
+       length=st.floats(0.1, 100.0))
+def test_in_set_agrees_with_contains(mu, depth, origin, length):
+    # the table's segment search and the interval set's search answer the
+    # same membership question, so they must agree at every breakpoint,
+    # every segment midpoint and the floats on either side of a breakpoint
+    spec = CantorSpec(mu=mu, depth=depth, origin=origin, extent=origin + length)
+    table = build_staircase(spec, hausdorff_dimension(mu))
+    t = table.t
+    pts = np.concatenate([t, 0.5 * (t[:-1] + t[1:]), np.nextafter(t, -np.inf),
+                          np.nextafter(t, np.inf)])
+    pts = pts[(pts >= t[0]) & (pts <= t[-1])]
+    iset = generate(table.spec)
+    assert [in_set(table, x) for x in pts.tolist()] == \
+        [contains(iset, x) for x in pts.tolist()]
