@@ -63,11 +63,15 @@ def _real(name, value, interval):
 
     ``interval`` reads like "(0, 1]": a bracket includes its end and a
     parenthesis excludes it, so inf passes only behind a bracket.  Numpy
-    scalars are real numbers; a bool, a string, None and NaN are not.
+    scalars are real numbers; a bool, a string, None, NaN and an int too
+    large for a float are not.
     """
     lo, hi = (float(end) for end in interval[1:-1].split(","))
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        x = float(value)
+        try:
+            x = float(value)
+        except OverflowError:
+            raise ParameterError(f"{name} is beyond the float range") from None
         if ((lo < x if interval[0] == "(" else lo <= x)
                 and (x < hi if interval[-1] == ")" else x <= hi)):
             return x
@@ -77,9 +81,12 @@ def _real(name, value, interval):
 def _count(name, value, minimum):
     """Return ``value`` as an int if it is an integer >= ``minimum``.
 
-    Numpy integers count; a bool or a float (even 10.0) does not.
+    Numpy integers count; a bool or a float (even 10.0) does not, nor does
+    an int of 2**63 or more, which no numpy size or index can hold.
     """
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) \
-            and value >= minimum:
-        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        if value >= 2 ** 63:
+            raise ParameterError(f"{name} is beyond the 64-bit integer range")
+        if value >= minimum:
+            return int(value)
     raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -413,7 +413,8 @@ class AssumptionGrids:
     increment over the last of the expanding ``tail_windows``, which must
     fall below ``tail_tol``; unboundedness of the potential is judged by a
     growth factor across ``y_growth``.  A pass is therefore grid-supported
-    evidence, not a proof.  Every grid must be non-empty and finite.
+    evidence, not a proof.  Every grid must be non-empty and finite, and
+    ``y`` must hold a nonzero point, since C3 tests the sign of h off zero.
     """
 
     alpha: float
@@ -438,6 +439,8 @@ class AssumptionGrids:
             grid = np.asarray(getattr(self, name), dtype=float)
             if grid.size == 0 or not np.all(np.isfinite(grid)):
                 raise ParameterError(f"{name} must be non-empty and finite")
+        if not np.any(np.asarray(self.y, dtype=float) != 0.0):
+            raise ParameterError("y must hold a nonzero point")
 
 
 @dataclass(frozen=True)

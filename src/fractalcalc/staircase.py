@@ -151,30 +151,33 @@ def estimate_mass(spec: CantorSpec, alpha: float, c1: float, c2: float,
 def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
     """Tabulate the staircase S(t) over the base interval, anchored at t0.
 
-    S rises by Gamma(alpha+1) * length^alpha across each covering interval of
-    the depth-m realization and is flat across gaps; S(t0) = 0 and points
+    Every covering interval of the depth-m realization has the same length
+    L r^m (L the base length, r the keep ratio) and so the same mass
+    c = Gamma(alpha+1) * (L r^m)^alpha.  S is k*c at the left end of
+    interval k and (k+1)*c at its right end, linear in between and flat
+    across the gap that follows.  Each value is k*c rounded once, with no
+    endpoint differences and no running sum, so the total mass is 2^m c.
+    ``t`` holds the endpoints of ``generate(spec)``.  S(t0) = 0 and points
     before the anchor get negative values.
     """
     alpha = _real("alpha", alpha, "(0, 1]")
     t0 = spec.origin if t0 is None else _real("t0", t0, f"[{spec.origin}, {spec.extent}]")
     iset = generate(spec)
     g = math.gamma(alpha + 1.0)
+    c = g * (spec.base_length * spec.keep_ratio ** spec.depth) ** alpha
     n = len(iset)
     t = np.empty(2 * n)
     t[0::2] = iset.left
     t[1::2] = iset.right
     del iset
-    # each covering interval's rise is worked out in place in the slot of
-    # its right end, so the peak is exactly t plus s
-    s = np.empty(2 * n)
-    rises = s[1::2]
-    np.subtract(t[1::2], t[0::2], out=rises)
-    rises **= alpha
-    rises *= g
-    np.cumsum(rises, out=rises)
-    s[0] = 0.0
-    s[2::2] = s[1:-1:2]
-    s -= np.interp(t0, t, s)
+    # s[2k] = 2k * (c/2) = k*c and s[2k+1] = (k+1)*c, each rounded once,
+    # since halving c and doubling k are exact; the peak is t plus s
+    s = np.arange(2 * n, dtype=float)
+    s[1::2] += 1.0
+    s *= 0.5 * c
+    anchor = np.interp(t0, t, s)
+    if anchor != 0.0:
+        s -= anchor
     return StaircaseTable(alpha=alpha, spec=spec, t=t, s=s, t0=t0,
                           gamma_factor=g)
 

@@ -2,9 +2,10 @@
 
 Every scalar parameter that goes through ``errors._real`` or
 ``errors._count`` is called with special values (NaN, the infinities, zero,
-a negative number, a fraction, a bool, numpy scalars, a string and None) on
-a small table and short horizons.  The call must return normally or raise a
-FractalCalcError, never another exception.
+a negative number, a fraction, a bool, numpy scalars, an int beyond the
+float range, a string and None) on a small table and short horizons.  The
+call must return normally or raise a FractalCalcError, never another
+exception.
 """
 
 import contextlib
@@ -57,7 +58,7 @@ SMALL_GRIDS = {"tau": np.linspace(0.0, 20.0, 41), "y": np.linspace(-5.0, 5.0, 21
                "z": np.linspace(-5.0, 5.0, 21)}
 
 VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, 1.5, True,
-                          np.float32(0.25), np.int64(3), "1", None])
+                          np.float32(0.25), np.int64(3), 10**400, "1", None])
 
 
 def _decay(y):
@@ -206,6 +207,9 @@ HOLES = {
     "grids-nan-state": lambda: AssumptionGrids(alpha=0.5, y=np.array([0.0, math.nan])),
     "grids-slack-nan": lambda: AssumptionGrids(alpha=0.5, slack=math.nan),
     "grids-forcing-stride-zero": lambda: AssumptionGrids(alpha=0.5, forcing_stride=0),
+    "grids-no-nonzero-state": lambda: AssumptionGrids(alpha=0.5, y=np.array([0.0])),
+    "int-beyond-float-delta": lambda: depth_for_resolution(SPEC, 10**400),
+    "int-beyond-float-extent": lambda: CantorSpec(mu=MU, depth=3, extent=10**400),
 }
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fractalcalc
 from fractalcalc.cli import main
 
 
@@ -18,9 +20,12 @@ def run_cli(argv):
 
 
 def test_module_entry_point():
+    # the child imports the package this suite imported, installed or not
+    src = os.path.dirname(os.path.dirname(fractalcalc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "fractalcalc", "cantor", "--depth", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "level,index,left,right"
@@ -231,49 +236,49 @@ def test_verify_theorem1_rejects_the_forced_toy(capsys):
 # change that alters the numbers on purpose re-captures these digests.
 GOLDEN = [
     (["solve", "--system", "example1"], 0,
-     "44430a61918a787b832ec5c1b735fbbc672ca7c6c3cda3f68bd7d44acdcffccd"),
+     "f2c6ff9aef4739aaf37db03b8bec31889cc3d944d75ce5a3197510d8a31991b0"),
     (["solve", "--system", "example2"], 0,
-     "c23fab42e4e31ae26e5562b93e87ba026d0eb5d5ead8fc4b57429a25643f93d3"),
+     "0b7ba24b44ba525b9c2fa72ae84f110f3b0ebbbc6b785376396c6691fae19632"),
     (["solve", "--system", "example3"], 0,
-     "c7e7ce06341360b2bd3c7752525e2638849372281adeb952f9754d16c57e9168"),
+     "54017532ce456e5295d5bd34359fc32373e09aeefb53b8c6615e3c053bd24e27"),
     (["solve", "--system", "theorem1"], 0,
-     "0f0f002bfa2f640b3e3880a16f6d870ffc08cfcf44bbb5affaeb5f9411df9194"),
+     "5013bcc69d22308be81d85178f50ad2bc3eb78bc208088809a4fe08786514fd5"),
     (["solve", "--system", "theorem2"], 0,
-     "c8585bde8b0f28997e323353a1ce5a6b7292d3e84b1bca729c09b0456930f362"),
+     "61287f076b4a84f880f83375c6acbbfeec4f90770b12566aa98e3b754ed2aeef"),
     (["solve", "--system", "custom-first", "--field=-y"], 0,
-     "44430a61918a787b832ec5c1b735fbbc672ca7c6c3cda3f68bd7d44acdcffccd"),
+     "f2c6ff9aef4739aaf37db03b8bec31889cc3d944d75ce5a3197510d8a31991b0"),
     (["stability", "--system", "example1"], 0,
-     "9990dd1cdad20c9e6a13fc78df99bf064587e163ba84ee465c354257e43c8534"),
+     "396b314bd8969d068094f04f1678de88aa2ee3aaf06bf46e0f5f913c427c730c"),
     (["stability", "--system", "example2"], 0,
-     "466a64794c0f93187b5f1622f37269124b379de1ec035b85fa9f78c6df6cdcfc"),
+     "fe1a9d060a16ecede61423c2a1642139efc78eb609fbbb547594a64dc0bb181f"),
     (["stability", "--system", "example3"], 0,
-     "4ab2fcb6a14e02a6e0c33eaf2c385239e2542cf2bb7c790a7f9f7c584701a7c7"),
+     "696b8c3747c8e516b3449f7cd1c059ba6bff00a2e3ee5838370caaa6a89039d3"),
     (["stability", "--system", "theorem1"], 0,
-     "8f5554de4eca3ebb3e78da91f369ac49faa93b2a685d834b709fdae212f3a3ea"),
+     "8afe4db72e30ecf79f90e234fad6bcf27002133e0498820f4656f2a1823319fc"),
     (["verify", "--theorem", "1"], 0,
-     "8837fe7645a7af6ca82b45f0002ffb3bf427ddeea060f9882d35ab597c3ad360"),
+     "bed29d6e6413c2b29ecb2881476337e35ec66116166d492c55a374dda561259a"),
     (["verify", "--theorem", "1", "--system", "example2"], 0,
-     "6beaadf0f227fbef3f18e785367ad08fff0a072f2f5cf7ac8f8ac833ec81979d"),
+     "69c64b4fecc3d3e5eba9b923d658a0d8b6b6e878723dfe6550199530db59226a"),
     (["verify", "--theorem", "2"], 0,
-     "2e3f3feb8e82b9ad18b70734af1b6f3ac16deea0254c5b64fb5cbb57766124e8"),
+     "c080eefd9da2a238eb203ff95fe6e760380f625d3659b679e3e07636843a9737"),
     (["verify", "--theorem", "2", "--system", "example2"], 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (["demo", "example1"], 0,
-     "7e72361003dd38e82d96e1ad2c1e5d264724110f09e73774f663ae9a2cd4111f"),
+     "3632d2ff124bc3d6ec4bc101764f535e99e32b9ff64481a1b842a639a1be1388"),
     (["demo", "example2"], 0,
-     "d5976d18bddacbc21a1eba35e28b2f9f611f731bee1cad6a497e1a076e8aa097"),
+     "5df67b85454a76691e6555c40a0753f3adcfc9091172ac21bf3e346e3cd73a22"),
     (["demo", "example3"], 0,
-     "c368a1d6b8857be00770cfa49ca5324518657708fee15300a1e19e2ea19517e1"),
+     "007cec7adb55c3e33910f3a1123be30303f46f63047ae13ad11d7b21ca02ef89"),
     (["cantor"], 0,
      "9b7d22d087903d16162ab68cc939fe04e8c7ae9d9792c51de13b715a1583303d"),
     (["staircase"], 0,
-     "0d91576a2ddaed29153ee24d91c0d2667d2b54ba556fca3ee30abb86305395c4"),
+     "be4236fbf79e67ade63ca274e2afa8b5ca7fda73467476d1feeb3d1bcd0ef66c"),
     (["chi"], 0,
      "35be434c0aab86f8c82ffcefb0d0b62a93e434af4d8381de3edd374443189fdf"),
     (["dimension"], 0,
      "45400b5d1a19f33a55d2e15bba3989ae5b45572a10f487616b289475307913a4"),
     (["deriv", "--function", "t**2"], 0,
-     "01e72d2d0217fae956ae3ef697f0d95d9f7e4cce530d5b6d8d5169b1aca6e216"),
+     "76849e4d6a4c9f008c16a63bddede17ba5ec13fe0e9a4f8b176ce5bb3d716a24"),
     (["integrate", "--function", "1"], 0,
      "cfc720d7f037f7ab225b9e52e1679d92cb1d122aca46613aab9a420cdbf9bf85"),
 ]

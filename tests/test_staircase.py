@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from fractalcalc import (
 
 ALPHA_02 = 0.7564707973660301          # order matching the mu=0.2 set
 GAMMA_02 = math.gamma(ALPHA_02 + 1.0)  # 0.9205501437736353
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +227,8 @@ def test_total_mass_depth_stationary(depth):
 
 
 def _reference_staircase(spec, alpha, t0):
-    # the breakpoint table as a plain cumulative sum, without in-place work
+    # S as a running sum of Gamma(alpha+1) (right - left)**alpha over the
+    # computed endpoints
     iset = generate(spec)
     masses = math.gamma(alpha + 1.0) * iset.lengths() ** alpha
     cum = np.concatenate(([0.0], np.cumsum(masses)))
@@ -238,11 +241,91 @@ def _reference_staircase(spec, alpha, t0):
     return t, s - np.interp(t0, t, s)
 
 
+def _exact_mass(spec, alpha):
+    """The mass c = Gamma(alpha+1) (L r^m)^alpha of one covering interval.
+
+    Computed in 113-bit arithmetic from the float alpha, base length and
+    keep ratio, so it carries none of the rounding of the double formula.
+    """
+    with mpmath.workprec(113):
+        return mpmath.gamma(mpmath.mpf(alpha) + 1) * (
+            mpmath.mpf(spec.base_length) * mpmath.mpf(spec.keep_ratio) ** spec.depth
+        ) ** mpmath.mpf(alpha)
+
+
+def _exact_staircase(c, t, t0, idx):
+    """Exact ((j+1)//2) * c - S(t0) at the breakpoint indices ``idx``.
+
+    S(t0) interpolates the exact values linearly across the breakpoints t.
+    """
+    with mpmath.workprec(113):
+        i = min(int(np.searchsorted(t, t0, side="right")) - 1, t.size - 2)
+        anchor = ((i + 1) // 2) * c
+        if i % 2 == 0:  # inside covering interval i // 2, which rises by c
+            anchor += c * (mpmath.mpf(t0) - mpmath.mpf(t[i])) / (
+                mpmath.mpf(t[i + 1]) - mpmath.mpf(t[i]))
+        return [((int(j) + 1) // 2) * c - anchor for j in idx]
+
+
+def _errors(s, exact, idx):
+    """|s[j] - exact| at each index of ``idx``, as floats."""
+    with mpmath.workprec(113):
+        return [float(abs(mpmath.mpf(float(s[j])) - e)) for j, e in zip(idx, exact)]
+
+
+def _sample(size, count):
+    """About ``count`` evenly spread indices of an array, the last included."""
+    return np.unique(np.r_[np.arange(0, size, max(size // count, 1)), size - 1])
+
+
 @pytest.mark.parametrize("depth", [12, 16, 18])
 @pytest.mark.parametrize("alpha,t0", [(ALPHA_02, 0.0), (0.5, 0.3), (1.0, 1.0)])
 def test_build_staircase_matches_the_reference_formula(depth, alpha, t0):
+    # the summed rises of the computed endpoints, the formula the table was
+    # once built from, stay as the oracle: the closed form keeps its
+    # breakpoints and moves S by no more than the sum's own drift, towards
+    # the exact values
     spec = CantorSpec(mu=0.2, depth=depth)
     table = build_staircase(spec, alpha, t0=t0)
     t, s = _reference_staircase(spec, alpha, t0)
     assert np.array_equal(table.t, t)
-    assert np.array_equal(table.s, s)
+    c = _exact_mass(spec, alpha)
+    # the exact values rounded to doubles at every breakpoint, to within a
+    # few ulp of the total, measure the sum's drift
+    start = float(_exact_staircase(c, t, t0, [0])[0])
+    near_exact = (np.arange(t.size) + 1) // 2 * float(c) + start
+    drift = np.max(np.abs(s - near_exact))
+    assert np.max(np.abs(table.s - s)) <= drift + 8 * np.spacing(2.0 ** depth * float(c))
+    idx = _sample(t.size, 1024)
+    exact = _exact_staircase(c, t, t0, idx)
+    assert max(_errors(table.s, exact, idx)) < max(_errors(s, exact, idx))
+
+
+@settings(max_examples=50)
+@given(mu=st.floats(0.05, 0.75), alpha=st.floats(0.01, 1.0), depth=st.integers(0, 16))
+def test_staircase_is_the_closed_form(mu, alpha, depth):
+    # S = k*c at the left end of covering interval k: within 4 eps relative
+    # of the exact value (the rounding of Gamma, the two powers and the
+    # products), flat across every gap and never decreasing
+    spec = CantorSpec(mu=mu, depth=depth)
+    table = build_staircase(spec, alpha)
+    s = table.s
+    assert np.all(s[1:-1:2] == s[2::2])
+    assert np.all(np.diff(s) >= 0.0)
+    idx = _sample(s.size, 256)
+    exact = _exact_staircase(_exact_mass(spec, alpha), table.t, spec.origin, idx)
+    for j, err, e in zip(idx, _errors(s, exact, idx), exact):
+        assert err <= 4 * EPS * float(e), j
+
+
+@pytest.mark.parametrize("mu", [0.2, 1.0 / 3.0, 0.5])
+@pytest.mark.parametrize("extent", [1.0, 60.0])
+def test_total_mass_is_gamma_at_every_depth(mu, extent):
+    # S(extent) = 2^m c is Gamma(alpha+1) L^alpha at the matching order; what
+    # error is left comes from rounding alpha itself, amplified by m ln 2
+    alpha = hausdorff_dimension(mu)
+    expected = math.gamma(alpha + 1.0) * extent ** alpha
+    for depth in range(21):
+        table = build_staircase(CantorSpec(mu=mu, depth=depth, extent=extent), alpha)
+        err = abs(eval_staircase(table, extent) - expected)
+        assert err <= 4 * EPS * expected, depth
