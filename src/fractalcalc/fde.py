@@ -30,7 +30,7 @@ function on arrays.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,7 +53,8 @@ class FdeConstants:
     u0/E bound the damping coefficient u, v0/Q bound the stiffness
     coefficient v, lambda1/eps0/eps1 locate the damping shape f, lambda2 and
     eps2 pin the restoring slope, sigma and delta weight the forcing bounds.
-    ``delta`` defaults to E (lambda1 + eps0) / 2 when left unset.
+    ``delta`` defaults to E (lambda1 + eps0) / 2 when left unset.  Every
+    field must be a finite real number; the fields are stored as floats.
     """
 
     u0: float = 1.0
@@ -67,6 +68,13 @@ class FdeConstants:
     eps2: float = 0.1
     sigma: float = 1.0
     delta: Optional[float] = None
+
+    def __post_init__(self):
+        # signs and ranges are the conditions' to judge, not the constructor's
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "delta" or value is not None:
+                object.__setattr__(self, f.name, _real(f.name, value, "(-inf, inf)"))
 
     def delta_value(self) -> float:
         if self.delta is not None:
@@ -99,11 +107,6 @@ class FdeSystem:
     h_derivative: Optional[Callable[[float], float]] = None
     v_derivative: Optional[Callable[[float], float]] = None
 
-    def forcing(self, tau, y, z):
-        if self.q is None:
-            return 0.0
-        return self.q(tau, y, z)
-
     def rhs(self, tau, y, z):
         """Right-hand side (Dy, Dz) of the first order form in tau."""
         zdot = -self.u(tau) * self.f(y, z) * z - self.v(tau) * self.h(y)
@@ -125,19 +128,25 @@ class FdeSystem:
         return _central_diff(self.h, y)
 
     def coefficient_slope(self, tau):
-        """v'(tau), analytic when available, else a central difference."""
+        """v'(tau), analytic when available, else a difference on the clock."""
         if self.v_derivative is not None:
             return self.v_derivative(tau)
-        return _central_diff(self.v, tau)
+        return _central_diff(self.v, tau, clock=True)
 
 
-def _central_diff(fn, x, rel_step=1e-6):
-    x_arr = np.asarray(x, dtype=float)
-    step = rel_step * np.maximum(1.0, np.abs(x_arr))
-    hi = _apply(fn, x_arr + step)
-    lo = _apply(fn, x_arr - step)
-    out = (hi - lo) / (2.0 * step)
-    if x_arr.ndim == 0:
+def _central_diff(fn, x, clock=False):
+    """The package's one finite difference, elementwise over x.
+
+    (fn(x + s) - fn(x - s)) / (2 s) with s = 1e-6 max(1, |x|).  With
+    clock=True x is a clock value and the lower point is clipped to tau = 0,
+    so fn is never called below the clock's origin and the difference is
+    one-sided at tau = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    up = 1e-6 * np.maximum(1.0, np.abs(x))
+    down = np.clip(x, 0.0, up) if clock else up
+    out = (_apply(fn, x + up) - _apply(fn, x - down)) / (up + down)
+    if x.ndim == 0:
         return float(out)
     return out
 
@@ -404,26 +413,31 @@ def solve_first_order(g, table: StaircaseTable, h0: float, t_end: float,
                       blowup_limit: float = BLOWUP_LIMIT) -> Trajectory:
     """Integrate D y = g(y) from the anchor up to time t_end.
 
-    On blow-up a NumericalBlowupError is raised with the partial trajectory
-    attached.
+    h0 must be a real number other than NaN; an infinite h0, like any state
+    that leaves the blow-up ball, ends in a NumericalBlowupError carrying
+    the partial trajectory.
     """
     def rhs(tau, x):
         return (g(x[0]),)
 
-    return _solve(rhs, table, [float(h0)], t_end, dtau, method, record_every,
-                  blowup_limit)
+    return _solve(rhs, table, [_real("h0", h0, "[-inf, inf]")], t_end, dtau,
+                  method, record_every, blowup_limit)
 
 
 def solve_second_order(sys: FdeSystem, table: StaircaseTable, y0: float,
                        z0: float, t_end: float, dtau: float = 1e-3,
                        method: str = "rk4", record_every: int = 1,
                        blowup_limit: float = BLOWUP_LIMIT) -> Trajectory:
-    """Integrate the damped second order system from the anchor to t_end."""
+    """Integrate the damped second order system from the anchor to t_end.
+
+    y0 and z0 follow the rule for h0 of solve_first_order.
+    """
     def rhs(tau, x):
         return sys.rhs(tau, x[0], x[1])
 
-    return _solve(rhs, table, [float(y0), float(z0)], t_end, dtau, method,
-                  record_every, blowup_limit)
+    state0 = [_real("y0", y0, "[-inf, inf]"), _real("z0", z0, "[-inf, inf]")]
+    return _solve(rhs, table, state0, t_end, dtau, method, record_every,
+                  blowup_limit)
 
 
 def warp_time(table: StaircaseTable, tau):

@@ -25,8 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError, PreconditionError, _count, _real
-from .fde import (BLOWUP_LIMIT, FdeConstants, FdeSystem, _apply, _integrate,
-                  _tau_horizon, warp_time)
+from .fde import (BLOWUP_LIMIT, FdeConstants, FdeSystem, _apply, _central_diff,
+                  _integrate, _tau_horizon, warp_time)
 from .staircase import StaircaseTable
 
 
@@ -54,15 +54,16 @@ class LyapunovFunction:
     """Candidate function V(tau, *state) with optional analytic gradients.
 
     ``grad_state`` is a tuple of callables, one per state component, and
-    ``grad_tau`` the clock derivative; missing gradients fall back to central
-    finite differences, which injects noise around 1e-10, so analytic forms
-    are preferred wherever a drift check is tight.
+    ``grad_tau`` the clock derivative.  Missing gradients fall back to
+    fde._central_diff on tau and the state broadcast to one shape, one-sided
+    at tau = 0; ``value`` is called through fde._apply, so one written for
+    scalars runs once per element.  The differences inject noise around
+    1e-10, so analytic forms are preferred wherever a drift check is tight.
     """
 
     value: Callable
     grad_state: Optional[tuple] = None
     grad_tau: Optional[Callable] = None
-    fd_step: float = 1e-6
 
     def __call__(self, tau, *state):
         return self.value(tau, *state)
@@ -70,26 +71,18 @@ class LyapunovFunction:
     def state_gradient(self, tau, state):
         if self.grad_state is not None:
             return tuple(g(tau, *state) for g in self.grad_state)
-        state = tuple(state)
-        grads = []
-        for i, x in enumerate(state):
-            step = self.fd_step * max(1.0, float(np.max(np.abs(x))))
-            hi = list(state)
-            lo = list(state)
-            hi[i] = x + step
-            lo[i] = x - step
-            grads.append((self.value(tau, *hi) - self.value(tau, *lo)) / (2.0 * step))
-        return tuple(grads)
+        tau, *state = np.broadcast_arrays(tau, *state)
+
+        def along(i):
+            return lambda x: _apply(self.value, tau, *state[:i], x, *state[i + 1:])
+        return tuple(_central_diff(along(i), x) for i, x in enumerate(state))
 
     def time_gradient(self, tau, state):
         if self.grad_tau is not None:
             return self.grad_tau(tau, *state)
-        step = self.fd_step * max(1.0, float(np.max(np.abs(tau))))
-        if float(np.min(tau)) - step < 0.0:
-            # one-sided difference keeps evaluations inside the clock domain
-            return (self.value(tau + step, *state) - self.value(tau, *state)) / step
-        return (self.value(tau + step, *state)
-                - self.value(tau - step, *state)) / (2.0 * step)
+        tau, *state = np.broadcast_arrays(tau, *state)
+        return _central_diff(lambda t: _apply(self.value, t, *state), tau,
+                             clock=True)
 
 
 def as_tau_field(flow):
@@ -413,8 +406,9 @@ class AssumptionGrids:
     increment over the last of the expanding ``tail_windows``, which must
     fall below ``tail_tol``; unboundedness of the potential is judged by a
     growth factor across ``y_growth``.  A pass is therefore grid-supported
-    evidence, not a proof.  Every grid must be non-empty and finite, and
-    ``y`` must hold a nonzero point, since C3 tests the sign of h off zero.
+    evidence, not a proof.  Every grid must be non-empty and finite, ``y``
+    must hold a nonzero point, since C3 tests the sign of h off zero, and
+    ``y_growth`` two points, since C3 compares H across it.
     """
 
     alpha: float
@@ -441,6 +435,8 @@ class AssumptionGrids:
                 raise ParameterError(f"{name} must be non-empty and finite")
         if not np.any(np.asarray(self.y, dtype=float) != 0.0):
             raise ParameterError("y must hold a nonzero point")
+        if np.size(self.y_growth) < 2:
+            raise ParameterError("y_growth must hold at least two points")
 
 
 @dataclass(frozen=True)
@@ -487,13 +483,25 @@ def _argmin_point(values, *coords):
     return [float(np.broadcast_to(c, values.shape).ravel()[idx]) for c in coords]
 
 
+def _worst(*values):
+    """The smallest entry over scalars and arrays, NaN if any entry is NaN.
+
+    The one reduction of margins and condition parts: Python's min() skips
+    a NaN that is not its first argument, and would let one pass.
+    """
+    return float(np.min([np.min(v) for v in values]))
+
+
+def _cumtrapz(y, x):
+    """Cumulative trapezoid sums of samples y over the grid x, from 0."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
+
+
 def _tail_integral(fn, windows):
     """Integrals over expanding windows and the increment of the last one."""
     w = sorted(float(x) for x in windows)
     grid = np.linspace(0.0, w[-1], max(int(w[-1] / 0.05), 200) + 1)
-    vals = _apply(fn, grid)
-    cum = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))))
+    cum = _cumtrapz(_apply(fn, grid), grid)
     totals = [float(np.interp(x, grid, cum)) for x in w]
     increments = np.diff([0.0] + totals)
     return totals, float(increments[-1])
@@ -503,14 +511,19 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
     """Sweep the structural conditions (C1)-(C7) over the supplied grids.
 
     Margins are the worst slack of each inequality over its grid and a
-    condition passes when its margin stays above -grids.slack.  Witnesses
-    carry the individual inequality slacks and the grid points where the
-    worst one occurs.
+    condition passes when its margin stays above -grids.slack; a NaN
+    anywhere in a condition's evidence makes its margin NaN and fails it.
+    Witnesses carry the individual inequality slacks and the grid points
+    where the worst one occurs.
     """
     a = grids.alpha
     c = sys.constants
-    slack = grids.slack
     checks = OrderedDict()
+
+    def add(name, parts, ok=True, **witness):
+        worst = _worst(*parts.values())
+        checks[name] = ConditionCheck(name, ok and worst >= -grids.slack, worst,
+                                      {"parts": parts, **witness})
 
     tau = np.asarray(grids.tau, dtype=float)
     y = np.asarray(grids.y, dtype=float)
@@ -520,30 +533,23 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
     u_vals = _apply(sys.u, tau)
     v_vals = _apply(sys.v, tau)
     u0a, Ea, v0a, Qa = c.u0 ** a, c.E ** a, c.v0 ** a, c.Q ** a
-    parts = {
+    add("C1", {
         "u0_alpha_ge_1": u0a - 1.0,
-        "u_ge_u0_alpha": float(np.min(u_vals)) - u0a,
+        "u_ge_u0_alpha": _worst(u_vals) - u0a,
         "u_le_E_alpha": Ea - float(np.max(u_vals)),
         "v0_alpha_ge_1": v0a - 1.0,
-        "v_ge_v0_alpha": float(np.min(v_vals)) - v0a,
+        "v_ge_v0_alpha": _worst(v_vals) - v0a,
         "v_le_Q_alpha": Qa - float(np.max(v_vals)),
-    }
-    worst = min(parts.values())
-    checks["C1"] = ConditionCheck("C1", worst >= -slack, worst, {
-        "parts": parts,
-        "u_range": [float(np.min(u_vals)), float(np.max(u_vals))],
-        "v_range": [float(np.min(v_vals)), float(np.max(v_vals))]})
+    }, u_range=[float(np.min(u_vals)), float(np.max(u_vals))],
+        v_range=[float(np.min(v_vals)), float(np.max(v_vals))])
 
     # C2: positive constants and damping shape bounded below by eps0^a
     Ymesh, Zmesh = np.meshgrid(y, z, indexing="ij")
     f_vals = _apply(sys.f, Ymesh, Zmesh)
-    const_floor = min(c.lambda1, c.lambda2, c.eps0, c.eps1, c.eps2)
-    f_margin = float(np.min(f_vals - c.eps0 ** a))
-    worst = min(f_margin, const_floor)
-    checks["C2"] = ConditionCheck("C2", worst >= -slack and const_floor > 0.0,
-                                  worst, {
-        "parts": {"f_ge_eps0_alpha": f_margin, "constants_floor": const_floor},
-        "worst_at_yz": _argmin_point(f_vals - c.eps0 ** a, Ymesh, Zmesh)})
+    const_floor = _worst(c.lambda1, c.lambda2, c.eps0, c.eps1, c.eps2)
+    add("C2", {"f_ge_eps0_alpha": _worst(f_vals - c.eps0 ** a),
+               "constants_floor": const_floor}, ok=const_floor > 0.0,
+        worst_at_yz=_argmin_point(f_vals - c.eps0 ** a, Ymesh, Zmesh))
 
     # C3: restoring force centered and sign definite, slope >= lambda2,
     # potential unbounded in both directions
@@ -553,21 +559,16 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
     dh_vals = _apply(sys.restoring_slope, y)
     Hg_pos = _apply(sys.restoring_integral, grids.y_growth)
     Hg_neg = _apply(sys.restoring_integral, -np.asarray(grids.y_growth))
-    grow_pos = float(Hg_pos[-1] / max(Hg_pos[0], 1e-300))
-    grow_neg = float(Hg_neg[-1] / max(Hg_neg[0], 1e-300))
-    parts = {
+    grow_pos = float(Hg_pos[-1] / np.maximum(Hg_pos[0], 1e-300))
+    grow_neg = float(Hg_neg[-1] / np.maximum(Hg_neg[0], 1e-300))
+    add("C3", {
         "h_zero": grids.zero_tol - h0,
-        "h_sign": float(np.min(sign_vals)),
-        "slope_ge_lambda2": float(np.min(dh_vals)) - c.lambda2,
-        "H_increasing": float(min(np.min(np.diff(Hg_pos)),
-                                  np.min(np.diff(Hg_neg)))),
-        "H_growth": min(grow_pos, grow_neg) - grids.growth_factor,
-    }
-    worst = min(parts.values())
-    checks["C3"] = ConditionCheck("C3", worst >= -slack, worst, {
-        "parts": parts, "h_at_zero": h0,
-        "H_at_growth_ends": [float(Hg_pos[-1]), float(Hg_neg[-1])],
-        "growth_ratios": [grow_pos, grow_neg]})
+        "h_sign": _worst(sign_vals),
+        "slope_ge_lambda2": _worst(dh_vals) - c.lambda2,
+        "H_increasing": _worst(np.diff(Hg_pos), np.diff(Hg_neg)),
+        "H_growth": _worst(grow_pos, grow_neg) - grids.growth_factor,
+    }, h_at_zero=h0, H_at_growth_ends=[float(Hg_pos[-1]), float(Hg_neg[-1])],
+        growth_ratios=[grow_pos, grow_neg])
 
     # C4: positive part of v' integrable and v' settling to zero
     def zeta0_of(s):
@@ -576,22 +577,18 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
     totals, last_inc = _tail_integral(zeta0_of, grids.tail_windows)
     probe_end = np.linspace(0.8, 1.0, 9) * max(grids.tail_windows)
     dv_end = float(np.max(np.abs(_apply(sys.coefficient_slope, probe_end))))
-    parts = {"integral_tail": grids.tail_tol - last_inc,
-             "slope_settles": grids.tail_tol - dv_end}
-    worst = min(parts.values())
-    checks["C4"] = ConditionCheck("C4", worst >= -slack, worst, {
-        "parts": parts, "window_integrals": totals, "dv_near_end": dv_end})
+    add("C4", {"integral_tail": grids.tail_tol - last_inc,
+               "slope_settles": grids.tail_tol - dv_end},
+        window_integrals=totals, dv_near_end=dv_end)
 
     # C5: forcing under positive integrable envelopes
     #     |q| <= r1 + r2 [H + z^2]^(sigma^a / 2) + Delta^a |z|
     sigma, Delta = c.sigma, c.delta_value()
-    const_parts = {"sigma_in_unit": min(sigma, 1.0 - sigma),
-                   "Delta_in_unit": min(Delta, 1.0 - Delta)}
+    const_parts = {"sigma_in_unit": _worst(sigma, 1.0 - sigma),
+                   "Delta_in_unit": _worst(Delta, 1.0 - Delta)}
     if sys.q is None:
-        worst = min(const_parts.values())
-        checks["C5"] = ConditionCheck("C5", worst >= -slack, worst, {
-            "parts": const_parts,
-            "note": "no forcing term; the envelope holds trivially"})
+        add("C5", const_parts,
+            note="no forcing term; the envelope holds trivially")
     elif sys.r1 is None or sys.r2 is None:
         checks["C5"] = ConditionCheck("C5", False, -math.inf, {
             "parts": const_parts,
@@ -599,10 +596,8 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
     else:
         r1_vals = _apply(sys.r1, tau)
         r2_vals = _apply(sys.r2, tau)
-        _, inc1 = _tail_integral(lambda s: _apply(sys.r1, s),
-                                 grids.tail_windows)
-        _, inc2 = _tail_integral(lambda s: _apply(sys.r2, s),
-                                 grids.tail_windows)
+        _, inc1 = _tail_integral(sys.r1, grids.tail_windows)
+        _, inc2 = _tail_integral(sys.r2, grids.tail_windows)
         stride = grids.forcing_stride
         t_sub = tau[::stride]
         y_sub = y[::stride]
@@ -617,35 +612,24 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
         base = np.maximum(H_sub[None, :, None] + Z3 ** 2, 0.0)
         envelope = r1_3 + r2_3 * base ** (sigma ** a / 2.0) + Delta ** a * np.abs(Z3)
         env_margin = envelope - q_abs
-        parts = dict(const_parts)
-        parts.update({
-            "envelopes_positive": float(min(np.min(r1_vals), np.min(r2_vals))),
-            "envelope_bound": float(np.min(env_margin)),
-            "integral_tails": grids.tail_tol - max(inc1, inc2),
-        })
-        worst = min(parts.values())
-        checks["C5"] = ConditionCheck("C5", worst >= -slack, worst, {
-            "parts": parts,
-            "worst_at_tau_y_z": _argmin_point(env_margin, T3, Y3, Z3)})
+        add("C5", {**const_parts,
+                   "envelopes_positive": _worst(r1_vals, r2_vals),
+                   "envelope_bound": _worst(env_margin),
+                   "integral_tails": grids.tail_tol - float(np.max([inc1, inc2]))},
+            worst_at_tau_y_z=_argmin_point(env_margin, T3, Y3, Z3))
 
     # C6: damping shape window eps0^a <= f - lambda1 <= eps1^a
     shifted = f_vals - c.lambda1
-    lo_m = float(np.min(shifted - c.eps0 ** a))
-    hi_m = float(np.min(c.eps1 ** a - shifted))
-    worst = min(lo_m, hi_m)
-    checks["C6"] = ConditionCheck("C6", worst >= -slack, worst, {
-        "parts": {"lower": lo_m, "upper": hi_m},
-        "lower_at_yz": _argmin_point(shifted - c.eps0 ** a, Ymesh, Zmesh),
-        "upper_at_yz": _argmin_point(c.eps1 ** a - shifted, Ymesh, Zmesh)})
+    add("C6", {"lower": _worst(shifted - c.eps0 ** a),
+               "upper": _worst(c.eps1 ** a - shifted)},
+        lower_at_yz=_argmin_point(shifted - c.eps0 ** a, Ymesh, Zmesh),
+        upper_at_yz=_argmin_point(c.eps1 ** a - shifted, Ymesh, Zmesh))
 
     # C7: restoring slope window 0 <= lambda2 - h' <= eps2^a
     gap = c.lambda2 - dh_vals
-    parts = {"gap_nonnegative": float(np.min(gap)),
-             "gap_le_eps2_alpha": float(np.min(c.eps2 ** a - gap))}
-    worst = min(parts.values())
-    checks["C7"] = ConditionCheck("C7", worst >= -slack, worst, {
-        "parts": parts,
-        "slope_range": [float(np.min(dh_vals)), float(np.max(dh_vals))]})
+    add("C7", {"gap_nonnegative": _worst(gap),
+               "gap_le_eps2_alpha": _worst(c.eps2 ** a - gap)},
+        slope_range=[float(np.min(dh_vals)), float(np.max(dh_vals))])
 
     return AssumptionReport(conditions=checks, alpha=a)
 
@@ -786,15 +770,11 @@ def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
     gp = np.linspace(-grid_halfwidth, grid_halfwidth, grid_points)
     Yg, Zg = np.meshgrid(gp, gp, indexing="ij")
     L2 = stability_certificate(sys)
-    margins = []
-    zero_vals = []
-    for tp in (0.0, 0.5 * tau_end, tau_end):
-        vals = np.asarray(L2(tp, Yg, Zg), dtype=float)
-        margins.append(float(np.min(vals - lambda_bar * (Yg ** 2 + Zg ** 2))))
-        zero_vals.append(abs(float(L2(tp, 0.0, 0.0))))
-    bound_margin = min(margins)
+    probes = (0.0, 0.5 * tau_end, tau_end)
+    bound_margin = _worst(*(np.asarray(L2(tp, Yg, Zg), dtype=float)
+                            - lambda_bar * (Yg ** 2 + Zg ** 2) for tp in probes))
     bound_ok = bound_margin >= 0.0
-    zero_value = max(zero_vals)
+    zero_value = float(np.max([abs(float(L2(tp, 0.0, 0.0))) for tp in probes]))
     zero_ok = zero_value <= 1e-12
 
     passed = drift_ok and bound_ok and zero_ok
@@ -948,19 +928,18 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
     consts = _theorem2_constants(sys.constants, alpha, k)
     pieces = _certificate_pieces(sys, k, taus[:, None], Yb, Zb)
     l1_lo, l1_hi, l2 = _lemma_margins(pieces, consts, k)
-    lemma1_margin = float(min(np.min(l1_lo), np.min(l1_hi)))
-    lemma2_margin = float(np.min(l2))
+    lemma1_margin = _worst(l1_lo, l1_hi)
+    lemma2_margin = _worst(l2)
 
     # weight W(tau) integrates the decay factor of the damped certificate
     zeta_line = (consts["E4_alpha"] * pieces["zeta0"][:, 0]
                  + (4.0 / consts["E1_alpha"])
                  * (pieces["r1"][:, 0] + pieces["r2"][:, 0]))
-    W = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (zeta_line[1:] + zeta_line[:-1]) * np.diff(taus))))
+    W = _cumtrapz(zeta_line, taus)
     e5a = consts["E3_alpha"] * math.exp(-float(W[-1]))
     dLw = np.exp(-W)[:, None] * (pieces["dL0"] - zeta_line[:, None] * pieces["L0"])
     weighted = -e5a * Zb ** 2 - dLw
-    weighted_margin = float(np.min(weighted))
+    weighted_margin = _worst(weighted)
 
     rng = np.random.default_rng(seed)
     r_tau = rng.uniform(0.0, tau_end, n_random)
@@ -968,8 +947,8 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
     r_z = rng.uniform(-3.0, 3.0, n_random)
     rp = _certificate_pieces(sys, k, r_tau, r_y, r_z)
     r1_lo, r1_hi, r2m = _lemma_margins(rp, consts, k)
-    lemma1_random = float(min(np.min(r1_lo), np.min(r1_hi)))
-    lemma2_random = float(np.min(r2m))
+    lemma1_random = _worst(r1_lo, r1_hi)
+    lemma2_random = _worst(r2m)
 
     conv_at = min(conv_tau, tau_end)
     idx = min(int(np.searchsorted(taus, conv_at)), taus.size - 1)

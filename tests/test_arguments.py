@@ -9,6 +9,7 @@ exception.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from fractalcalc import (
     AssumptionGrids,
     CantorSpec,
+    FdeConstants,
     FractalCalcError,
     GridFunction,
     ParameterError,
@@ -119,10 +121,16 @@ CALLS = {
     "set_samples.per_segment": lambda v: set_samples(TABLE, v),
     "fractal_integral.a": lambda v: fractal_integral(SAMPLES, v, 2.0),
     "fractal_integral.b": lambda v: fractal_integral(SAMPLES, 0.0, v),
+    "solve_first_order.h0": lambda v: solve_first_order(_decay, TABLE, v, 1.0,
+                                                        dtau=0.05),
     "solve_first_order.t_end": lambda v: _solve1(t_end=v),
     "solve_first_order.dtau": lambda v: _solve1(dtau=v),
     "solve_first_order.record_every": lambda v: _solve1(record_every=v),
     "solve_first_order.blowup_limit": lambda v: _solve1(blowup_limit=v),
+    "solve_second_order.y0": lambda v: solve_second_order(
+        example3_system(), TABLE, v, 0.0, 1.0, dtau=0.05),
+    "solve_second_order.z0": lambda v: solve_second_order(
+        example3_system(), TABLE, 1.0, v, 1.0, dtau=0.05),
     "solve_second_order.t_end": lambda v: _solve2(t_end=v),
     "solve_second_order.dtau": lambda v: _solve2(dtau=v),
     "solve_second_order.record_every": lambda v: _solve2(record_every=v),
@@ -157,6 +165,8 @@ CALLS = {
     "verify_theorem2.seed": lambda v: _verify2(seed=v),
     "verify_theorem2.record_every": lambda v: _verify2(record_every=v),
 }
+CALLS.update({f"FdeConstants.{f.name}": lambda v, name=f.name: FdeConstants(**{name: v})
+              for f in dataclasses.fields(FdeConstants)})
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -208,6 +218,15 @@ HOLES = {
     "grids-slack-nan": lambda: AssumptionGrids(alpha=0.5, slack=math.nan),
     "grids-forcing-stride-zero": lambda: AssumptionGrids(alpha=0.5, forcing_stride=0),
     "grids-no-nonzero-state": lambda: AssumptionGrids(alpha=0.5, y=np.array([0.0])),
+    "grids-one-growth-point": lambda: _assumptions(y_growth=np.array([2.0])),
+    "constants-nan": lambda: FdeConstants(E=math.nan),
+    "constants-string": lambda: FdeConstants(Q="1"),
+    "constants-none": lambda: FdeConstants(sigma=None),
+    "solve-h0-string": lambda: solve_first_order(_decay, TABLE, "1", 1.0),
+    "solve-h0-none": lambda: solve_first_order(_decay, TABLE, None, 1.0),
+    "solve-h0-nan": lambda: solve_first_order(_decay, TABLE, math.nan, 1.0),
+    "solve-z0-nan": lambda: solve_second_order(example3_system(), TABLE, 1.0,
+                                               math.nan, 1.0),
     "int-beyond-float-delta": lambda: depth_for_resolution(SPEC, 10**400),
     "int-beyond-float-extent": lambda: CantorSpec(mu=MU, depth=3, extent=10**400),
 }

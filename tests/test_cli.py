@@ -138,7 +138,8 @@ def test_blowup_is_runtime_error_with_partial_output(tmp_path):
     assert len(rows) > 2
     # a power that overflows a Python float is inf on np.float64: a blow-up
     # too, not a usage error
-    for field, y0 in [("y**400", "10"), ("y**3", "1e11")]:
+    # and so is an infinite initial value
+    for field, y0 in [("y**400", "10"), ("y**3", "1e11"), ("-y", "-inf")]:
         code = run_cli(["solve", "--system", "custom-first", f"--field={field}",
                         f"--y0={y0}", "--depth", "8", "--out", str(out)])
         assert code == 3, field
@@ -154,9 +155,10 @@ def test_blowup_is_runtime_error_with_partial_output(tmp_path):
     ["chi", "--samples", "-1"],
     ["deriv", "--function", "t*10**400"],
     ["verify", "--theorem", "1", "--t-end", "0"],
+    ["solve", "--y0", "nan"],
 ], ids=["solve-t-end-nan", "stability-horizon-nan", "solve-dtau-inf",
         "solve-dtau-tiny", "staircase-samples-negative", "chi-samples-negative",
-        "deriv-function-overflow", "verify-t-end-zero"])
+        "deriv-function-overflow", "verify-t-end-zero", "solve-y0-nan"])
 def test_bad_horizons_and_steps_are_usage_errors(argv, capsys):
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -70,6 +71,32 @@ def test_finite_difference_gradient_fallback():
     L = LyapunovFunction(value=lambda tau, z: z ** 2)
     got = lyapunov_derivative(L, example1_field, 1.5)
     assert got == pytest.approx(-2.0 * 1.5 ** 2, rel=1e-8)
+
+
+def test_vectorized_gradient_fallback_stays_on_the_clock():
+    # V is linear in tau, so the difference that is one-sided at tau = 0 is
+    # exact up to rounding there too; V is never evaluated below tau = 0
+    sys = dataclasses.replace(linear_damped_system(), v=lambda tau: 1.0 + 0.5 * tau,
+                              v_derivative=lambda tau: 0.5 + 0.0 * tau)
+    exact = boundedness_certificate(sys)
+    seen = []
+
+    def value(tau, y, z):
+        seen.append(float(np.min(tau)))
+        return exact.value(tau, y, z)
+
+    state = (np.linspace(-3.0, 3.0, 7), np.linspace(2.0, -2.0, 7))
+    # the second value takes scalars only and is called once per element
+    for bare in (LyapunovFunction(value=value),
+                 LyapunovFunction(value=lambda tau, y, z: float(value(tau, y, z)))):
+        for tau in (0.0, 2.5, np.array([0.0, 1e-7, 0.5, 1.0, 2.0, 4.0, 8.0])):
+            np.testing.assert_allclose(bare.time_gradient(tau, state),
+                                       exact.time_gradient(tau, state),
+                                       rtol=1e-8, atol=1e-8)
+            for got, want in zip(bare.state_gradient(tau, state),
+                                 exact.state_gradient(tau, state)):
+                np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8)
+    assert min(seen) == 0.0
 
 
 def test_planar_derivative_with_system():
@@ -289,6 +316,33 @@ def test_drifting_coefficient_fails_integrability(grids):
     failing = rep.failing()
     assert "C4" in failing
     assert "C1" in failing              # v also leaves [v0^alpha, Q^alpha]
+
+
+def test_coefficient_slope_never_evaluates_v_before_the_clock(grids, long_table):
+    # without v_derivative, v' is a difference that is one-sided at tau = 0,
+    # so a v defined for tau >= 0 only passes C4 and the verifier runs
+    seen = []
+
+    def v(tau):
+        seen.append(float(np.min(tau)))
+        return 1.0 + 0.0 * np.sqrt(tau)
+
+    sys = dataclasses.replace(linear_damped_system(), v=v, v_derivative=None)
+    assert check_assumptions(sys, grids)["C4"].passed
+    assert verify_theorem1(sys, long_table, t_end=2.0).passed
+    assert min(seen) == 0.0
+
+
+@pytest.mark.parametrize("name,hole", [
+    ("C1", {"u": lambda tau: np.where(np.asarray(tau) > 10.0, np.nan, 1.0)}),
+    ("C3", {"h": lambda y: np.where(np.asarray(y) < 0.0, np.nan, y)}),
+], ids=["u-nan-after-10", "h-nan-below-0"])
+def test_nan_evidence_fails_its_condition(grids, name, hole):
+    # Python's min() skipped these NaNs and passed both with margin 0.0
+    rep = check_assumptions(dataclasses.replace(linear_damped_system(), **hole),
+                            grids)
+    assert not rep[name].passed
+    assert math.isnan(rep[name].worst_margin)
 
 
 def test_forced_system_without_envelopes_fails(grids):
