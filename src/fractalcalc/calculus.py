@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cantor import _max_samples
 from .errors import DomainError, ParameterError, ResolutionError, _count, _real
 from .fde import _apply
 from .staircase import StaircaseTable, _interp_staircase, eval_staircase
@@ -52,8 +53,9 @@ def set_samples(table: StaircaseTable, per_segment: int = 0) -> np.ndarray:
     and integrate it exactly, so refinement effects only show up once
     segments carry interior samples.
     """
-    per_segment = _count("per_segment", per_segment, 0)
     t = table.t
+    # each of the t.size / 2 segments gets its two ends and per_segment points
+    per_segment = _count("per_segment", per_segment, 0, _max_samples() // (t.size // 2) - 2)
     if per_segment == 0:
         return t.copy()
     lefts = t[0::2]

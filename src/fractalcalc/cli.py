@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .cantor import CantorSpec, generate, hausdorff_dimension, iter_levels
+from .cantor import CantorSpec, _max_samples, generate, hausdorff_dimension, iter_levels
 from .errors import (
     ExpressionError,
     FractalCalcError,
@@ -102,7 +102,8 @@ def _table_for(args, command):
 
 
 def _time_grid(args, spec):
-    return np.linspace(spec.origin, spec.extent, _count("--samples", args.samples, 0))
+    return np.linspace(spec.origin, spec.extent,
+                       _count("--samples", args.samples, 0, _max_samples()))
 
 
 def cmd_cantor(args):

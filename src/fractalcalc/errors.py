@@ -78,8 +78,8 @@ def _real(name, value, interval):
     raise ParameterError(f"{name} must be a real number in {interval}, got {value!r}")
 
 
-def _count(name, value, minimum):
-    """Return ``value`` as an int if it is an integer >= ``minimum``.
+def _count(name, value, minimum, maximum=None):
+    """Return ``value`` as an int if it is an integer in [minimum, maximum].
 
     Numpy integers count; a bool or a float (even 10.0) does not, nor does
     an int of 2**63 or more, which no numpy size or index can hold.
@@ -87,6 +87,7 @@ def _count(name, value, minimum):
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         if value >= 2 ** 63:
             raise ParameterError(f"{name} is beyond the 64-bit integer range")
-        if value >= minimum:
+        if value >= minimum and (maximum is None or value <= maximum):
             return int(value)
-    raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+    raise ParameterError(f"{name} must be an integer {bound}, got {value!r}")

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .cantor import _max_samples
 from .errors import ParameterError, PreconditionError, _count, _real
 from .fde import (BLOWUP_LIMIT, FdeConstants, FdeSystem, _apply, _central_diff,
                   _integrate, _tau_horizon, warp_time)
@@ -407,8 +408,9 @@ class AssumptionGrids:
     fall below ``tail_tol``; unboundedness of the potential is judged by a
     growth factor across ``y_growth``.  A pass is therefore grid-supported
     evidence, not a proof.  Every grid must be non-empty and finite, ``y``
-    must hold a nonzero point, since C3 tests the sign of h off zero, and
-    ``y_growth`` two points, since C3 compares H across it.
+    must hold a nonzero point, since C3 tests the sign of h off zero,
+    ``y_growth`` two points, since C3 compares H across it, and
+    ``tail_windows`` must be positive and strictly increasing.
     """
 
     alpha: float
@@ -433,6 +435,9 @@ class AssumptionGrids:
             grid = np.asarray(getattr(self, name), dtype=float)
             if grid.size == 0 or not np.all(np.isfinite(grid)):
                 raise ParameterError(f"{name} must be non-empty and finite")
+        w = np.asarray(self.tail_windows, dtype=float)
+        if w.ndim != 1 or w[0] <= 0.0 or np.any(np.diff(w) <= 0.0):
+            raise ParameterError("tail_windows must be positive and strictly increasing")
         if not np.any(np.asarray(self.y, dtype=float) != 0.0):
             raise ParameterError("y must hold a nonzero point")
         if np.size(self.y_growth) < 2:
@@ -499,7 +504,7 @@ def _cumtrapz(y, x):
 
 def _tail_integral(fn, windows):
     """Integrals over expanding windows and the increment of the last one."""
-    w = sorted(float(x) for x in windows)
+    w = [float(x) for x in windows]
     grid = np.linspace(0.0, w[-1], max(int(w[-1] / 0.05), 200) + 1)
     cum = _cumtrapz(_apply(fn, grid), grid)
     totals = [float(np.interp(x, grid, cum)) for x in w]
@@ -749,7 +754,8 @@ def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
         raise ParameterError(
             "the decrease certificate applies to unforced systems; "
             "use the boundedness verifier for forced ones")
-    grid_points = _count("grid_points", grid_points, 2)
+    # the bound check runs on a grid_points x grid_points state grid
+    grid_points = _count("grid_points", grid_points, 2, math.isqrt(_max_samples()))
     grid_halfwidth = _real("grid_halfwidth", grid_halfwidth, "(0, inf)")
     drift_tol = _real("drift_tol", drift_tol, "[-inf, inf]")
     report, t_end, tau_end, taus, blocks, escaped = _march_fan(
@@ -913,7 +919,7 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
     system without forcing runs the same checks with r1 = r2 = 0.
     """
     k = _real("k", k, "[0.03125, inf)")  # 1/32
-    n_random = _count("n_random", n_random, 1)
+    n_random = _count("n_random", n_random, 1, _max_samples())
     seed = _count("seed", seed, 0)
     conv_tau = _real("conv_tau", conv_tau, "[0, inf]")
     conv_threshold = _real("conv_threshold", conv_threshold, "[0, inf]")

@@ -27,15 +27,15 @@ ALPHA = hausdorff_dimension(0.2)
 TABLE_ARRAY = 2 * 2 ** DEPTH * np.dtype(float).itemsize
 
 
-def _peak(fn):
-    """Peak bytes allocated while fn runs, in table arrays."""
+def _peak(fn, depth=DEPTH):
+    """Peak bytes allocated while fn runs, in table arrays of a depth."""
     tracemalloc.start()
     try:
         fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / TABLE_ARRAY
+    return peak / (TABLE_ARRAY << (depth - DEPTH))
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +44,27 @@ def table():
 
 
 def test_generate_peak_is_the_last_doubling():
-    # the last doubling holds its parents (0.5x), one cut array (0.25x) and
-    # the children (1x)
+    # the breakpoints (1x) and the last doubling of one chunk, a quarter of
+    # the set at this depth: its parents, one cut array and the children
     assert _peak(lambda: generate(SPEC)) <= 1.8
 
 
 def test_build_staircase_peak_is_the_table():
-    # t plus s: the interval set is dropped before s is allocated
+    # t plus s and the ramp s is filled from
     assert _peak(lambda: build_staircase(SPEC, ALPHA, t0=0.3)) <= 2.05
+
+
+DEEP_SPEC = CantorSpec(mu=0.2, depth=22)
+
+
+def test_deep_generate_peak_is_its_breakpoints():
+    # a chunk is 1/64 of the set; the interval set's order checks add two
+    # bool arrays of 1/16 each, one at a time
+    assert _peak(lambda: generate(DEEP_SPEC), DEEP_SPEC.depth) <= 1.1
+
+
+def test_deep_build_staircase_peak_is_the_table():
+    assert _peak(lambda: build_staircase(DEEP_SPEC, ALPHA, t0=0.3), DEEP_SPEC.depth) <= 2.05
 
 
 _POINTS = np.random.default_rng(7).uniform(0.0, 1.0, 1000)

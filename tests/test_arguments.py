@@ -219,6 +219,14 @@ HOLES = {
     "grids-forcing-stride-zero": lambda: AssumptionGrids(alpha=0.5, forcing_stride=0),
     "grids-no-nonzero-state": lambda: AssumptionGrids(alpha=0.5, y=np.array([0.0])),
     "grids-one-growth-point": lambda: _assumptions(y_growth=np.array([2.0])),
+    "grids-tail-window-zero": lambda: AssumptionGrids(alpha=0.5, tail_windows=(0.0,)),
+    "grids-tail-window-negative": lambda: AssumptionGrids(alpha=0.5, tail_windows=(-40.0,)),
+    "grids-tail-windows-repeated": lambda: AssumptionGrids(alpha=0.5,
+                                                           tail_windows=(40.0, 40.0)),
+    "grids-tail-windows-scalar": lambda: AssumptionGrids(alpha=0.5, tail_windows=40.0),
+    "set-samples-oversized": lambda: set_samples(TABLE, 2**40),
+    "theorem1-grid-points-oversized": lambda: _verify1(grid_points=2**40),
+    "theorem2-n-random-oversized": lambda: _verify2(n_random=2**40),
     "constants-nan": lambda: FdeConstants(E=math.nan),
     "constants-string": lambda: FdeConstants(Q="1"),
     "constants-none": lambda: FdeConstants(sigma=None),
@@ -242,6 +250,22 @@ def test_stability_horizon_zero_is_a_usage_error():
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         assert main(["stability", "--horizon=0", "--depth", "8"]) == 2
+
+
+def test_sample_counts_stop_at_a_table_at_the_depth_cap(monkeypatch):
+    # a cap of 8 allows 512 points: 64 segments of 2 ends and 6 inner points
+    monkeypatch.setenv("FRACTAL_CALC_MAX_DEPTH", "8")
+    assert set_samples(TABLE, 6).size == 512
+    with pytest.raises(ParameterError):
+        set_samples(TABLE, 7)
+    with pytest.raises(ParameterError):
+        _verify1(grid_points=23)    # 529 states
+    with pytest.raises(ParameterError):
+        _verify2(n_random=513)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["staircase", "--samples", "513", "--depth", "4"]) == 2
+        assert main(["staircase", "--samples", "512", "--depth", "4"]) == 0
 
 
 def test_bisection_stops_at_float_resolution():

@@ -99,6 +99,19 @@ def test_derivative_matches_chain_rule(table):
     assert np.allclose(d.values, expected, atol=5e-4)
 
 
+def test_interior_quotient_matches_the_grid_derivative(table):
+    # interior samples of set_samples sit inside covering segments, where
+    # the scalar quotient and the grid one use the same neighbours
+    t = set_samples(table, 2)
+    f = GridFunction.from_function(table, lambda x: np.exp(eval_staircase(table, x)), t=t)
+    grid = derivative_grid(f)
+    for i in (1, 5, 6, 401, t.size - 2):
+        assert fractal_derivative(f, t[i]) == grid.values[i]
+    # the two ends use one-sided quotients
+    assert fractal_derivative(f, t[0]) == grid.values[0]
+    assert fractal_derivative(f, t[-1]) == grid.values[-1]
+
+
 def test_single_sample_derivative_raises(table):
     f = GridFunction.from_values(table, [0.0], [1.0])
     with pytest.raises(ResolutionError):

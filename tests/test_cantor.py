@@ -9,12 +9,14 @@ from fractalcalc import (
     CantorSpec,
     ParameterError,
     ResolutionError,
+    build_staircase,
     contains,
     covering_measure,
     generate,
     hausdorff_dimension,
     iter_levels,
 )
+from fractalcalc import cantor, staircase
 from fractalcalc.cantor import max_depth
 
 # depth-2 middle-0.2 construction, worked by hand from the keep ratio 0.4
@@ -171,7 +173,8 @@ def test_generate_rejects_sub_resolution_depth():
 
 
 def _reference_generate(spec):
-    # the doubling loop with a fresh width and r * width products per level
+    # the level-by-level doubling loop over the whole set, with a fresh width
+    # and r * width products per level
     r = spec.keep_ratio
     left = np.array([spec.origin], dtype=float)
     right = np.array([spec.extent], dtype=float)
@@ -187,14 +190,26 @@ def _reference_generate(spec):
     return left, right
 
 
-def _assert_matches_reference(spec):
+def _reference_s(spec, alpha, size):
+    # the staircase values (j + j%2) * (c/2) in one pass over the whole array
+    c = math.gamma(alpha + 1.0) * (spec.base_length * spec.keep_ratio ** spec.depth) ** alpha
+    s = np.arange(size, dtype=float)
+    s[1::2] += 1.0
+    s *= 0.5 * c
+    return s
+
+
+def _assert_matches_reference(spec, alpha=0.5):
+    """Compare generate and build_staircase with the whole-array loops."""
     try:
         iset = generate(spec)
     except ResolutionError:
         return False
     left, right = _reference_generate(spec)
-    assert np.array_equal(iset.left, left)
-    assert np.array_equal(iset.right, right)
+    table = build_staircase(spec, alpha)
+    assert np.array_equal(iset.left, left) and np.array_equal(iset.right, right)
+    assert np.array_equal(table.t[0::2], left) and np.array_equal(table.t[1::2], right)
+    assert np.array_equal(table.s, _reference_s(spec, alpha, table.t.size))
     return True
 
 
@@ -205,6 +220,32 @@ def test_generate_matches_the_reference_loop(mu, origin, extent):
              for d in range(17)]
     # every depth up to float resolution was compared, not skipped
     assert built[:8] == [True] * 8
+
+
+@pytest.mark.parametrize("origin,extent", [(0.0, 1.0), (0.0, 60.0), (-3.7, 11.1)])
+@pytest.mark.parametrize("mu", [0.05, 0.2, 1.0 / 3.0, 0.5, 0.9])
+def test_chunked_build_matches_the_level_loop(mu, origin, extent):
+    # depths past cantor._CHUNK_LEVELS are built in several chunks, and s
+    # in several ramps; both stay bit-identical to the whole-array loops
+    alpha = hausdorff_dimension(mu)
+    built = [_assert_matches_reference(CantorSpec(mu, d, origin, extent), alpha)
+             for d in range(20)]
+    assert built[:12] == [True] * 12
+    assert all(built) or mu == 0.9
+
+
+@pytest.mark.parametrize("chunk_levels,ramp", [(1, 2), (3, 8)])
+def test_chunk_sizes_do_not_change_the_build(monkeypatch, chunk_levels, ramp):
+    monkeypatch.setattr(cantor, "_CHUNK_LEVELS", chunk_levels)
+    monkeypatch.setattr(staircase, "_RAMP", ramp)
+    for depth in range(10):
+        assert _assert_matches_reference(CantorSpec(0.3, depth, -3.7, 11.1), 0.6)
+
+
+def test_generate_returns_views_of_one_array():
+    iset = generate(CantorSpec(mu=0.2, depth=5))
+    assert iset.left.base is iset.right.base
+    assert not iset.left.base.flags.writeable
 
 
 @settings(max_examples=50)

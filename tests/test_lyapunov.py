@@ -22,8 +22,11 @@ from fractalcalc import (
     classify_stability,
     example1_field,
     example1_lyapunov,
+    example2_lienard_field,
+    example2_lienard_lyapunov,
     example2_system,
     example3_field,
+    example3_lyapunov,
     linear_damped_system,
     lyapunov_derivative,
     stability_certificate,
@@ -105,6 +108,26 @@ def test_planar_derivative_with_system():
     # dL = -(u f / v) z^2 for constant v, here u = v = f = 1
     got = lyapunov_derivative(L, sys, (0.3, -1.2))
     assert got == pytest.approx(-1.2 ** 2, rel=1e-12)
+
+
+def test_lienard_derivative_is_minus_y_times_the_damping_primitive():
+    # D L = -y G(y) = -(y^4/3 + y^2), whatever w is
+    L = example2_lienard_lyapunov()
+    assert lyapunov_derivative(L, example2_lienard_field, (1.0, 0.5)) == \
+        pytest.approx(-4.0 / 3.0, rel=1e-15)
+    assert lyapunov_derivative(L, example2_lienard_field, (2.0, -1.0)) == \
+        pytest.approx(-28.0 / 3.0, rel=1e-15)
+    y, w = np.linspace(-3.0, 3.0, 13), np.linspace(2.0, -2.0, 13)
+    np.testing.assert_allclose(lyapunov_derivative(L, example2_lienard_field, (y, w)),
+                               -(y ** 4 / 3.0 + y ** 2), rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("spring", [1.0, 2.5])
+def test_oscillator_energy_is_conserved(spring):
+    y, z = np.meshgrid(np.linspace(-3.0, 3.0, 7), np.linspace(-2.0, 2.0, 5))
+    got = lyapunov_derivative(example3_lyapunov(spring), example3_field(spring), (y, z),
+                              tau=1.5)
+    assert np.array_equal(got, np.zeros_like(y))
 
 
 def test_state_dimension_mismatch_rejected():

@@ -150,6 +150,14 @@ def test_staircase_anchor_shifts_sign():
     assert d1 == pytest.approx(d2, rel=1e-12)
 
 
+def test_breakpoints_pair_t_with_s():
+    table = build_staircase(CantorSpec(mu=0.2, depth=2), 0.5, t0=0.2)
+    pairs = table.breakpoints
+    assert pairs == list(zip(table.t.tolist(), table.s.tolist()))
+    assert len(pairs) == 8 and all(type(x) is float for pair in pairs for x in pair)
+    assert pairs[0] == (0.0, table.s[0]) and pairs[-1][0] == 1.0
+
+
 def test_eval_outside_span_raises(table02):
     with pytest.raises(DomainError):
         eval_staircase(table02, -0.01)
