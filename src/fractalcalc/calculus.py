@@ -11,36 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import _max_samples
+from .cantor import _max_samples, _search
 from .errors import DomainError, ParameterError, ResolutionError, _count, _real
 from .fde import _apply
-from .staircase import StaircaseTable, _interp_staircase, eval_staircase
-
-
-def _segment_index(table: StaircaseTable, t):
-    # breakpoints alternate interval-start/interval-end, so even segments
-    # are covering intervals and odd segments are gaps
-    grid = table.t
-    t = np.asarray(t, dtype=float)
-    inside = (grid[0] <= t) & (t <= grid[-1])  # NaN is outside
-    if not inside.all():
-        first = float(t[~inside].flat[0])
-        raise DomainError(f"t={first!r} outside the tabulated span")
-    i = np.searchsorted(grid, t, side="right") - 1
-    # t >= grid[0] keeps i >= 0; only t == grid[-1] lands past the last segment
-    return np.minimum(i, grid.size - 2)
-
-
-def _in_set(table: StaircaseTable, t: np.ndarray) -> np.ndarray:
-    """Membership of every point of t in the table's depth-m set."""
-    i = _segment_index(table, t)
-    # inside a gap segment only the endpoints belong to the set
-    return (i % 2 == 0) | (t == table.t[i]) | (t == table.t[i + 1])
+from .staircase import StaircaseTable, _interp_staircase, _require_span, eval_staircase
 
 
 def in_set(table: StaircaseTable, t: float) -> bool:
     """Whether t lies in the depth-m set the table was built from."""
-    return bool(_in_set(table, np.float64(t)))
+    t = np.float64(t)
+    _require_span(table, t)
+    return bool(_search(table.t, t)[1])
 
 
 def set_samples(table: StaircaseTable, per_segment: int = 0) -> np.ndarray:
@@ -97,24 +78,24 @@ class GridFunction:
         ``fn`` receives the time array (vectorized call, with a scalar
         fallback).  Supplied grids must consist of set points.
         """
-        if t is None:
-            t = table.t
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        cls._require_set_points(table, t)
-        return cls(table=table, t=t, s=_interp_staircase(table, t), values=_apply(fn, t))
+        t, s = cls._at_set_points(table, table.t if t is None else t)
+        return cls(table=table, t=t, s=s, values=_apply(fn, t))
 
     @classmethod
     def from_values(cls, table: StaircaseTable, t, values) -> "GridFunction":
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        cls._require_set_points(table, t)
-        return cls(table=table, t=t, s=_interp_staircase(table, t), values=values)
+        t, s = cls._at_set_points(table, t)
+        return cls(table=table, t=t, s=s, values=values)
 
     @staticmethod
-    def _require_set_points(table, t):
-        bad = t[~_in_set(table, t)]
+    def _at_set_points(table, t):
+        """``t`` as a 1-d float array and S there; every point must be a set point."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        _require_span(table, t)
+        bad = t[~_search(table.t, t)[1]]
         if bad.size:
             raise ParameterError(
                 f"{bad.size} sample point(s) fall outside the set, first: {bad[0]!r}")
+        return t, _interp_staircase(table, t)
 
 
 def fractal_derivative(f: GridFunction, t: float) -> float:

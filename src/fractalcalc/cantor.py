@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ResolutionError, _count, _real
+from .errors import DomainError, ParameterError, ResolutionError, _count, _real
 
 DEFAULT_MAX_DEPTH = 24
 
@@ -94,7 +94,12 @@ class CantorSpec:
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Sorted, pairwise-disjoint closed intervals [left[i], right[i]]."""
+    """Sorted, pairwise-disjoint closed intervals [left[i], right[i]].
+
+    ``left`` and ``right`` are read-only stride-2 views of one array of
+    interleaved endpoints l0, r0, l1, r1, ..., kept without a copy when
+    they are given as such views of a read-only array (as ``generate`` does).
+    """
 
     left: np.ndarray
     right: np.ndarray
@@ -102,15 +107,22 @@ class IntervalSet:
     def __post_init__(self):
         left = np.atleast_1d(np.asarray(self.left, dtype=float))
         right = np.atleast_1d(np.asarray(self.right, dtype=float))
-        left.setflags(write=False)
-        right.setflags(write=False)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
         if left.ndim != 1 or left.shape != right.shape or left.size == 0:
             raise ParameterError("left and right must be matching non-empty 1-d arrays")
-        if np.any(left > right):
+        t = left.base
+        if not (isinstance(t, np.ndarray) and t is right.base and not t.flags.writeable
+                and left.__array_interface__ == t[0::2].__array_interface__
+                and right.__array_interface__ == t[1::2].__array_interface__):
+            t = np.empty(2 * left.size)
+            t[0::2], t[1::2] = left, right
+            t.setflags(write=False)
+        object.__setattr__(self, "_t", t)
+        object.__setattr__(self, "left", t[0::2])
+        object.__setattr__(self, "right", t[1::2])
+        # written so that NaN fails it too
+        if not np.all(t[0::2] <= t[1::2]):
             raise ParameterError("every interval needs left <= right")
-        if np.any(right[:-1] >= left[1:]):
+        if not np.all(t[1:-1:2] < t[2::2]):
             raise ParameterError("intervals must be sorted and pairwise disjoint")
 
     def __len__(self):
@@ -210,20 +222,29 @@ def _in_key_order(search, keys):
     return out.reshape(keys.shape)
 
 
+def _search(t, x):
+    """Search the interleaved breakpoints ``t`` of a set for the points ``x``.
+
+    Returns ``i = searchsorted(t, x, side="right")`` and the membership of
+    each point.  An odd i puts x inside the covering interval [t[i-1], t[i]);
+    an even i puts it in a gap, or outside the span, where it belongs to the
+    set only as the gap's left end t[i-1].
+    """
+    i = np.searchsorted(t, x, side="right")
+    return i, ((i & 1) == 1) | (t[i - 1] == x)
+
+
 def contains(iset: IntervalSet, t):
     """Closed-interval membership test, vectorized over ``t``.
 
     Returns a bool for scalar input, a boolean array otherwise.  Points
-    outside the base span are simply reported as absent.
+    outside the base span are simply reported as absent; a NaN raises
+    DomainError.
     """
     t_arr = np.asarray(t, dtype=float)
-
-    def search(x):
-        idx = np.searchsorted(iset.left, x, side="right") - 1
-        safe = np.clip(idx, 0, len(iset) - 1)
-        return (idx >= 0) & (x <= iset.right[safe])
-
-    inside = _in_key_order(search, t_arr)
+    if np.isnan(t_arr).any():
+        raise DomainError("t is or holds NaN")
+    inside = _in_key_order(lambda x: _search(iset._t, x)[1], t_arr)
     if t_arr.ndim == 0:
         return bool(inside)
     return inside

@@ -444,7 +444,8 @@ def warp_time(table: StaircaseTable, tau):
     """Smallest set point t with S(t) >= tau (the inverse staircase).
 
     Values inside a plateau's range return the plateau's left breakpoint, so
-    warp_time(S(t)) <= t with equality exactly on the rising segments.
+    warp_time(S(t)) is the gap's left end for t in a gap, and on the rising
+    segments t up to rounding (a few ulps, on either side of t).
     """
     arr = np.asarray(tau, dtype=float)
     s = table.s

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import (CantorSpec, IntervalSet, _breakpoints, _in_key_order, contains, generate,
-                     max_depth)
+from .cantor import (CantorSpec, IntervalSet, _breakpoints, _in_key_order, _search, contains,
+                     generate, max_depth)
 from .errors import DomainError, EstimationError, ParameterError, ResolutionError, _real
 
 _RAMP = 2 ** 14  # values per row of the s fill; 2^16 shows in a depth-18 build's peak
@@ -98,10 +98,11 @@ def l_alpha_sum(iset: IntervalSet, alpha: float, subdivision) -> float:
             or not np.all(np.diff(q) > 0):
         raise ParameterError("subdivision needs two or more finite, increasing points")
     starts, ends = q[:-1], q[1:]
-    # first covering interval that ends past the subinterval start
-    idx = np.searchsorted(iset.right, starts, side="right")
-    safe = np.clip(idx, 0, len(iset) - 1)
-    flag = (idx < len(iset)) & (iset.left[safe] < ends)
+    # a start inside a covering interval flags its subinterval; one in a gap
+    # flags it when the next interval, starting at t[j], begins before its end
+    t = iset._t
+    j = _search(t, starts)[0]
+    flag = ((j & 1) == 1) | ((j < t.size) & (t[np.minimum(j, t.size - 1)] < ends))
     return float(math.gamma(alpha + 1.0) * np.sum((ends - starts) ** alpha * flag))
 
 
@@ -117,14 +118,6 @@ def depth_for_resolution(spec: CantorSpec, delta: float) -> int:
                 f"resolving delta={delta!r} needs depth > {cap}; "
                 "set FRACTAL_CALC_MAX_DEPTH to raise the cap")
     return depth
-
-
-def _clip_positive(iset: IntervalSet, c1: float, c2: float):
-    # keep only overlaps of positive length; boundary touches carry no mass
-    lo = np.maximum(iset.left, c1)
-    hi = np.minimum(iset.right, c2)
-    keep = hi > lo
-    return lo[keep], hi[keep]
 
 
 def estimate_mass(spec: CantorSpec, alpha: float, c1: float, c2: float,
@@ -143,11 +136,9 @@ def estimate_mass(spec: CantorSpec, alpha: float, c1: float, c2: float,
         raise ParameterError("mass window needs c1 < c2")
     depth = depth_for_resolution(spec, delta)
     iset = generate(spec.with_depth(depth))
-    lo, hi = _clip_positive(iset, c1, c2)
-    if lo.size == 0:
-        value = 0.0
-    else:
-        value = float(math.gamma(alpha + 1.0) * np.sum((hi - lo) ** alpha))
+    # overlaps with [c1, c2]; misses and boundary touches carry no mass
+    overlap = np.minimum(iset.right, c2) - np.maximum(iset.left, c1)
+    value = float(math.gamma(alpha + 1.0) * np.sum(overlap[overlap > 0.0] ** alpha))
     return MassEstimate(alpha=alpha, delta=float(delta), value=value, depth=depth)
 
 
@@ -189,13 +180,18 @@ def _interp_staircase(table: StaircaseTable, t_arr: np.ndarray) -> np.ndarray:
     return _in_key_order(lambda x: np.interp(x, table._t, table._s), t_arr)
 
 
-def eval_staircase(table: StaircaseTable, t):
-    """Evaluate S(t); vectorized, exact at breakpoints and constant on gaps."""
-    t_arr = np.asarray(t, dtype=float)
+def _require_span(table: StaircaseTable, t_arr: np.ndarray):
+    """Raise DomainError unless every point of t_arr lies in the table's span."""
     lo, hi = table.span
     # written so that NaN fails it too
     if not (np.all(t_arr >= lo) and np.all(t_arr <= hi)):
         raise DomainError(f"t outside the tabulated span [{lo}, {hi}] or NaN")
+
+
+def eval_staircase(table: StaircaseTable, t):
+    """Evaluate S(t); vectorized, exact at breakpoints and constant on gaps."""
+    t_arr = np.asarray(t, dtype=float)
+    _require_span(table, t_arr)
     out = _interp_staircase(table, t_arr)
     if t_arr.ndim == 0:
         return float(out)
@@ -205,14 +201,9 @@ def eval_staircase(table: StaircaseTable, t):
 def characteristic(spec: CantorSpec, alpha: float, t):
     """Indicator scaled by 1/Gamma(alpha+1) on the depth-m set, zero off it."""
     alpha = _real("alpha", alpha, "(0, 1]")
-    iset = generate(spec)
-    t_arr = np.asarray(t, dtype=float)
-    inside = contains(iset, t_arr)
-    value = 1.0 / math.gamma(alpha + 1.0)
-    out = np.where(inside, value, 0.0)
-    if t_arr.ndim == 0:
-        return float(out)
-    return out
+    inside = contains(generate(spec), t)
+    out = np.where(inside, 1.0 / math.gamma(alpha + 1.0), 0.0)
+    return out if np.ndim(inside) else float(out)
 
 
 def _total_mass(iset: IntervalSet):

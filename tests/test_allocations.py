@@ -16,9 +16,12 @@ from fractalcalc import (
     CantorSpec,
     GridFunction,
     build_staircase,
+    contains,
     eval_staircase,
     generate,
     hausdorff_dimension,
+    in_set,
+    l_alpha_sum,
 )
 
 DEPTH = 18
@@ -41,6 +44,11 @@ def _peak(fn, depth=DEPTH):
 @pytest.fixture(scope="module")
 def table():
     return build_staircase(SPEC, ALPHA)
+
+
+@pytest.fixture(scope="module")
+def iset():
+    return generate(SPEC)
 
 
 def test_generate_peak_is_the_last_doubling():
@@ -71,18 +79,24 @@ _POINTS = np.random.default_rng(7).uniform(0.0, 1.0, 1000)
 _SET_POINTS = np.sort(np.random.default_rng(8).choice(2 * 2 ** DEPTH, 2000, replace=False))
 
 _QUERIES = {
-    "eval-1000": lambda table: eval_staircase(table, _POINTS),
-    "eval-scalar": lambda table: eval_staircase(table, 0.3),
-    "from-function-2000": lambda table: GridFunction.from_function(
+    "eval-1000": lambda table, iset: eval_staircase(table, _POINTS),
+    "eval-scalar": lambda table, iset: eval_staircase(table, 0.3),
+    "from-function-2000": lambda table, iset: GridFunction.from_function(
         table, np.sin, t=table.t[_SET_POINTS]),
-    "from-values-2000": lambda table: GridFunction.from_values(
+    "from-values-2000": lambda table, iset: GridFunction.from_values(
         table, table.t[_SET_POINTS], _SET_POINTS),
+    # membership searches the set's own breakpoints; an interleaving copy of
+    # left and right would show as a whole table array
+    "contains-1000": lambda table, iset: contains(iset, _POINTS),
+    "contains-scalar": lambda table, iset: contains(iset, 0.3),
+    "in-set-scalar": lambda table, iset: in_set(table, 0.3),
+    "l-alpha-sum-1000": lambda table, iset: l_alpha_sum(iset, ALPHA, np.sort(_POINTS)),
 }
 
 
 @pytest.mark.parametrize("query", _QUERIES.values(), ids=_QUERIES.keys())
-def test_queries_allocate_for_the_query_not_the_table(table, query):
-    assert _peak(lambda: query(table)) <= 0.05
+def test_queries_allocate_for_the_query_not_the_table(table, iset, query):
+    assert _peak(lambda: query(table, iset)) <= 0.05
 
 
 def test_public_arrays_stay_read_only(table):

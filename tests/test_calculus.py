@@ -14,10 +14,11 @@ from fractalcalc import (
     eval_staircase,
     fractal_derivative,
     fractal_integral,
+    hausdorff_dimension,
     in_set,
     set_samples,
 )
-from fractalcalc.calculus import _segment_index
+from fractalcalc.cantor import _search
 
 ALPHA = 0.7564707973660301
 GAMMA = math.gamma(ALPHA + 1.0)
@@ -167,6 +168,34 @@ def test_ftc_error_shrinks_with_depth():
     assert errors[-1] <= 1e-2 * GAMMA ** 2
 
 
+def _observed_orders(errors, spacings):
+    errors, spacings = np.asarray(errors), np.asarray(spacings)
+    return np.log(errors[:-1] / errors[1:]) / np.log(spacings[:-1] / spacings[1:])
+
+
+def test_operators_converge_at_their_stated_orders():
+    # exp(S) on a depth-8 table with p interior samples per covering
+    # segment, whose spacing within a segment is 1/(p+1) of its length: the
+    # symmetric quotient is second order inside the segments and first
+    # order at the samples next to a gap, where S is flat; the left sum is
+    # first order
+    tab = build_staircase(CantorSpec(mu=0.2, depth=8), hausdorff_dimension(0.2))
+    median, largest, integral, spacings = [], [], [], []
+    for p in (8, 16, 32):
+        f = GridFunction.from_function(
+            tab, lambda t: np.exp(eval_staircase(tab, t)), t=set_samples(tab, p))
+        err = np.abs(derivative_grid(f).values - np.exp(f.s))
+        median.append(np.median(err))
+        largest.append(err.max())
+        exact = math.exp(f.s[-1]) - math.exp(f.s[0])
+        integral.append(abs(fractal_integral(f, *tab.span) - exact))
+        spacings.append(1.0 / (p + 1))
+    # measured: 2.09 and 2.04, then 1.00 for the largest error and the sum
+    for errors, lo, hi in ((median, 1.9, 2.2), (largest, 0.95, 1.05), (integral, 0.95, 1.05)):
+        orders = _observed_orders(errors, spacings)
+        assert np.all((lo <= orders) & (orders <= hi)), orders
+
+
 def test_set_samples_layout(table):
     grid = set_samples(table, 2)
     assert grid.size == 2 * len(table.t)
@@ -176,6 +205,7 @@ def test_set_samples_layout(table):
 
 
 def test_segment_index_alternates(table):
-    # even segments cover set intervals, odd segments cover gaps
-    assert _segment_index(table, 0.1) % 2 == 0
-    assert _segment_index(table, 0.5) % 2 == 1
+    # segment k runs from breakpoint k to k + 1: even segments cover set
+    # intervals, odd segments cover gaps
+    assert (_search(table.t, 0.1)[0] - 1) % 2 == 0
+    assert (_search(table.t, 0.5)[0] - 1) % 2 == 1

@@ -167,6 +167,14 @@ def test_bad_horizons_and_steps_are_usage_errors(argv, capsys):
 _SPECIAL = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
 # bounded so that no draw runs more than a few hundred steps
 _FLAGS = {
+    "--mu": st.one_of(_SPECIAL, st.floats(-0.5, 1.5)),
+    "--origin": st.one_of(_SPECIAL, st.floats(-2.0, 2.0)),
+    "--extent": st.one_of(_SPECIAL, st.floats(-1.0, 3.0)),
+    "--alpha": st.one_of(_SPECIAL, st.floats(-0.5, 1.5)),
+    "--t0": st.one_of(_SPECIAL, st.floats(-0.5, 1.5)),
+    "--samples": st.integers(-2, 50),
+    "--lower": st.one_of(_SPECIAL, st.floats(-0.5, 1.5)),
+    "--upper": st.one_of(_SPECIAL, st.floats(-0.5, 1.5)),
     "--t-end": st.one_of(_SPECIAL, st.floats(-0.5, 1.5)),
     "--dtau": st.one_of(_SPECIAL, st.floats(1e-2, 2.0)),
     "--horizon": st.one_of(_SPECIAL, st.floats(-1.0, 5.0)),
@@ -174,7 +182,17 @@ _FLAGS = {
     "--z0": st.one_of(_SPECIAL, st.floats(-1e3, 1e3)),
     "--record-every": st.integers(-2, 5),
 }
+_SET = ("--mu", "--origin", "--extent")
 _COMMANDS = {
+    "cantor": (["cantor"], _SET),
+    "staircase": (["staircase"], _SET + ("--alpha", "--t0", "--samples")),
+    "chi": (["chi"], _SET + ("--alpha", "--samples")),
+    "dimension": (["dimension"], _SET),
+    "deriv": (["deriv", "--function", "t**2"], _SET + ("--alpha", "--t0")),
+    "integrate": (["integrate", "--function", "exp(t)"],
+                  _SET + ("--alpha", "--t0", "--lower", "--upper")),
+    "verify": (["verify", "--theorem", "1"], ["verify", "--theorem", "2"],
+               _SET + ("--alpha", "--t0", "--t-end", "--dtau")),
     "solve": (["solve", "--system", "example1"], ["solve", "--system", "example2"],
               ("--t-end", "--dtau", "--y0", "--z0", "--record-every")),
     "stability": (["stability", "--system", "example1"],
@@ -185,7 +203,7 @@ _COMMANDS = {
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=120)
+@settings(max_examples=300)
 @given(data=st.data())
 def test_numeric_flags_end_in_a_documented_exit_code(data):
     command = data.draw(st.sampled_from(sorted(_COMMANDS)), label="command")

@@ -16,6 +16,7 @@ from fractalcalc import (
     build_staircase,
     eval_staircase,
     example1_exact,
+    example1_field,
     example2_system,
     example3_system,
     linear_damped_system,
@@ -76,6 +77,17 @@ def test_euler_converges_linearly(table):
         errs.append(abs(traj.y[-1] - example1_exact(1.0, traj.tau[-1])))
     assert errs[0] > errs[1]
     assert errs[1] / errs[0] == pytest.approx(0.1, rel=0.2)
+
+
+def test_rk4_converges_at_fourth_order(long_table):
+    # example 1 against its closed form exp(-S) at t = 60, halving dtau
+    # from 0.2 to 0.025; the observed orders are about 4.12, 4.06 and 4.03
+    errs = []
+    for dtau in (0.2, 0.1, 0.05, 0.025):
+        traj = solve_first_order(example1_field, long_table, 1.0, 60.0, dtau=dtau)
+        errs.append(abs(traj.y[-1] - example1_exact(1.0, traj.tau[-1])))
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all((3.8 <= orders) & (orders <= 4.2)), orders
 
 
 def test_record_every_thins_output(table):

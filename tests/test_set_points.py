@@ -11,15 +11,19 @@ import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalcalc import (
     CantorSpec,
+    DomainError,
     GridFunction,
     build_staircase,
+    characteristic,
     contains,
     eval_staircase,
+    fractal_derivative,
     gamma_dimension,
     generate,
     hausdorff_dimension,
@@ -27,7 +31,7 @@ from fractalcalc import (
     warp_time,
 )
 from fractalcalc import staircase as staircase_module
-from fractalcalc.calculus import _in_set
+from fractalcalc.cantor import _search
 from fractalcalc.cli import main
 
 MUS = st.floats(0.05, 0.9)
@@ -54,7 +58,7 @@ def test_array_membership_matches_scalar_in_set(mu, depth, t0, seed):
     table = _table(mu, depth, t0)
     pts = _shuffled_points(table, seed)
     expected = [in_set(table, x) for x in pts.tolist()]
-    assert _in_set(table, pts).tolist() == expected
+    assert _search(table.t, pts)[1].tolist() == expected
 
 
 @settings(max_examples=25)
@@ -109,3 +113,39 @@ def test_in_set_agrees_with_contains(mu, depth, origin, length):
     iset = generate(table.spec)
     assert [in_set(table, x) for x in pts.tolist()] == \
         [contains(iset, x) for x in pts.tolist()]
+
+
+_SPEC = CantorSpec(mu=0.2, depth=4)
+_ALPHA = hausdorff_dimension(0.2)
+_TABLE = build_staircase(_SPEC, _ALPHA)
+_ISET = generate(_SPEC)
+_SAMPLES = GridFunction.from_function(_TABLE, np.cos)
+# each function, and its answer at a point outside the span [0, 1]; the
+# scalar-only functions get their array as a 0-d one
+_MEMBERSHIP = {
+    "contains": (lambda t: contains(_ISET, t), False),
+    "characteristic": (lambda t: characteristic(_SPEC, _ALPHA, t), 0.0),
+    "in_set": (lambda t: in_set(_TABLE, t if np.ndim(t) == 0 else np.asarray(t[-1])),
+               DomainError),
+    "from_values": (lambda t: GridFunction.from_values(_TABLE, t, np.ones(np.shape(t))),
+                    DomainError),
+    "fractal_derivative": (
+        lambda t: fractal_derivative(_SAMPLES, t if np.ndim(t) == 0 else np.asarray(t[-1])),
+        DomainError),
+    "eval_staircase": (lambda t: eval_staircase(_TABLE, t), DomainError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEMBERSHIP))
+def test_nan_raises_and_points_outside_the_span_keep_their_answers(name):
+    fn, outside = _MEMBERSHIP[name]
+    for nan in (np.nan, np.array([0.0, np.nan])):
+        with pytest.raises(DomainError):
+            fn(nan)
+    for point in (-0.5, 1.5, -np.inf, np.inf):
+        if outside is DomainError:
+            with pytest.raises(DomainError):
+                fn(point)
+        else:
+            assert fn(point) == outside
+            assert fn(np.array([0.0, point])).tolist() == [fn(0.0), outside]

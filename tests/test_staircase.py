@@ -23,6 +23,7 @@ from fractalcalc import (
     hausdorff_dimension,
     l_alpha_sum,
     max_depth,
+    warp_time,
 )
 
 ALPHA_02 = 0.7564707973660301          # order matching the mu=0.2 set
@@ -337,3 +338,35 @@ def test_total_mass_is_gamma_at_every_depth(mu, extent):
         table = build_staircase(CantorSpec(mu=mu, depth=depth, extent=extent), alpha)
         err = abs(eval_staircase(table, extent) - expected)
         assert err <= 4 * EPS * expected, depth
+
+
+@settings(max_examples=40)
+@given(mu=st.floats(0.05, 0.9), depth=st.integers(0, 10), origin=st.floats(-10.0, 10.0),
+       length=st.floats(0.1, 100.0), anchor=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_staircase_is_flat_on_gaps_and_warp_time_inverts_it(mu, depth, origin, length,
+                                                             anchor, seed):
+    spec = CantorSpec(mu=mu, depth=depth, origin=origin, extent=origin + length)
+    table = build_staircase(spec, hausdorff_dimension(mu), t0=origin + anchor * length)
+    t, s = table.t, table.s
+    assert np.all(s[1:] >= s[:-1])
+    assert np.array_equal(s[1:-1:2], s[2::2])
+    # breakpoints, segment midpoints, points inside covering intervals and
+    # points anywhere in the span
+    rng = np.random.default_rng(seed)
+    k = 2 * rng.integers(0, t.size // 2, 200)
+    x = np.concatenate([t, 0.5 * (t[:-1] + t[1:]),
+                        t[k] + rng.uniform(0.0, 1.0, k.size) * (t[k + 1] - t[k]),
+                        rng.uniform(t[0], t[-1], 200)])
+    assert np.all(np.diff(eval_staircase(table, np.sort(x))) >= 0.0)
+    # a gap is closed, [t[2i+1], t[2i+2]]: its right end is also the left end
+    # of the next covering interval, where S has not yet risen
+    j = np.searchsorted(t, x, side="right")
+    odd = j % 2 == 1
+    in_gap = (~odd & (j < t.size)) | (odd & (j >= 3) & (x == t[j - 1]))
+    gap_start = t[np.where(odd, j - 2, j - 1)]
+    back = warp_time(table, eval_staircase(table, x))
+    assert np.array_equal(back[in_gap], gap_start[in_gap])
+    # elsewhere S rises, and warp_time returns t to within rounding; it is
+    # not always <= t, since S(t) is rounded before it is inverted
+    assert np.all(np.abs(back[~in_gap] - x[~in_gap]) <= 4.0 * np.spacing(np.max(np.abs(t))))
