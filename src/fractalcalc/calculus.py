@@ -7,6 +7,7 @@ values against staircase increments; both collapse to the classical
 operations when the staircase is the identity.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,12 @@ from .staircase import StaircaseTable, _interp_staircase, _require_span, eval_st
 
 
 def in_set(table: StaircaseTable, t: float) -> bool:
-    """Whether t lies in the depth-m set the table was built from."""
-    t = np.float64(t)
+    """Whether the real number t lies in the depth-m set the table was built from."""
+    if isinstance(t, np.ndarray) and t.ndim == 0:
+        t = t[()]
+    # a NaN t goes on to the span check: a DomainError, like a point outside
+    if not (isinstance(t, numbers.Real) and t != t):
+        t = _real("t", t, "[-inf, inf]")
     _require_span(table, t)
     return bool(_search(table.t, t)[1])
 
@@ -105,9 +110,9 @@ def fractal_derivative(f: GridFunction, t: float) -> float:
     symmetric quotient (values[i+1] - values[i-1]) / (s[i+1] - s[i-1]); the
     first and last samples fall back to one-sided quotients.
     """
-    t = float(t)
     if not in_set(f.table, t):  # raises DomainError outside the span
         return 0.0
+    t = float(t)
     i = int(np.searchsorted(f.t, t))
     if i >= len(f) or f.t[i] != t:
         raise ParameterError(

@@ -92,13 +92,14 @@ class CantorSpec:
         return CantorSpec(self.mu, depth, self.origin, self.extent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalSet:
     """Sorted, pairwise-disjoint closed intervals [left[i], right[i]].
 
     ``left`` and ``right`` are read-only stride-2 views of one array of
     interleaved endpoints l0, r0, l1, r1, ..., kept without a copy when
     they are given as such views of a read-only array (as ``generate`` does).
+    Two sets are equal when their endpoints are; a set is not hashable.
     """
 
     left: np.ndarray
@@ -124,6 +125,11 @@ class IntervalSet:
             raise ParameterError("every interval needs left <= right")
         if not np.all(t[1:-1:2] < t[2::2]):
             raise ParameterError("intervals must be sorted and pairwise disjoint")
+
+    def __eq__(self, other):
+        if not isinstance(other, IntervalSet):
+            return NotImplemented
+        return bool(np.array_equal(self._t, other._t))
 
     def __len__(self):
         return int(self.left.size)

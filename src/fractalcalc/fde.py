@@ -14,9 +14,10 @@ piecewise-linear interpolation of Trajectory.at_time reproduces.
 ``_integrate`` is the one fixed-step loop of the package.  It marches a
 state of shape (dim,) or a block of shape (dim, B), one column per initial
 state, as a sequence of dim components, 1 or 2: Python floats for one
-state, rows of shape (B,) for a block.  The right-hand side maps (tau,
-components) to dim component derivatives, each a scalar or an array that
-broadcasts to the rows, so no step packs the components into one array.
+state, rows of shape (B,) for a block.  The right-hand side takes them
+positionally, rhs(tau, y) or rhs(tau, y, z), and returns dim derivatives,
+each a scalar or an array that broadcasts to the rows, so no step packs the
+components into a container: FdeSystem.rhs is a flow as it stands.
 A step on Python floats that raises (1/0, an overflowing power) or yields
 anything but floats (a complex root, a narrower numpy scalar) is redone on
 np.float64, so 1/0 and a negative base to a fractional power give inf/nan
@@ -198,21 +199,13 @@ class Trajectory:
     @property
     def terminal(self):
         """Final state, (y,) or (y, z)."""
-        if self.z is None:
-            return (float(self.y[-1]),)
-        return float(self.y[-1]), float(self.z[-1])
+        return tuple(float(x[-1]) for x in (self.y, self.z) if x is not None)
 
     def at_time(self, t):
         """State at time t by interpolation in tau; constant across gaps."""
-        tau = eval_staircase(self.table, t)
-        tau = np.clip(tau, self.tau[0], self.tau[-1])
-        y = np.interp(tau, self.tau, self.y)
-        if self.z is None:
-            return (y if np.ndim(t) else float(y),)
-        z = np.interp(tau, self.tau, self.z)
-        if np.ndim(t):
-            return y, z
-        return float(y), float(z)
+        tau = np.clip(eval_staircase(self.table, t), self.tau[0], self.tau[-1])
+        state = [np.interp(tau, self.tau, x) for x in (self.y, self.z) if x is not None]
+        return tuple(state if np.ndim(t) else map(float, state))
 
 
 class _BlowupSignal(Exception):
@@ -228,10 +221,10 @@ def _rk4_step1(rhs, tau, x, h):
     # pinned bit for bit
     y, = x
     half = 0.5 * h
-    a, = rhs(tau, x)
-    b, = rhs(tau + half, [y + half * a])
-    c, = rhs(tau + half, [y + half * b])
-    d, = rhs(tau + h, [y + h * c])
+    a, = rhs(tau, y)
+    b, = rhs(tau + half, y + half * a)
+    c, = rhs(tau + half, y + half * b)
+    d, = rhs(tau + h, y + h * c)
     sixth = h / 6.0
     return [y + sixth * (a + 2.0 * (b + c) + d)]
 
@@ -240,17 +233,17 @@ def _rk4_step2(rhs, tau, x, h):
     # classical RK4 on two components, with the groupings of _rk4_step1
     y, z = x
     half = 0.5 * h
-    a, p = rhs(tau, x)
-    b, q = rhs(tau + half, [y + half * a, z + half * p])
-    c, r = rhs(tau + half, [y + half * b, z + half * q])
-    d, s = rhs(tau + h, [y + h * c, z + h * r])
+    a, p = rhs(tau, y, z)
+    b, q = rhs(tau + half, y + half * a, z + half * p)
+    c, r = rhs(tau + half, y + half * b, z + half * q)
+    d, s = rhs(tau + h, y + h * c, z + h * r)
     sixth = h / 6.0
     return [y + sixth * (a + 2.0 * (b + c) + d),
             z + sixth * (p + 2.0 * (q + r) + s)]
 
 
 def _euler_step(rhs, tau, x, h):
-    return [xi + h * ki for xi, ki in zip(x, rhs(tau, x))]
+    return [xi + h * ki for xi, ki in zip(x, rhs(tau, *x))]
 
 
 # by method, then by component count: every flow of the package has one or
@@ -259,17 +252,27 @@ _STEPPERS = {"rk4": {1: _rk4_step1, 2: _rk4_step2},
              "euler": {1: _euler_step, 2: _euler_step}}
 
 
+# the per-step tests of a one-state march, by component count: the step
+# stayed on Python floats, and it stayed in the ball (NaN fails the
+# comparison, so this catches non-finite values too)
+_FLOATS = {1: lambda x: type(x[0]) is float,
+           2: lambda x: type(x[0]) is float and type(x[1]) is float}
+_INSIDE = {1: lambda x, limit: abs(x[0]) <= limit,
+           2: lambda x, limit: abs(x[0]) <= limit and abs(x[1]) <= limit}
+
+
 def _integrate(rhs, tau_end, state0, dtau, method, record_every,
                limit=BLOWUP_LIMIT, on_escape="raise"):
     """Fixed-step march from tau=0 to tau_end, recording every k-th step.
 
-    state0 has shape (dim,) or (dim, B) with dim 1 or 2; rhs(tau, comps)
-    receives its dim components (floats, or rows of shape (B,)) and returns
-    dim component derivatives.  The last step is shortened so the grid
-    lands exactly on tau_end.  The initial state and the final state are
-    always recorded.  Returns (taus, states, escaped): states has shape
-    (n_records,) + state0.shape and escaped marks the columns (axis 1 of a
-    (dim, B) block) that left the ball |x| <= limit or went non-finite.
+    state0 has shape (dim,) or (dim, B) with dim 1 or 2; rhs(tau, *comps)
+    receives its dim components positionally (floats, or rows of shape
+    (B,)) and returns dim component derivatives.  The last step is
+    shortened so the grid lands exactly on tau_end.  The initial state and
+    the final state are always recorded.  Returns (taus, states, escaped):
+    states has shape (n_records,) + state0.shape and escaped marks the
+    columns (axis 1 of a (dim, B) block) that left the ball |x| <= limit or
+    went non-finite.
 
     A (dim,) march carries Python floats, which round + - * / ** exactly as
     np.float64 does.  They differ where Python raises (1/0, an overflowing
@@ -286,8 +289,9 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
     on_escape="raise" raises _BlowupSignal with the records so far at the
     first escape.  on_escape="freeze" clips escaped columns to the ball and
     holds them at that value from then on; the other columns integrate
-    undisturbed.  Each step tests the whole state once; the per-column
-    bookkeeping, on a stacked block, runs only once some column has escaped.
+    undisturbed.  Each step tests the whole state once, through tests chosen
+    before the loop for the state's shape; the per-column bookkeeping, on a
+    stacked block, runs only once some column has escaped.
 
     dtau and limit must be finite and positive, tau_end finite and >= 0,
     record_every an integer >= 1, the state 1 or 2 components and the march
@@ -319,17 +323,15 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
     taus[0] = 0.0
     states[0] = block
     escaped = np.zeros(block.shape[1:], dtype=bool)
-    # NaN fails the comparisons, so these tests cover non-finite values too;
-    # one reduction over the stacked rows is cheaper than one per row
-    if block.ndim == 1:
-        def inside(x):
-            return all(abs(c) <= limit for c in x)
+    floats = block.ndim == 1
+    if floats:
+        is_floats, inside = _FLOATS[len(block)], _INSIDE[len(block)]
         state = block.tolist()
     else:
-        def inside(x):
+        # one reduction over the stacked rows is cheaper than one per row
+        def inside(x, limit):
             return np.abs(x).max() <= limit
         state = list(block)
-    floats = block.ndim == 1
     frozen = False
     tau = 0.0
     r = 1
@@ -339,7 +341,7 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
         if floats:
             try:
                 new = stepper(rhs, tau, state, h)
-                floats = all(type(c) is float for c in new)
+                floats = is_floats(new)
             except Exception:
                 # a real error of the flow raises again on the retry
                 floats = False
@@ -350,7 +352,7 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
         else:
             new = stepper(rhs, tau, state, h)
         tau = tau_end if last else (k + 1) * dtau
-        if frozen or not inside(new):
+        if frozen or not inside(new, limit):
             if on_escape == "raise":
                 raise _BlowupSignal(taus[:r], states[:r], tau)
             new = np.array(new)
@@ -407,6 +409,11 @@ def _solve(rhs, table, state0, t_end, dtau, method, record_every, blowup_limit):
     return trajectory(taus, states)
 
 
+def _first_order(g):
+    """The flow of D y = g(y) under the right-hand-side contract of _integrate."""
+    return lambda tau, y: (g(y),)
+
+
 def solve_first_order(g, table: StaircaseTable, h0: float, t_end: float,
                       dtau: float = 1e-3, method: str = "rk4",
                       record_every: int = 1,
@@ -417,11 +424,8 @@ def solve_first_order(g, table: StaircaseTable, h0: float, t_end: float,
     that leaves the blow-up ball, ends in a NumericalBlowupError carrying
     the partial trajectory.
     """
-    def rhs(tau, x):
-        return (g(x[0]),)
-
-    return _solve(rhs, table, [_real("h0", h0, "[-inf, inf]")], t_end, dtau,
-                  method, record_every, blowup_limit)
+    return _solve(_first_order(g), table, [_real("h0", h0, "[-inf, inf]")],
+                  t_end, dtau, method, record_every, blowup_limit)
 
 
 def solve_second_order(sys: FdeSystem, table: StaircaseTable, y0: float,
@@ -432,11 +436,8 @@ def solve_second_order(sys: FdeSystem, table: StaircaseTable, y0: float,
 
     y0 and z0 follow the rule for h0 of solve_first_order.
     """
-    def rhs(tau, x):
-        return sys.rhs(tau, x[0], x[1])
-
     state0 = [_real("y0", y0, "[-inf, inf]"), _real("z0", z0, "[-inf, inf]")]
-    return _solve(rhs, table, state0, t_end, dtau, method, record_every,
+    return _solve(sys.rhs, table, state0, t_end, dtau, method, record_every,
                   blowup_limit)
 
 

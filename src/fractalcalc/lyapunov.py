@@ -25,9 +25,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cantor import _max_samples
-from .errors import ParameterError, PreconditionError, _count, _real
+from .errors import DomainError, ParameterError, PreconditionError, _count, _real
 from .fde import (BLOWUP_LIMIT, FdeConstants, FdeSystem, _apply, _central_diff,
-                  _integrate, _tau_horizon, warp_time)
+                  _first_order, _integrate, _tau_horizon, warp_time)
 from .staircase import StaircaseTable
 
 
@@ -90,12 +90,12 @@ def as_tau_field(flow):
     """Normalize a flow description to (rhs, dim).
 
     Accepts an FdeSystem, a scalar map g(y) for first order problems, or a
-    planar field field(tau, y, z) returning (Dy, Dz).  The returned rhs maps
-    (tau, components) to a tuple of component derivatives, the contract of
-    fde._integrate.
+    planar field field(tau, y, z) returning (Dy, Dz).  The rhs takes the
+    components positionally, the contract of fde._integrate: ``flow.rhs``
+    for an FdeSystem, the field itself, or g wrapped as (tau, y) -> (g(y),).
     """
     if isinstance(flow, FdeSystem):
-        return (lambda tau, st: flow.rhs(tau, st[0], st[1])), 2
+        return flow.rhs, 2
     if not callable(flow):
         raise ParameterError(
             f"flow must be callable or an FdeSystem, got {type(flow).__name__}")
@@ -106,9 +106,9 @@ def as_tau_field(flow):
             "cannot inspect the flow's signature; wrap it in a function of "
             "1 argument (y) or 3 (tau, y, z)") from None
     if n_params == 1:
-        return (lambda tau, st: (flow(st[0]),)), 1
+        return _first_order(flow), 1
     if n_params == 3:
-        return (lambda tau, st: tuple(flow(tau, st[0], st[1]))), 2
+        return flow, 2
     raise ParameterError(
         f"flow must take 1 argument (y) or 3 (tau, y, z), got {n_params}")
 
@@ -117,9 +117,12 @@ def lyapunov_derivative(L: LyapunovFunction, flow, state, tau=0.0):
     """Derivative of L along the flow at one state, in the staircase clock.
 
     Computes grad_tau + sum_i dV/dx_i * field_i and vectorizes over
-    array-valued state components.
+    array-valued state components.  A NaN in the state is a ParameterError,
+    a NaN tau a DomainError.
     """
     rhs, dim = as_tau_field(flow)
+    if np.isnan(np.asarray(tau, dtype=float)).any():
+        raise DomainError("tau is or holds NaN")
     if isinstance(state, tuple):
         comps = tuple(np.asarray(x, dtype=float) for x in state)
     else:
@@ -134,7 +137,9 @@ def lyapunov_derivative(L: LyapunovFunction, flow, state, tau=0.0):
                 f"pass a tuple of {dim} components (arrays allowed)")
     if len(comps) != dim:
         raise ParameterError(f"state has {len(comps)} component(s), flow expects {dim}")
-    derivs = rhs(tau, comps)
+    if any(np.isnan(x).any() for x in comps):
+        raise ParameterError("state is or holds NaN")
+    derivs = rhs(tau, *comps)
     grads = L.state_gradient(tau, comps)
     total = L.time_gradient(tau, comps)
     for g, d in zip(grads, derivs):
@@ -166,13 +171,13 @@ def _batch_integrate(rhs, dim, Y0, tau_end, dtau, record_every,
     n_cols = Y.shape[1]
     try:
         probe = np.stack([np.broadcast_to(np.asarray(c, dtype=float), (n_cols,))
-                          for c in rhs(0.0, list(Y))])
+                          for c in rhs(0.0, *Y)])
         on_rows = probe.shape == (dim, n_cols) and bool(np.all(np.isfinite(probe)))
     except (TypeError, ValueError):
         on_rows = False
 
-    def by_column(tau, rows):
-        outs = [rhs(tau, col) for col in zip(*rows)]
+    def by_column(tau, *rows):
+        outs = [rhs(tau, *col) for col in zip(*rows)]
         if len(outs[0]) != dim:
             raise ParameterError(
                 f"flow returned {len(outs[0])} component(s), expected {dim}")
@@ -272,7 +277,7 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=0.0,
     eq = np.atleast_1d(np.asarray(equilibrium, dtype=float))
     if eq.size != dim:
         raise ParameterError(f"equilibrium needs {dim} component(s), got {eq.size}")
-    resid = float(np.max(np.abs(np.asarray(rhs(0.0, tuple(eq)), dtype=float))))
+    resid = float(np.max(np.abs(np.asarray(rhs(0.0, *eq), dtype=float))))
     if not resid < 1e-9:
         raise ParameterError(
             f"not an equilibrium: field magnitude {resid:.3g} at the given state")
@@ -385,16 +390,8 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=0.0,
 # structural assumption checks (C1)-(C7)
 # ---------------------------------------------------------------------------
 
-def _default_tau():
-    return np.linspace(0.0, 20.0, 401)
-
-
 def _default_state():
     return np.linspace(-5.0, 5.0, 201)
-
-
-def _default_growth():
-    return np.geomspace(1.0, 1e3, 13)
 
 
 @dataclass(frozen=True)
@@ -414,10 +411,10 @@ class AssumptionGrids:
     """
 
     alpha: float
-    tau: np.ndarray = field(default_factory=_default_tau)
+    tau: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 20.0, 401))
     y: np.ndarray = field(default_factory=_default_state)
     z: np.ndarray = field(default_factory=_default_state)
-    y_growth: np.ndarray = field(default_factory=_default_growth)
+    y_growth: np.ndarray = field(default_factory=lambda: np.geomspace(1.0, 1e3, 13))
     tail_windows: tuple = (5.0, 10.0, 20.0, 40.0)
     tail_tol: float = 1e-3
     zero_tol: float = 1e-12
@@ -466,8 +463,7 @@ class AssumptionReport:
         return iter(self.conditions.values())
 
     def all_pass(self, names=None) -> bool:
-        names = list(names) if names else list(self.conditions)
-        return all(self.conditions[n].passed for n in names)
+        return not self.failing(names)
 
     def failing(self, names=None):
         names = list(names) if names else list(self.conditions)
@@ -699,9 +695,8 @@ def _march_fan(sys, table, conditions, grids, initial_states, t_end, dtau,
             + ", ".join(f"{n} (margin {report[n].worst_margin:.3g})"
                         for n in failing),
             failing=failing)
-    rhs, _ = as_tau_field(sys)
     return (report, t_end, tau_end,
-            *_batch_integrate(rhs, 2, Y0.T, tau_end, dtau, record_every))
+            *_batch_integrate(sys.rhs, 2, Y0.T, tau_end, dtau, record_every))
 
 
 @dataclass

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from fractalcalc import (
     AssumptionGrids,
     CantorSpec,
+    DomainError,
     FdeConstants,
     FractalCalcError,
     GridFunction,
@@ -34,12 +35,16 @@ from fractalcalc import (
     dimension_sweep,
     estimate_mass,
     example1_field,
+    example1_lyapunov,
     example3_system,
+    fractal_derivative,
     fractal_integral,
     gamma_dimension,
     generate,
     hausdorff_dimension,
+    in_set,
     l_alpha_sum,
+    lyapunov_derivative,
     set_samples,
     solve_first_order,
     solve_second_order,
@@ -121,6 +126,8 @@ CALLS = {
     "set_samples.per_segment": lambda v: set_samples(TABLE, v),
     "fractal_integral.a": lambda v: fractal_integral(SAMPLES, v, 2.0),
     "fractal_integral.b": lambda v: fractal_integral(SAMPLES, 0.0, v),
+    "in_set.t": lambda v: in_set(TABLE, v),
+    "fractal_derivative.t": lambda v: fractal_derivative(SAMPLES, v),
     "solve_first_order.h0": lambda v: solve_first_order(_decay, TABLE, v, 1.0,
                                                         dtau=0.05),
     "solve_first_order.t_end": lambda v: _solve1(t_end=v),
@@ -237,6 +244,13 @@ HOLES = {
                                                math.nan, 1.0),
     "int-beyond-float-delta": lambda: depth_for_resolution(SPEC, 10**400),
     "int-beyond-float-extent": lambda: CantorSpec(mu=MU, depth=3, extent=10**400),
+    "in-set-list": lambda: in_set(TABLE, [0.1, 0.2]),
+    "in-set-string": lambda: in_set(TABLE, "x"),
+    "fractal-derivative-list": lambda: fractal_derivative(SAMPLES, [0.1, 0.2]),
+    "lyapunov-derivative-nan-state": lambda: lyapunov_derivative(
+        example1_lyapunov(), example1_field, math.nan),
+    "lyapunov-derivative-nan-in-state": lambda: lyapunov_derivative(
+        example1_lyapunov(), example1_field, np.array([1.0, math.nan])),
 }
 
 
@@ -244,6 +258,21 @@ HOLES = {
 def test_holes_are_parameter_errors(name):
     with pytest.raises(ParameterError):
         HOLES[name]()
+
+
+# a NaN time or clock query is a domain error, like a point outside the span
+DOMAIN_HOLES = {
+    "lyapunov-derivative-nan-tau": lambda: lyapunov_derivative(
+        example1_lyapunov(), example1_field, 1.0, tau=math.nan),
+    "in-set-nan": lambda: in_set(TABLE, math.nan),
+    "fractal-derivative-nan": lambda: fractal_derivative(SAMPLES, math.nan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_HOLES))
+def test_nan_queries_are_domain_errors(name):
+    with pytest.raises(DomainError):
+        DOMAIN_HOLES[name]()
 
 
 def test_stability_horizon_zero_is_a_usage_error():

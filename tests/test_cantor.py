@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fractalcalc import (
     CantorSpec,
+    IntervalSet,
     ParameterError,
     ResolutionError,
     build_staircase,
@@ -246,6 +247,22 @@ def test_generate_returns_views_of_one_array():
     iset = generate(CantorSpec(mu=0.2, depth=5))
     assert iset.left.base is iset.right.base
     assert not iset.left.base.flags.writeable
+
+
+def test_sets_compare_by_their_endpoints():
+    spec = CantorSpec(mu=0.2, depth=5)
+    iset = generate(spec)
+    assert iset == generate(spec)
+    assert iset == IntervalSet(iset.left.copy(), iset.right.copy())
+    assert not iset != generate(spec)
+    # unequal endpoints, a different length, another type
+    assert iset != generate(CantorSpec(mu=0.3, depth=5))
+    assert iset != generate(CantorSpec(mu=0.2, depth=5, extent=2.0))
+    assert iset != generate(spec.with_depth(4))
+    assert iset != IntervalSet([0.0], [1.0])
+    assert iset != iset.intervals
+    with pytest.raises(TypeError):
+        hash(iset)
 
 
 @settings(max_examples=50)

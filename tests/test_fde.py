@@ -243,10 +243,10 @@ def _rk4_step(rhs, tau, x, h):
     # classical RK4 for any number of components, with the groupings of the
     # package's steppers
     half = 0.5 * h
-    k1 = rhs(tau, x)
-    k2 = rhs(tau + half, [xi + half * ki for xi, ki in zip(x, k1)])
-    k3 = rhs(tau + half, [xi + half * ki for xi, ki in zip(x, k2)])
-    k4 = rhs(tau + h, [xi + h * ki for xi, ki in zip(x, k3)])
+    k1 = rhs(tau, *x)
+    k2 = rhs(tau + half, *[xi + half * ki for xi, ki in zip(x, k1)])
+    k3 = rhs(tau + half, *[xi + half * ki for xi, ki in zip(x, k2)])
+    k4 = rhs(tau + h, *[xi + h * ki for xi, ki in zip(x, k3)])
     sixth = h / 6.0
     return [xi + sixth * (a + 2.0 * (b + c) + d)
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
@@ -289,7 +289,7 @@ def _assert_same_outcome(got, want):
 def _random_flow(coef, dim, numpy_calls):
     # linear coupling, a tau drive, a bounded rational term and a power: the
     # operations of the package's flows, on floats and on rows alike
-    def rhs(tau, x):
+    def rhs(tau, *x):
         out = []
         for i, c in enumerate(coef):
             d = sum(c[j] * x[j] for j in range(dim)) + c[dim] * tau
@@ -331,7 +331,7 @@ def test_march_matches_the_float64_reference(data):
 @pytest.mark.parametrize("shape", [(), (0,), (3,), (3, 4), (2, 2, 2)],
                          ids=["scalar", "dim0", "dim3", "dim3-block", "3d-block"])
 def test_integrate_rejects_other_component_counts(shape, method):
-    def rhs(tau, x):
+    def rhs(tau, *comps):
         raise AssertionError("the flow must not run")
 
     with pytest.raises(ParameterError, match="1 or 2 components"):
@@ -357,12 +357,55 @@ def test_integrate_rejects_other_component_counts(shape, method):
 ], ids=["float32", "pow-overflow", "complex-after-sign-change", "reciprocal",
         "root-of-negative", "expression-overflow", "min-of-complex"])
 def test_fallback_matches_the_float64_march(g, y0, tau_end):
-    def rhs(tau, x):
-        return (g(x[0]),)
+    def rhs(tau, y):
+        return (g(y),)
 
     args = (rhs, tau_end, [y0], 1e-2, "rk4", 1, BLOWUP_LIMIT)
     _assert_same_outcome(_outcome(_integrate, *args),
                          _outcome(_reference_march, *args))
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_state_tests_see_every_component(dim, method):
+    # the escape test: only the last component leaves the ball, or is nan
+    for bad in (2.0, -math.inf, math.nan):
+        def rhs(tau, *x):
+            return [0.0] * (dim - 1) + [bad]
+
+        with pytest.raises(_BlowupSignal):
+            _integrate(rhs, 1.0, [0.0] * dim, 0.5, method, 1, limit=0.5)
+
+    # the type test: only the last component turns np.float32
+    def rhs(tau, *x):
+        return [-c for c in x[:-1]] + [np.float32(-x[-1])]
+
+    args = (rhs, 1.0, [1.0] * dim, 1e-2, method, 1, BLOWUP_LIMIT)
+    _assert_same_outcome(_outcome(_integrate, *args),
+                         _outcome(_reference_march, *args))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_complex_root_turned_real_keeps_the_float_march():
+    # README "Numerical notes": abs() turns the complex root of a negative y
+    # back into a float, so the per-step type test cannot see it and the
+    # one-state march stays on Python floats, where np.float64 gives nan
+    def g(y):
+        return -1.0 - abs(y ** 0.5)
+
+    traj = solve_first_order(g, build_staircase(CantorSpec(mu=0.2, depth=8), ALPHA),
+                             0.5, 1.0)
+    assert traj.y.min() < 0.0
+    assert np.all(np.isfinite(traj.y))
+    assert traj.y[-1] == pytest.approx(-0.925, abs=5e-4)
+
+    def rhs(tau, y):
+        return (g(y),)
+
+    # the same march on np.float64 meets nan once a stage sees y < 0
+    outcome = _outcome(_reference_march, rhs, traj.meta["tau_end"], [0.5], 1e-3,
+                       "rk4", 1, BLOWUP_LIMIT)
+    assert outcome[0] == "escape" and outcome[3] < traj.tau[-1]
 
 
 def _counting_system(calls):
