@@ -7,26 +7,21 @@ values against staircase increments; both collapse to the classical
 operations when the staircase is the identity.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import _max_samples, _search
-from .errors import DomainError, ParameterError, ResolutionError, _count, _real
+from .cantor import _max_samples, _query, _search
+from .errors import DomainError, ParameterError, ResolutionError, _count, _real, _reals
 from .fde import _apply
-from .staircase import StaircaseTable, _interp_staircase, _require_span, eval_staircase
+from .staircase import StaircaseTable, eval_staircase
 
 
 def in_set(table: StaircaseTable, t: float) -> bool:
     """Whether the real number t lies in the depth-m set the table was built from."""
-    if isinstance(t, np.ndarray) and t.ndim == 0:
-        t = t[()]
-    # a NaN t goes on to the span check: a DomainError, like a point outside
-    if not (isinstance(t, numbers.Real) and t != t):
-        t = _real("t", t, "[-inf, inf]")
-    _require_span(table, t)
-    return bool(_search(table.t, t)[1])
+    if _reals("t", t).ndim:
+        raise ParameterError("t must be one real number")
+    return _query("t", t, lambda x: _search(table.t, x)[1], *table.span)
 
 
 def set_samples(table: StaircaseTable, per_segment: int = 0) -> np.ndarray:
@@ -60,17 +55,16 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        s = np.asarray(self.s, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        for name, arr in (("t", t), ("s", s), ("values", values)):
+        for name in ("t", "s", "values"):
+            arr = _reals(name, getattr(self, name))
+            if arr.flags.writeable:  # the caller's own array stays theirs
+                arr = _locked(arr.copy())
             object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
-        if t.ndim != 1 or t.size == 0:
+        if self.t.ndim != 1 or self.t.size == 0:
             raise ParameterError("sample grid must be a non-empty 1-d array")
-        if s.shape != t.shape or values.shape != t.shape:
+        if self.s.shape != self.t.shape or self.values.shape != self.t.shape:
             raise ParameterError("t, s and values must have matching shapes")
-        if np.any(np.diff(t) <= 0):
+        if np.any(np.diff(self.t) <= 0):
             raise ParameterError("sample grid must be strictly increasing")
 
     def __len__(self):
@@ -84,7 +78,7 @@ class GridFunction:
         fallback).  Supplied grids must consist of set points.
         """
         t, s = cls._at_set_points(table, table.t if t is None else t)
-        return cls(table=table, t=t, s=s, values=_apply(fn, t))
+        return cls(table=table, t=t, s=s, values=_locked(_apply(fn, t)))
 
     @classmethod
     def from_values(cls, table: StaircaseTable, t, values) -> "GridFunction":
@@ -93,14 +87,27 @@ class GridFunction:
 
     @staticmethod
     def _at_set_points(table, t):
-        """``t`` as a 1-d float array and S there; every point must be a set point."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        _require_span(table, t)
-        bad = t[~_search(table.t, t)[1]]
+        """``t`` and S there as read-only 1-d arrays; every point must be a set point."""
+        t = np.atleast_1d(_reals("t", t))
+        if t.flags.writeable:
+            t = _locked(t.copy())
+
+        def s_on_set(x):
+            # S is never NaN, so NaN marks the points off the set
+            return np.where(_search(table.t, x)[1], np.interp(x, table._t, table._s), np.nan)
+
+        s = _query("t", t, s_on_set, *table.span)
+        bad = t[np.isnan(s)]
         if bad.size:
             raise ParameterError(
                 f"{bad.size} sample point(s) fall outside the set, first: {bad[0]!r}")
-        return t, _interp_staircase(table, t)
+        return t, _locked(s)
+
+
+def _locked(arr):
+    """``arr``, made read-only."""
+    arr.setflags(write=False)
+    return arr
 
 
 def fractal_derivative(f: GridFunction, t: float) -> float:
@@ -140,7 +147,7 @@ def derivative_grid(f: GridFunction) -> GridFunction:
     out[1:-1] = (v[2:] - v[:-2]) / ds
     out[0] = (v[1] - v[0]) / (s[1] - s[0])
     out[-1] = (v[-1] - v[-2]) / (s[-1] - s[-2])
-    return GridFunction(table=f.table, t=f.t, s=f.s, values=out)
+    return GridFunction(table=f.table, t=f.t, s=f.s, values=_locked(out))
 
 
 def fractal_integral(f: GridFunction, a: float, b: float) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ResolutionError, _count, _real
+from .errors import DomainError, ParameterError, ResolutionError, _count, _real, _reals
 
 DEFAULT_MAX_DEPTH = 24
 
@@ -106,8 +106,8 @@ class IntervalSet:
     right: np.ndarray
 
     def __post_init__(self):
-        left = np.atleast_1d(np.asarray(self.left, dtype=float))
-        right = np.atleast_1d(np.asarray(self.right, dtype=float))
+        left = np.atleast_1d(_reals("left", self.left))
+        right = np.atleast_1d(_reals("right", self.right))
         if left.ndim != 1 or left.shape != right.shape or left.size == 0:
             raise ParameterError("left and right must be matching non-empty 1-d arrays")
         t = left.base
@@ -181,17 +181,16 @@ def _breakpoints(spec: CantorSpec) -> np.ndarray:
     into its slice of the result.  Every endpoint comes from its ancestors
     by the same float operations either way.
     """
-    r = spec.keep_ratio
-    # interval lengths below the float spacing of the endpoints degenerate
+    r, m = spec.keep_ratio, spec.depth
+    # intervals or gaps (the smallest span mu L r^(m-1)) within 4 float spacings degenerate
     spacing = np.finfo(float).eps * max(abs(spec.origin), abs(spec.extent), 1.0)
-    if r ** spec.depth * spec.base_length <= 4.0 * spacing:
+    if min(r ** m, spec.mu * r ** (m - 1) if m else 1.0) * spec.base_length <= 4.0 * spacing:
         raise ResolutionError(
-            f"depth {spec.depth} intervals of the mu={spec.mu:g} set fall "
+            f"depth {m} intervals or gaps of the mu={spec.mu:g} set fall "
             "below float resolution; reduce the depth or the cut fraction")
-    chunk = min(spec.depth, _CHUNK_LEVELS)
-    left, right = _descend(np.array([spec.origin]), np.array([spec.extent]), r,
-                           spec.depth - chunk)
-    t = np.empty(2 << spec.depth)
+    chunk = min(m, _CHUNK_LEVELS)
+    left, right = _descend(np.array([spec.origin]), np.array([spec.extent]), r, m - chunk)
+    t = np.empty(2 << m)
     for i, seg in enumerate(t.reshape(left.size, -1)):
         seg[0::2], seg[1::2] = _descend(left[i:i + 1], right[i:i + 1], r, chunk)
     return t
@@ -228,6 +227,20 @@ def _in_key_order(search, keys):
     return out.reshape(keys.shape)
 
 
+def _query(name, points, search, lo=-math.inf, hi=math.inf):
+    """``search`` answered at ``points``, real numbers in [lo, hi], by ``_in_key_order``.
+
+    A point outside [lo, hi], NaN too, is a DomainError; a scalar or 0-d
+    query gets a Python scalar back.  Every point query goes through here.
+    """
+    x = _reals(name, points)
+    # written so that NaN fails it too
+    if not (np.all(x >= lo) and np.all(x <= hi)):
+        raise DomainError(f"{name} outside [{lo!r}, {hi!r}] or NaN")
+    out = _in_key_order(search, x)
+    return out.item() if x.ndim == 0 else out
+
+
 def _search(t, x):
     """Search the interleaved breakpoints ``t`` of a set for the points ``x``.
 
@@ -247,13 +260,7 @@ def contains(iset: IntervalSet, t):
     outside the base span are simply reported as absent; a NaN raises
     DomainError.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.isnan(t_arr).any():
-        raise DomainError("t is or holds NaN")
-    inside = _in_key_order(lambda x: _search(iset._t, x)[1], t_arr)
-    if t_arr.ndim == 0:
-        return bool(inside)
-    return inside
+    return _query("t", t, lambda x: _search(iset._t, x)[1])
 
 
 def covering_measure(obj) -> float:
@@ -267,6 +274,8 @@ def covering_measure(obj) -> float:
     """
     if isinstance(obj, CantorSpec):
         return (1.0 - obj.mu) ** obj.depth * obj.base_length
+    if not isinstance(obj, IntervalSet):
+        raise ParameterError(f"need a CantorSpec or an IntervalSet, got {type(obj).__name__}")
     return float(np.sum(obj.right - obj.left))
 
 

@@ -219,9 +219,7 @@ def cmd_solve(args):
 def cmd_stability(args):
     table, spec = _table_for(args, "stability")
     flow = _system(args, args.system)
-    equilibrium = (0.0, 0.0) if isinstance(flow, FdeSystem) else 0.0
-    report = classify_stability(flow, table, equilibrium=equilibrium,
-                                horizon=args.horizon, dtau=args.dtau)
+    report = classify_stability(flow, table, horizon=args.horizon, dtau=args.dtau)
     _write_json(args.out, report.to_json())
     return 0
 

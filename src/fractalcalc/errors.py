@@ -2,6 +2,8 @@
 
 import numbers
 
+import numpy as np
+
 
 class FractalCalcError(Exception):
     """Base class for every error raised by this package."""
@@ -58,24 +60,51 @@ class ExpressionError(ParameterError):
     """A user-supplied expression was rejected by the safe evaluator."""
 
 
-def _real(name, value, interval):
+def _inside(x, interval):
+    """Whether x, a float or an array, lies in ``interval``; NaN does not."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return ((lo < x if interval[0] == "(" else lo <= x)
+            & (x < hi if interval[-1] == ")" else x <= hi))
+
+
+def _real(name, value, interval=None):
     """Return ``value`` as a float if it is a real number in ``interval``.
 
     ``interval`` reads like "(0, 1]": a bracket includes its end and a
-    parenthesis excludes it, so inf passes only behind a bracket.  Numpy
-    scalars are real numbers; a bool, a string, None, NaN and an int too
-    large for a float are not.
+    parenthesis excludes it, so inf passes only behind a bracket; with no
+    interval NaN passes too.  Numpy scalars are real numbers; a bool, a
+    string, None and an int too large for a float are not.
     """
-    lo, hi = (float(end) for end in interval[1:-1].split(","))
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             x = float(value)
         except OverflowError:
             raise ParameterError(f"{name} is beyond the float range") from None
-        if ((lo < x if interval[0] == "(" else lo <= x)
-                and (x < hi if interval[-1] == ")" else x <= hi)):
+        if interval is None or _inside(x, interval):
             return x
-    raise ParameterError(f"{name} must be a real number in {interval}, got {value!r}")
+    where = "" if interval is None else f" in {interval}"
+    raise ParameterError(f"{name} must be a real number{where}, got {value!r}")
+
+
+def _reals(name, x, interval=None):
+    """Return ``x`` as a float64 array if it holds only real numbers in ``interval``.
+
+    A scalar is judged as by ``_real``, and comes back 0-d; an array-like by
+    the dtype numpy gives it: integer or floating, never bool, complex,
+    string, ragged or object (an int too large for a float gives that).  A
+    float64 array comes back as it is, with no copy.
+    """
+    if isinstance(x, numbers.Real):
+        return np.asarray(_real(name, x, interval))
+    try:
+        arr = np.asarray(x)
+    except ValueError:
+        raise ParameterError(f"{name} must be a regular array of real numbers") from None
+    if arr.dtype.kind not in "iuf":
+        raise ParameterError(f"{name} must hold real numbers only, got {arr.dtype} values")
+    if interval is not None and not np.all(_inside(arr, interval)):
+        raise ParameterError(f"{name} must lie in {interval}")
+    return arr.astype(float, copy=False)
 
 
 def _count(name, value, minimum, maximum=None):

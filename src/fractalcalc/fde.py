@@ -37,8 +37,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .cantor import _in_key_order
-from .errors import DomainError, NumericalBlowupError, ParameterError, _count, _real
+from .cantor import _query
+from .errors import NumericalBlowupError, ParameterError, _count, _real
 from .staircase import StaircaseTable, eval_staircase
 
 BLOWUP_LIMIT = 1e12
@@ -448,12 +448,7 @@ def warp_time(table: StaircaseTable, tau):
     warp_time(S(t)) is the gap's left end for t in a gap, and on the rising
     segments t up to rounding (a few ulps, on either side of t).
     """
-    arr = np.asarray(tau, dtype=float)
     s = table.s
-    # written so that NaN fails it too
-    if not (np.all(arr >= s[0]) and np.all(arr <= s[-1])):
-        raise DomainError(
-            f"tau outside the staircase range [{s[0]!r}, {s[-1]!r}] or NaN")
 
     def search(x):
         j = np.searchsorted(s, x, side="left")
@@ -465,7 +460,4 @@ def warp_time(table: StaircaseTable, tau):
         t_between = table.t[j0] + frac * (table.t[j] - table.t[j0])
         return np.where(exact, table.t[j], t_between)
 
-    out = _in_key_order(search, arr)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return _query("tau", tau, search, *table.s_range)

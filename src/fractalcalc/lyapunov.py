@@ -24,8 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cantor import _max_samples
-from .errors import DomainError, ParameterError, PreconditionError, _count, _real
+from .cantor import _max_samples, _query
+from .errors import ParameterError, PreconditionError, _count, _real, _reals
 from .fde import (BLOWUP_LIMIT, FdeConstants, FdeSystem, _apply, _central_diff,
                   _first_order, _integrate, _tau_horizon, warp_time)
 from .staircase import StaircaseTable
@@ -121,12 +121,11 @@ def lyapunov_derivative(L: LyapunovFunction, flow, state, tau=0.0):
     a NaN tau a DomainError.
     """
     rhs, dim = as_tau_field(flow)
-    if np.isnan(np.asarray(tau, dtype=float)).any():
-        raise DomainError("tau is or holds NaN")
+    tau = _query("tau", tau, lambda x: x)
     if isinstance(state, tuple):
-        comps = tuple(np.asarray(x, dtype=float) for x in state)
+        comps = tuple(_reals("state", x, "[-inf, inf]") for x in state)
     else:
-        arr = np.asarray(state, dtype=float)
+        arr = _reals("state", state, "[-inf, inf]")
         if dim == 1:
             # any scalar or array is the one component, vectorized
             comps = (arr,)
@@ -137,8 +136,6 @@ def lyapunov_derivative(L: LyapunovFunction, flow, state, tau=0.0):
                 f"pass a tuple of {dim} components (arrays allowed)")
     if len(comps) != dim:
         raise ParameterError(f"state has {len(comps)} component(s), flow expects {dim}")
-    if any(np.isnan(x).any() for x in comps):
-        raise ParameterError("state is or holds NaN")
     derivs = rhs(tau, *comps)
     grads = L.state_gradient(tau, comps)
     total = L.time_gradient(tau, comps)
@@ -246,14 +243,14 @@ def _fit_line(x, y):
     return float(slope), float(intercept), r2
 
 
-def classify_stability(flow, table: StaircaseTable, equilibrium=0.0,
+def classify_stability(flow, table: StaircaseTable, equilibrium=None,
                        eps_grid=(0.5, 0.25, 0.1),
                        delta_grid=(0.5, 0.25, 0.1, 0.05, 0.02),
                        horizon: float = 20.0, dtau: float = 1e-3,
                        settle_rtol: float = 1e-3, fit_min_r2: float = 0.99,
                        bound_slack: float = 1e-3,
                        record_every: int = 20) -> StabilityReport:
-    """Probe an equilibrium with alpha-scaled balls and label the outcome.
+    """Probe an equilibrium, by default the origin, with alpha-scaled balls.
 
     For every tolerance eps the probe asks whether some delta from the grid
     keeps all trajectories launched on the sphere of radius delta**alpha
@@ -274,7 +271,8 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=0.0,
     - anything else: "inconclusive".
     """
     rhs, dim = as_tau_field(flow)
-    eq = np.atleast_1d(np.asarray(equilibrium, dtype=float))
+    eq = np.zeros(dim) if equilibrium is None else np.atleast_1d(
+        _reals("equilibrium", equilibrium, "(-inf, inf)"))
     if eq.size != dim:
         raise ParameterError(f"equilibrium needs {dim} component(s), got {eq.size}")
     resid = float(np.max(np.abs(np.asarray(rhs(0.0, *eq), dtype=float))))
@@ -404,10 +402,10 @@ class AssumptionGrids:
     increment over the last of the expanding ``tail_windows``, which must
     fall below ``tail_tol``; unboundedness of the potential is judged by a
     growth factor across ``y_growth``.  A pass is therefore grid-supported
-    evidence, not a proof.  Every grid must be non-empty and finite, ``y``
-    must hold a nonzero point, since C3 tests the sign of h off zero,
-    ``y_growth`` two points, since C3 compares H across it, and
-    ``tail_windows`` must be positive and strictly increasing.
+    evidence, not a proof.  Every grid must be non-empty and finite, and is
+    stored as a float array; ``y`` must hold a nonzero point, since C3 tests
+    the sign of h off zero, ``y_growth`` two points, since C3 compares H
+    across it, and ``tail_windows`` must be positive and strictly increasing.
     """
 
     alpha: float
@@ -415,7 +413,7 @@ class AssumptionGrids:
     y: np.ndarray = field(default_factory=_default_state)
     z: np.ndarray = field(default_factory=_default_state)
     y_growth: np.ndarray = field(default_factory=lambda: np.geomspace(1.0, 1e3, 13))
-    tail_windows: tuple = (5.0, 10.0, 20.0, 40.0)
+    tail_windows: np.ndarray = (5.0, 10.0, 20.0, 40.0)
     tail_tol: float = 1e-3
     zero_tol: float = 1e-12
     slack: float = 1e-9
@@ -429,15 +427,16 @@ class AssumptionGrids:
             _real(name, getattr(self, name), interval)
         _count("forcing_stride", self.forcing_stride, 1)
         for name in ("tau", "y", "z", "y_growth", "tail_windows"):
-            grid = np.asarray(getattr(self, name), dtype=float)
-            if grid.size == 0 or not np.all(np.isfinite(grid)):
-                raise ParameterError(f"{name} must be non-empty and finite")
-        w = np.asarray(self.tail_windows, dtype=float)
+            grid = _reals(name, getattr(self, name), "(-inf, inf)")
+            if grid.size == 0:
+                raise ParameterError(f"{name} must be non-empty")
+            object.__setattr__(self, name, grid)
+        w = self.tail_windows
         if w.ndim != 1 or w[0] <= 0.0 or np.any(np.diff(w) <= 0.0):
             raise ParameterError("tail_windows must be positive and strictly increasing")
-        if not np.any(np.asarray(self.y, dtype=float) != 0.0):
+        if not np.any(self.y != 0.0):
             raise ParameterError("y must hold a nonzero point")
-        if np.size(self.y_growth) < 2:
+        if self.y_growth.size < 2:
             raise ParameterError("y_growth must hold at least two points")
 
 
@@ -500,10 +499,9 @@ def _cumtrapz(y, x):
 
 def _tail_integral(fn, windows):
     """Integrals over expanding windows and the increment of the last one."""
-    w = [float(x) for x in windows]
-    grid = np.linspace(0.0, w[-1], max(int(w[-1] / 0.05), 200) + 1)
+    grid = np.linspace(0.0, windows[-1], max(int(windows[-1] / 0.05), 200) + 1)
     cum = _cumtrapz(_apply(fn, grid), grid)
-    totals = [float(np.interp(x, grid, cum)) for x in w]
+    totals = [float(np.interp(x, grid, cum)) for x in windows]
     increments = np.diff([0.0] + totals)
     return totals, float(increments[-1])
 
@@ -526,9 +524,7 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
         checks[name] = ConditionCheck(name, ok and worst >= -grids.slack, worst,
                                       {"parts": parts, **witness})
 
-    tau = np.asarray(grids.tau, dtype=float)
-    y = np.asarray(grids.y, dtype=float)
-    z = np.asarray(grids.z, dtype=float)
+    tau, y, z = grids.tau, grids.y, grids.z
 
     # C1: coefficient bounds 1 <= u0^a <= u <= E^a and 1 <= v0^a <= v <= Q^a
     u_vals = _apply(sys.u, tau)
@@ -559,7 +555,7 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
     sign_vals = _apply(sys.h, y_off) * np.sign(y_off)
     dh_vals = _apply(sys.restoring_slope, y)
     Hg_pos = _apply(sys.restoring_integral, grids.y_growth)
-    Hg_neg = _apply(sys.restoring_integral, -np.asarray(grids.y_growth))
+    Hg_neg = _apply(sys.restoring_integral, -grids.y_growth)
     grow_pos = float(Hg_pos[-1] / np.maximum(Hg_pos[0], 1e-300))
     grow_neg = float(Hg_neg[-1] / np.maximum(Hg_neg[0], 1e-300))
     add("C3", {
@@ -678,13 +674,8 @@ def _march_fan(sys, table, conditions, grids, initial_states, t_end, dtau,
     if initial_states is None:
         initial_states = [(r * math.cos(th), r * math.sin(th)) for r in (1.0, 2.0)
                           for th in 2.0 * math.pi * np.arange(8) / 8]
-    try:
-        Y0 = np.array(initial_states, dtype=float)
-        fan_ok = Y0.ndim == 2 and Y0.shape[1] == 2 and Y0.size > 0 \
-            and bool(np.all(np.isfinite(Y0)))
-    except (TypeError, ValueError):
-        fan_ok = False
-    if not fan_ok:
+    Y0 = _reals("initial_states", initial_states, "(-inf, inf)")
+    if not (Y0.ndim == 2 and Y0.shape[1] == 2 and Y0.size > 0):
         raise ParameterError(
             "initial_states must be a non-empty list of finite (y, z) pairs")
     report = check_assumptions(sys, grids or AssumptionGrids(alpha=table.alpha))

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import (CantorSpec, IntervalSet, _breakpoints, _in_key_order, _search, contains,
-                     generate, max_depth)
-from .errors import DomainError, EstimationError, ParameterError, ResolutionError, _real
+from .cantor import (CantorSpec, IntervalSet, _breakpoints, _query, _search, contains, generate,
+                     max_depth)
+from .errors import EstimationError, ParameterError, ResolutionError, _real, _reals
 
 _RAMP = 2 ** 14  # values per row of the s fill; 2^16 shows in a depth-18 build's peak
 
@@ -65,7 +65,7 @@ class StaircaseTable:
 
     def __post_init__(self):
         for name in ("t", "s"):
-            arr = np.require(getattr(self, name), dtype=float, requirements=["C", "W"])
+            arr = np.require(_reals(name, getattr(self, name)), requirements=["C", "W"])
             # a view taken before the lock stays writable
             object.__setattr__(self, "_" + name, arr.view())
             arr.setflags(write=False)
@@ -93,9 +93,8 @@ def l_alpha_sum(iset: IntervalSet, alpha: float, subdivision) -> float:
     shrunk away when taking the infimum.
     """
     alpha = _real("alpha", alpha, "(0, 1]")
-    q = np.asarray(subdivision, dtype=float)
-    if q.ndim != 1 or q.size < 2 or not np.all(np.isfinite(q)) \
-            or not np.all(np.diff(q) > 0):
+    q = _reals("subdivision", subdivision, "(-inf, inf)")
+    if q.ndim != 1 or q.size < 2 or not np.all(np.diff(q) > 0):
         raise ParameterError("subdivision needs two or more finite, increasing points")
     starts, ends = q[:-1], q[1:]
     # a start inside a covering interval flags its subinterval; one in a gap
@@ -175,35 +174,15 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
                           gamma_factor=g)
 
 
-def _interp_staircase(table: StaircaseTable, t_arr: np.ndarray) -> np.ndarray:
-    """S at the points of t_arr, which must lie in the span; no checks."""
-    return _in_key_order(lambda x: np.interp(x, table._t, table._s), t_arr)
-
-
-def _require_span(table: StaircaseTable, t_arr: np.ndarray):
-    """Raise DomainError unless every point of t_arr lies in the table's span."""
-    lo, hi = table.span
-    # written so that NaN fails it too
-    if not (np.all(t_arr >= lo) and np.all(t_arr <= hi)):
-        raise DomainError(f"t outside the tabulated span [{lo}, {hi}] or NaN")
-
-
 def eval_staircase(table: StaircaseTable, t):
     """Evaluate S(t); vectorized, exact at breakpoints and constant on gaps."""
-    t_arr = np.asarray(t, dtype=float)
-    _require_span(table, t_arr)
-    out = _interp_staircase(table, t_arr)
-    if t_arr.ndim == 0:
-        return float(out)
-    return out
+    return _query("t", t, lambda x: np.interp(x, table._t, table._s), *table.span)
 
 
 def characteristic(spec: CantorSpec, alpha: float, t):
     """Indicator scaled by 1/Gamma(alpha+1) on the depth-m set, zero off it."""
     alpha = _real("alpha", alpha, "(0, 1]")
-    inside = contains(generate(spec), t)
-    out = np.where(inside, 1.0 / math.gamma(alpha + 1.0), 0.0)
-    return out if np.ndim(inside) else float(out)
+    return contains(generate(spec), t) * (1.0 / math.gamma(alpha + 1.0))
 
 
 def _total_mass(iset: IntervalSet):
@@ -225,6 +204,9 @@ def dimension_sweep(spec: CantorSpec, delta1: float, delta2: float, alphas=None)
     ratio at arbitrary alpha.  Ratios above 1 mean mass still grows under
     refinement (alpha below the dimension); below 1 it decays.
     """
+    alphas = np.linspace(0.05, 1.0, 96) if alphas is None else _reals("alphas", alphas, "(0, 1]")
+    if alphas.ndim != 1 or alphas.size < 2 or not np.all(np.diff(alphas) > 0):
+        raise ParameterError("alphas must be an increasing grid of >= 2 points")
     m1 = depth_for_resolution(spec, delta1)
     m2 = depth_for_resolution(spec, delta2)
     if m2 <= m1:
@@ -236,14 +218,6 @@ def dimension_sweep(spec: CantorSpec, delta1: float, delta2: float, alphas=None)
     def ratio_fn(alpha):
         return mass2(alpha) / mass1(alpha)
 
-    if alphas is None:
-        alphas = np.linspace(0.05, 1.0, 96)
-    else:
-        alphas = np.asarray(alphas, dtype=float)
-        if alphas.ndim != 1 or alphas.size < 2 or not np.all(np.diff(alphas) > 0):
-            raise ParameterError("alphas must be an increasing grid of >= 2 points")
-        if alphas[0] <= 0.0 or alphas[-1] > 1.0:
-            raise ParameterError("alphas must lie in (0, 1]")
     ratios = np.array([ratio_fn(a) for a in alphas])
     return alphas, ratios, ratio_fn
 

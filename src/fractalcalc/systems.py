@@ -8,7 +8,7 @@ line names these systems through the one registry at the end of the module.
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _real, _reals
 from .expressions import compile_expression
 from .fde import FdeConstants, FdeSystem
 from .lyapunov import LyapunovFunction
@@ -21,7 +21,7 @@ def example1_field(z):
 
 def example1_exact(c, tau):
     """Closed form c * exp(-tau) of the decaying scalar flow."""
-    return c * np.exp(-np.asarray(tau, dtype=float))
+    return _reals("c", c) * np.exp(-_reals("tau", tau))
 
 
 def example1_lyapunov():
@@ -78,7 +78,7 @@ def example2_lienard_lyapunov():
 
 def example3_field(spring=1.0):
     """Undamped oscillator D y = z, D z = -spring * y, as a planar field."""
-    c = float(spring)
+    c = _real("spring", spring, "(-inf, inf)")
 
     def field(tau, y, z):
         return z, -c * y
@@ -88,7 +88,7 @@ def example3_field(spring=1.0):
 
 def example3_lyapunov(spring=1.0):
     """Oscillator energy L = (spring * y^2 + z^2) / 2, conserved by the flow."""
-    c = float(spring)
+    c = _real("spring", spring, "(-inf, inf)")
     return LyapunovFunction(
         value=lambda tau, y, z: 0.5 * (c * y * y + z * z),
         grad_state=(lambda tau, y, z: c * y, lambda tau, y, z: z),
@@ -98,7 +98,7 @@ def example3_lyapunov(spring=1.0):
 
 def example3_system(spring=1.0, constants=None) -> FdeSystem:
     """The undamped oscillator packaged as an FdeSystem (u = 0 damping)."""
-    c = float(spring)
+    c = _real("spring", spring, "(-inf, inf)")
     return FdeSystem(
         u=lambda tau: 0.0,
         v=lambda tau: c,

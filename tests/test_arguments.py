@@ -1,15 +1,19 @@
-"""The argument policy: every checked scalar ends in a result or a FractalCalcError.
+"""The argument policy: every checked input ends in a result or a FractalCalcError.
 
 Every scalar parameter that goes through ``errors._real`` or
 ``errors._count`` is called with special values (NaN, the infinities, zero,
 a negative number, a fraction, a bool, numpy scalars, an int beyond the
 float range, a string and None) on a small table and short horizons.  The
 call must return normally or raise a FractalCalcError, never another
-exception.
+exception.  Every array argument and query point, which go through
+``errors._reals``, is called with values that hold no real numbers and must
+raise a ParameterError.  A guard keeps every public name in these tables
+or in an explicit list of names that take no numbers.
 """
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import math
 
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fractalcalc
 from fractalcalc import (
     AssumptionGrids,
     CantorSpec,
@@ -25,17 +30,24 @@ from fractalcalc import (
     FdeConstants,
     FractalCalcError,
     GridFunction,
+    IntervalSet,
     ParameterError,
     boundedness_certificate,
     build_staircase,
     characteristic,
     check_assumptions,
     classify_stability,
+    contains,
+    covering_measure,
     depth_for_resolution,
     dimension_sweep,
     estimate_mass,
+    eval_staircase,
+    example1_exact,
     example1_field,
     example1_lyapunov,
+    example3_field,
+    example3_lyapunov,
     example3_system,
     fractal_derivative,
     fractal_integral,
@@ -52,6 +64,7 @@ from fractalcalc import (
     theorem2_toy,
     verify_theorem1,
     verify_theorem2,
+    warp_time,
 )
 from fractalcalc.cli import main
 
@@ -61,6 +74,7 @@ SPEC = CantorSpec(mu=MU, depth=6, extent=2.0)
 TABLE = build_staircase(SPEC, ALPHA)
 ISET = generate(SPEC)
 SAMPLES = GridFunction.from_function(TABLE, lambda t: t)
+TRAJECTORY = solve_first_order(lambda y: -y, TABLE, 1.0, 1.0, dtau=0.05)
 SMALL_GRIDS = {"tau": np.linspace(0.0, 20.0, 41), "y": np.linspace(-5.0, 5.0, 21),
                "z": np.linspace(-5.0, 5.0, 21)}
 
@@ -171,6 +185,9 @@ CALLS = {
     "verify_theorem2.n_random": lambda v: _verify2(n_random=v),
     "verify_theorem2.seed": lambda v: _verify2(seed=v),
     "verify_theorem2.record_every": lambda v: _verify2(record_every=v),
+    "example3_field.spring": example3_field,
+    "example3_lyapunov.spring": example3_lyapunov,
+    "example3_system.spring": example3_system,
 }
 CALLS.update({f"FdeConstants.{f.name}": lambda v, name=f.name: FdeConstants(**{name: v})
               for f in dataclasses.fields(FdeConstants)})
@@ -251,6 +268,8 @@ HOLES = {
         example1_lyapunov(), example1_field, math.nan),
     "lyapunov-derivative-nan-in-state": lambda: lyapunov_derivative(
         example1_lyapunov(), example1_field, np.array([1.0, math.nan])),
+    "covering-measure-string": lambda: covering_measure("x"),
+    "equilibrium-inf": lambda: _classify(equilibrium=math.inf),
 }
 
 
@@ -266,6 +285,16 @@ DOMAIN_HOLES = {
         example1_lyapunov(), example1_field, 1.0, tau=math.nan),
     "in-set-nan": lambda: in_set(TABLE, math.nan),
     "fractal-derivative-nan": lambda: fractal_derivative(SAMPLES, math.nan),
+    "eval-staircase-nan": lambda: eval_staircase(TABLE, math.nan),
+    "eval-staircase-nan-in-array": lambda: eval_staircase(TABLE, [0.5, math.nan]),
+    "warp-time-nan": lambda: warp_time(TABLE, np.array([0.1, math.nan])),
+    "contains-nan": lambda: contains(ISET, math.nan),
+    "characteristic-nan": lambda: characteristic(SPEC, ALPHA, [math.nan]),
+    "at-time-nan": lambda: TRAJECTORY.at_time(math.nan),
+    "from-values-nan": lambda: GridFunction.from_values(TABLE, [0.0, math.nan], [1.0, 1.0]),
+    "from-function-nan": lambda: GridFunction.from_function(TABLE, np.sin, t=[math.nan]),
+    "lyapunov-derivative-nan-in-tau": lambda: lyapunov_derivative(
+        example1_lyapunov(), example1_field, 1.0, tau=[0.0, math.nan]),
 }
 
 
@@ -273,6 +302,109 @@ DOMAIN_HOLES = {
 def test_nan_queries_are_domain_errors(name):
     with pytest.raises(DomainError):
         DOMAIN_HOLES[name]()
+
+
+# every array argument and query point; each takes its input through
+# errors._reals, so none of NOT_REALS may end in anything but a ParameterError
+ARRAYS = {
+    "eval_staircase.t": lambda v: eval_staircase(TABLE, v),
+    "warp_time.tau": lambda v: warp_time(TABLE, v),
+    "contains.t": lambda v: contains(ISET, v),
+    "characteristic.t": lambda v: characteristic(SPEC, ALPHA, v),
+    "in_set.t": lambda v: in_set(TABLE, v),
+    "fractal_derivative.t": lambda v: fractal_derivative(SAMPLES, v),
+    "Trajectory.at_time": lambda v: TRAJECTORY.at_time(v),
+    "IntervalSet.left": lambda v: IntervalSet(v, [1.0]),
+    "IntervalSet.right": lambda v: IntervalSet([0.0], v),
+    "StaircaseTable.t": lambda v: dataclasses.replace(TABLE, t=v),
+    "GridFunction.from_values.t": lambda v: GridFunction.from_values(TABLE, v, [1.0]),
+    "GridFunction.from_values.values": lambda v: GridFunction.from_values(
+        TABLE, TABLE.t[:1], v),
+    "GridFunction.from_function.t": lambda v: GridFunction.from_function(TABLE, np.sin, t=v),
+    "l_alpha_sum.subdivision": lambda v: l_alpha_sum(ISET, ALPHA, v),
+    "dimension_sweep.alphas": lambda v: dimension_sweep(SPEC, 0.5, 1e-3, v),
+    "AssumptionGrids.tau": lambda v: _grids(tau=v),
+    "AssumptionGrids.y": lambda v: _grids(y=v),
+    "AssumptionGrids.y_growth": lambda v: _grids(y_growth=v),
+    "AssumptionGrids.tail_windows": lambda v: _grids(tail_windows=v),
+    "classify_stability.equilibrium": lambda v: _classify(equilibrium=v),
+    "lyapunov_derivative.state": lambda v: lyapunov_derivative(
+        example1_lyapunov(), example1_field, v),
+    "lyapunov_derivative.state-tuple": lambda v: lyapunov_derivative(
+        example1_lyapunov(), example1_field, (v,)),
+    "lyapunov_derivative.tau": lambda v: lyapunov_derivative(
+        example1_lyapunov(), example1_field, 1.0, tau=v),
+    "verify_theorem1.initial_states": lambda v: _verify1(initial_states=v),
+    "verify_theorem2.initial_states": lambda v: _verify2(initial_states=v),
+    "example1_exact.c": lambda v: example1_exact(v, 1.0),
+    "example1_exact.tau": lambda v: example1_exact(1.0, v),
+}
+NOT_REALS = {"string": "x", "none": None, "complex": 1j, "bool": True, "object": object(),
+             "list-with-string": [0.1, "a"], "int-beyond-float": [0, 10**400],
+             "ragged": [[0.1, 0.2], [0.3]]}
+# None asks for the default of these arguments
+DEFAULTS_TO_NONE = {"GridFunction.from_function.t", "dimension_sweep.alphas",
+                    "classify_stability.equilibrium", "verify_theorem1.initial_states",
+                    "verify_theorem2.initial_states"}
+ARRAY_CASES = [pytest.param(name, kind, id=f"{name}-{kind}")
+               for name in sorted(ARRAYS) for kind in NOT_REALS
+               if not (kind == "none" and name in DEFAULTS_TO_NONE)]
+
+
+@pytest.mark.parametrize(("name", "kind"), ARRAY_CASES)
+def test_arrays_without_real_numbers_are_parameter_errors(name, kind):
+    with pytest.raises(ParameterError):
+        ARRAYS[name](NOT_REALS[kind])
+
+
+def test_scalar_queries_answer_python_scalars():
+    assert type(eval_staircase(TABLE, np.float32(0.5))) is float
+    assert type(warp_time(TABLE, 0.1)) is float
+    assert type(contains(ISET, np.array(0.5))) is bool
+    assert type(in_set(TABLE, 1)) is bool
+    assert type(characteristic(SPEC, ALPHA, 0.5)) is float
+
+
+# public names that take no numbers of their own: exception types, result
+# records the package fills in, and names that take specs, tables, grid
+# functions, systems, callables or expression text.  The flows and the
+# compiled expression are the package's user functions: the integrators
+# call them, on floats or arrays the package has checked already
+NUMBERLESS = {
+    "DomainError", "EstimationError", "ExpressionError", "FractalCalcError",
+    "NumericalBlowupError", "ParameterError", "PreconditionError", "ResolutionError",
+    "AssumptionReport", "ConditionCheck", "DecayFit", "MassEstimate", "StabilityReport",
+    "Theorem1Report", "Theorem2Report",
+    "generate", "iter_levels", "max_depth", "derivative_grid", "stability_certificate",
+    "FdeSystem", "LyapunovFunction", "Expression", "compile_expression",
+    "example1_field", "example1_lyapunov", "example2_lienard_field",
+    "example2_lienard_lyapunov", "example2_system", "linear_damped_system",
+    "theorem1_toy", "theorem2_toy", "__version__",
+}
+
+
+def _reached(fn):
+    """The global and attribute names a table entry uses, through this module's helpers."""
+    names, codes = set(), [fn.__code__]
+    while codes:
+        code = codes.pop()
+        for name in set(code.co_names) - names:
+            helper = globals().get(name)
+            if inspect.isfunction(helper) and helper.__module__ == __name__:
+                codes.append(helper.__code__)
+            names.add(name)
+        codes.extend(c for c in code.co_consts if inspect.iscode(c))
+    return names
+
+
+def test_every_public_name_is_under_the_policy():
+    tables = (CALLS, HOLES, DOMAIN_HOLES, ARRAYS)
+    covered = {key.split(".")[0] for table in (CALLS, ARRAYS) for key in table}
+    for table in tables:
+        for fn in table.values():
+            covered |= _reached(fn)
+    assert set(fractalcalc.__all__) - covered - NUMBERLESS == set()
+    assert NUMBERLESS <= set(fractalcalc.__all__)
 
 
 def test_stability_horizon_zero_is_a_usage_error():

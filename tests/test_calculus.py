@@ -73,6 +73,20 @@ def test_from_values_requires_set_points(table):
             GridFunction.from_values(table, t, np.zeros(len(t)))
 
 
+def test_grid_functions_leave_the_callers_arrays_writable(table):
+    t = table.t[::4].copy()
+    values = np.arange(t.size, dtype=float)
+    f = GridFunction.from_values(table, t, values)
+    g = GridFunction.from_function(table, np.sin, t=t)
+    assert t.flags.writeable and values.flags.writeable
+    # the functions hold read-only copies, so the caller's writes miss them
+    t[0] = values[0] = -1.0
+    assert f.t[0] == g.t[0] == table.t[0] and f.values[0] == 0.0
+    assert not any(a.flags.writeable for a in (f.t, f.s, f.values, g.t, g.s, g.values))
+    # an array that is read-only already is kept as it is
+    assert GridFunction.from_function(table, np.sin).t is table.t
+
+
 def test_derivative_of_staircase_is_one(staircase_fn):
     d = derivative_grid(staircase_fn)
     assert np.allclose(d.values, 1.0, atol=1e-9)

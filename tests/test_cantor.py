@@ -173,6 +173,19 @@ def test_generate_rejects_sub_resolution_depth():
         generate(CantorSpec(mu=0.99, depth=10))
 
 
+@pytest.mark.parametrize("mu", [1e-17, 1e-16, 2e-16])
+def test_gaps_below_float_resolution_are_refused(mu):
+    # the last gaps of a depth-3 set span mu/4, within 4 float spacings of
+    # 1; at 1e-17 they used to vanish, leaving a table with no gap at all
+    spec = CantorSpec(mu=mu, depth=3)
+    with pytest.raises(ResolutionError):
+        generate(spec)
+    with pytest.raises(ResolutionError):
+        build_staircase(spec, 0.5)
+    # a gap of 2.5e-11 is still resolved
+    assert np.all(np.diff(generate(CantorSpec(mu=1e-10, depth=3))._t) > 0.0)
+
+
 def _reference_generate(spec):
     # the level-by-level doubling loop over the whole set, with a fresh width
     # and r * width products per level

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -169,6 +170,14 @@ def test_classify_conservative_oscillator(long_table):
     rep = classify_stability(example3_field(1.0), long_table,
                              equilibrium=(0.0, 0.0))
     assert rep.classification == "lyapunov-stable"
+
+
+def test_the_default_equilibrium_is_the_flows_origin(long_table):
+    explicit = classify_stability(example3_field(1.0), long_table,
+                                  equilibrium=(0.0, 0.0), horizon=5.0)
+    default = classify_stability(example3_field(1.0), long_table, horizon=5.0)
+    assert json.dumps(default.to_json()) == json.dumps(explicit.to_json())
+    assert default.equilibrium == (0.0, 0.0)
 
 
 def test_classify_damped_system(long_table):
