@@ -301,6 +301,13 @@ GOLDEN = [
      "76849e4d6a4c9f008c16a63bddede17ba5ec13fe0e9a4f8b176ce5bb3d716a24"),
     (["integrate", "--function", "1"], 0,
      "cfc720d7f037f7ab225b9e52e1679d92cb1d122aca46613aab9a420cdbf9bf85"),
+    # the extent-60 runs reach the decay fit and the unforced theorem 2 path
+    (["stability", "--system", "example1", "--extent", "60"], 0,
+     "59daf2d2b61966987c3ed5d8ff06c8ba9f7ae28b0018f22b768a856bbc02a30b"),
+    (["stability", "--system", "theorem1", "--extent", "60"], 0,
+     "8cf8cfe2b517a2db955659d0a3298a3fcd88503d1b00661130ae3032e11d70e8"),
+    (["verify", "--theorem", "2", "--system", "theorem1", "--extent", "60"], 0,
+     "536d338ab75bf672639d90bd7b639e53752d5667d955c840b73021b7e6223987"),
 ]
 
 
