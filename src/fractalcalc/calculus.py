@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import _max_samples, _query, _search
-from .errors import DomainError, ParameterError, ResolutionError, _count, _real, _reals
+from .errors import ParameterError, ResolutionError, _count, _real, _reals
 from .fde import _apply
 from .staircase import StaircaseTable, eval_staircase
 
@@ -75,10 +75,12 @@ class GridFunction:
         """Sample ``fn`` at set points; defaults to every breakpoint.
 
         ``fn`` receives the time array (vectorized call, with a scalar
-        fallback).  Supplied grids must consist of set points.
+        fallback).  Supplied grids must consist of set points.  Values ``fn``
+        returns are copied like any caller's array, so an array it hands
+        back stays writable.
         """
         t, s = cls._at_set_points(table, table.t if t is None else t)
-        return cls(table=table, t=t, s=s, values=_locked(_apply(fn, t)))
+        return cls(table=table, t=t, s=s, values=_apply(fn, t))
 
     @classmethod
     def from_values(cls, table: StaircaseTable, t, values) -> "GridFunction":
@@ -155,13 +157,13 @@ def fractal_integral(f: GridFunction, a: float, b: float) -> float:
 
     Needs at least two samples inside [a, b] unless the staircase is flat
     there, in which case the integral is exactly zero (gaps carry no mass).
+    Each bound is one real number in the table's span; a NaN bound, like one
+    outside the span, is a DomainError.
     """
-    a, b = _real("a", a, "[-inf, inf]"), _real("b", b, "[-inf, inf]")
+    a = _query("a", _real("a", a), lambda x: x, *f.table.span)
+    b = _query("b", _real("b", b), lambda x: x, *f.table.span)
     if not a < b:
         raise ParameterError("integration bounds need a < b")
-    lo, hi = f.table.span
-    if a < lo or b > hi:
-        raise DomainError(f"[{a}, {b}] leaves the tabulated span [{lo}, {hi}]")
     i0 = int(np.searchsorted(f.t, a, side="left"))
     i1 = int(np.searchsorted(f.t, b, side="right")) - 1
     if i1 - i0 + 1 < 2:

@@ -36,10 +36,6 @@ from .systems import _named_system, example1_exact
 USAGE_ERROR = 2
 RUNTIME_ERROR = 3
 
-_DEPTH_DEFAULTS = {"cantor": 6, "staircase": 10, "chi": 10, "dimension": 16,
-                   "deriv": 12, "integrate": 12, "solve": 12, "demo": 12,
-                   "stability": 12, "verify": 12}
-
 
 def _write_rows(path, names, columns, fmt):
     """Write equal-length columns as a table, formatting one column at a time.
@@ -74,11 +70,8 @@ def _write_json(path, payload):
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _spec_from(args, command):
-    depth = args.depth if args.depth is not None else _DEPTH_DEFAULTS[command]
-    origin = getattr(args, "origin", 0.0)
-    extent = getattr(args, "extent", 1.0)
-    return CantorSpec(mu=args.mu, depth=depth, origin=origin, extent=extent)
+def _spec_from(args):
+    return CantorSpec(mu=args.mu, depth=args.depth, origin=args.origin, extent=args.extent)
 
 
 def _resolve_alpha(args, spec):
@@ -91,12 +84,11 @@ def _resolve_alpha(args, spec):
             f"--alpha must be a number or 'auto', got {args.alpha!r}") from None
 
 
-def _table_for(args, command):
+def _table_for(args):
     if getattr(args, "classical", False):
-        spec = CantorSpec(mu=0.5, depth=0, origin=getattr(args, "origin", 0.0),
-                          extent=getattr(args, "extent", 1.0))
+        spec = CantorSpec(mu=0.5, depth=0, origin=args.origin, extent=args.extent)
         return build_staircase(spec, 1.0, t0=spec.origin), spec
-    spec = _spec_from(args, command)
+    spec = _spec_from(args)
     alpha = _resolve_alpha(args, spec)
     return build_staircase(spec, alpha, t0=args.t0), spec
 
@@ -107,7 +99,7 @@ def _time_grid(args, spec):
 
 
 def cmd_cantor(args):
-    spec = _spec_from(args, "cantor")
+    spec = _spec_from(args)
     levels = list(iter_levels(spec))
     columns = (np.concatenate([np.full(len(iset), level) for level, iset in levels]),
                np.concatenate([np.arange(len(iset)) for _, iset in levels]),
@@ -118,14 +110,14 @@ def cmd_cantor(args):
 
 
 def cmd_staircase(args):
-    table, spec = _table_for(args, "staircase")
+    table, spec = _table_for(args)
     t = _time_grid(args, spec)
     _write_rows(args.out, ("t", "s"), (t, eval_staircase(table, t)), args.format)
     return 0
 
 
 def cmd_chi(args):
-    spec = _spec_from(args, "chi")
+    spec = _spec_from(args)
     alpha = _resolve_alpha(args, spec)
     t = _time_grid(args, spec)
     _write_rows(args.out, ("t", "chi"), (t, characteristic(spec, alpha, t)),
@@ -134,7 +126,7 @@ def cmd_chi(args):
 
 
 def cmd_dimension(args):
-    spec = _spec_from(args, "dimension")
+    spec = _spec_from(args)
     fine = spec.base_length * spec.keep_ratio ** spec.depth
     coarse_depth = max(spec.depth - 4, 1)
     coarse = spec.base_length * spec.keep_ratio ** coarse_depth
@@ -158,10 +150,10 @@ def cmd_dimension(args):
     return 0
 
 
-def _grid_function(args, command):
+def _grid_function(args):
     from .calculus import GridFunction
 
-    table, spec = _table_for(args, command)
+    table, spec = _table_for(args)
     fn = compile_expression(args.function, ("t",))
     return GridFunction.from_function(table, fn), table, spec
 
@@ -169,7 +161,7 @@ def _grid_function(args, command):
 def cmd_deriv(args):
     from .calculus import derivative_grid
 
-    f, table, _ = _grid_function(args, "deriv")
+    f, table, _ = _grid_function(args)
     d = derivative_grid(f)
     _write_rows(args.out, ("t", "f", "deriv"), (f.t, f.values, d.values), args.format)
     return 0
@@ -178,7 +170,7 @@ def cmd_deriv(args):
 def cmd_integrate(args):
     from .calculus import fractal_integral
 
-    f, table, spec = _grid_function(args, "integrate")
+    f, table, spec = _grid_function(args)
     a = spec.origin if args.lower is None else args.lower
     b = spec.extent if args.upper is None else args.upper
     value = fractal_integral(f, a, b)
@@ -203,7 +195,7 @@ def _trajectory_columns(traj):
 
 
 def cmd_solve(args):
-    table, spec = _table_for(args, "solve")
+    table, spec = _table_for(args)
     flow = _system(args, args.system)
     t_end = spec.extent if args.t_end is None else args.t_end
     opts = {"dtau": args.dtau, "method": args.method,
@@ -217,7 +209,7 @@ def cmd_solve(args):
 
 
 def cmd_stability(args):
-    table, spec = _table_for(args, "stability")
+    table, spec = _table_for(args)
     flow = _system(args, args.system)
     report = classify_stability(flow, table, horizon=args.horizon, dtau=args.dtau)
     _write_json(args.out, report.to_json())
@@ -225,7 +217,7 @@ def cmd_stability(args):
 
 
 def cmd_verify(args):
-    table, spec = _table_for(args, "verify")
+    table, spec = _table_for(args)
     verifier = verify_theorem1 if args.theorem == 1 else verify_theorem2
     flow = _system(args, args.system or f"theorem{args.theorem}")
     report = verifier(flow, table, t_end=args.t_end, dtau=args.dtau)
@@ -234,7 +226,7 @@ def cmd_verify(args):
 
 
 def cmd_demo(args):
-    table, spec = _table_for(args, "demo")
+    table, spec = _table_for(args)
     t_end = spec.extent if args.t_end is None else args.t_end
     flow = _system(args, args.which)
     if isinstance(flow, FdeSystem):
@@ -258,16 +250,15 @@ def cmd_demo(args):
     return 0
 
 
-def _add_common(p, *, alpha=True, t0=True, origin=True):
+def _add_common(p, depth, *, alpha=True, t0=True):
     p.add_argument("--mu", type=float, default=0.2,
                    help="cut fraction of the middle interval, in (0, 1)")
-    p.add_argument("--depth", type=int, default=None,
-                   help="construction depth (per-command default)")
-    if origin:
-        p.add_argument("--origin", type=float, default=0.0,
-                       help="left end of the base interval")
-        p.add_argument("--extent", type=float, default=1.0,
-                       help="right end of the base interval")
+    p.add_argument("--depth", type=int, default=depth,
+                   help=f"construction depth (default {depth})")
+    p.add_argument("--origin", type=float, default=0.0,
+                   help="left end of the base interval")
+    p.add_argument("--extent", type=float, default=1.0,
+                   help="right end of the base interval")
     if alpha:
         p.add_argument("--alpha", default="auto",
                        help="fractional order in (0, 1], or 'auto' to estimate")
@@ -287,33 +278,33 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cantor", help="list construction intervals per level")
-    _add_common(p, alpha=False, t0=False)
+    _add_common(p, 6, alpha=False, t0=False)
     p.set_defaults(func=cmd_cantor)
 
     p = sub.add_parser("staircase", help="sample the integral staircase")
-    _add_common(p)
+    _add_common(p, 10)
     p.add_argument("--samples", type=int, default=1001)
     p.add_argument("--classical", action="store_true",
                    help="identity clock on the plain interval")
     p.set_defaults(func=cmd_staircase)
 
     p = sub.add_parser("chi", help="sample the characteristic of the set")
-    _add_common(p, t0=False)
+    _add_common(p, 10, t0=False)
     p.add_argument("--samples", type=int, default=1001)
     p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("dimension", help="estimate the mass scaling dimension")
-    _add_common(p, alpha=False, t0=False)
+    _add_common(p, 16, alpha=False, t0=False)
     p.set_defaults(func=cmd_dimension)
 
     p = sub.add_parser("deriv", help="differentiate an expression on the set")
-    _add_common(p)
+    _add_common(p, 12)
     p.add_argument("--function", required=True,
                    help="expression in t, e.g. 't**2'")
     p.set_defaults(func=cmd_deriv)
 
     p = sub.add_parser("integrate", help="integrate an expression over the set")
-    _add_common(p)
+    _add_common(p, 12)
     p.add_argument("--function", required=True,
                    help="expression in t, e.g. 't**2'")
     p.add_argument("--lower", type=float, default=None)
@@ -321,7 +312,7 @@ def build_parser():
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("solve", help="integrate a system in the staircase clock")
-    _add_common(p)
+    _add_common(p, 12)
     p.add_argument("--system", default="example1",
                    choices=("example1", "example2", "example3", "theorem1",
                             "theorem2", "custom-first"))
@@ -340,7 +331,7 @@ def build_parser():
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("stability", help="classify an equilibrium empirically")
-    _add_common(p)
+    _add_common(p, 12)
     p.add_argument("--system", default="example1",
                    choices=("example1", "example2", "example3", "theorem1"))
     p.add_argument("--horizon", type=float, default=20.0)
@@ -349,7 +340,7 @@ def build_parser():
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("verify", help="run a certificate verifier")
-    _add_common(p)
+    _add_common(p, 12)
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p.add_argument("--system", default=None,
                    choices=("theorem1", "theorem2", "example2"),
@@ -359,7 +350,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("demo", help="reproduce a worked example as data")
-    _add_common(p)
+    _add_common(p, 12)
     p.add_argument("which", choices=("example1", "example2", "example3"))
     p.add_argument("--y0", type=float, default=1.0)
     p.add_argument("--z0", type=float, default=0.0)

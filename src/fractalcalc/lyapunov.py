@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import inspect
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .cantor import _max_samples, _query
 from .errors import ParameterError, PreconditionError, _count, _real, _reals
-from .fde import (BLOWUP_LIMIT, FdeConstants, FdeSystem, _apply, _central_diff,
-                  _first_order, _integrate, _tau_horizon, warp_time)
+from .fde import (FdeConstants, FdeSystem, _apply, _central_diff, _first_order, _integrate,
+                  _tau_horizon, warp_time)
 from .staircase import StaircaseTable
 
 
@@ -150,8 +150,7 @@ def lyapunov_derivative(L: LyapunovFunction, flow, state, tau=0.0):
 # batch integration shared by the empirical probes
 # ---------------------------------------------------------------------------
 
-def _batch_integrate(rhs, dim, Y0, tau_end, dtau, record_every,
-                     limit=BLOWUP_LIMIT):
+def _batch_integrate(rhs, dim, Y0, tau_end, dtau, record_every):
     """March the columns of Y0 with RK4, freezing escapes instead of raising.
 
     A column that leaves the blow-up ball is clipped to it and held there
@@ -181,7 +180,7 @@ def _batch_integrate(rhs, dim, Y0, tau_end, dtau, record_every,
         return [np.array(c, dtype=float) for c in zip(*outs)]
 
     return _integrate(rhs if on_rows else by_column, tau_end, Y, dtau, "rk4",
-                      record_every, limit, on_escape="freeze")
+                      record_every, on_escape="freeze")
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +213,13 @@ class StabilityReport:
     meta: dict
 
     def to_json(self):
-        decay = None
-        if self.decay is not None:
-            decay = {"rate_tau": self.decay.rate_tau, "r2_tau": self.decay.r2_tau,
-                     "rate_t": self.decay.rate_t, "r2_t": self.decay.r2_t,
-                     "kappa_alpha": self.decay.kappa_alpha,
-                     "bound_holds": self.decay.bound_holds}
         return _jsonify({
             "classification": self.classification,
             "alpha": self.alpha,
             "equilibrium": list(self.equilibrium),
             "eps": self.eps_results,
             "delta": self.delta_results,
-            "decay": decay,
+            "decay": None if self.decay is None else asdict(self.decay),
             "notes": list(self.notes),
             "meta": self.meta,
         })
@@ -265,7 +258,9 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=None,
       R^2 >= fit_min_r2 over the latter half of the horizon that also holds
       pointwise from t = 0 up to the slack bound_slack.  The pointwise
       requirement matters: a slowly flattening decay can fit the tail well
-      yet exceed any such bound near t = 0.
+      yet exceed any such bound near t = 0.  A fit needs at least 3 recorded
+      points in that half, since a line through fewer has R^2 = 1 by
+      construction, and a NaN fit fails.
     - every eps satisfied without settling: "lyapunov-stable".
     - no eps satisfied, or an escape to the blow-up ball: "unstable-evidence".
     - anything else: "inconclusive".
@@ -295,10 +290,9 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=None,
         notes.append(
             f"horizon truncated to tau={tau_end:.6g}, the staircase range end")
 
-    if dim == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    # +e1, -e1, +e2, -e2
+    dirs = np.repeat(np.eye(dim), 2, axis=0)
+    dirs[1::2] *= -1.0
     n_dirs = dirs.shape[0]
     cols = [eq + (d ** alpha) * u for d in delta_list for u in dirs]
     Y0 = np.array(cols).T
@@ -336,28 +330,23 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=None,
     decay = None
     if asymptotic:
         t = warp_time(table, taus)
-        floor = 1e-300
+        logs = np.log(np.maximum(devs, 1e-300))
         half_tau = taus >= 0.5 * taus[-1]
         half_t = t >= 0.5 * t[-1]
-        log_rep = np.log(np.maximum(devs[:, 0], floor))
-        slope_tau, _, r2_tau = _fit_line(taus[half_tau], log_rep[half_tau])
-        slope_t, intercept_t, r2_t = _fit_line(t[half_t], log_rep[half_t])
-        bound_all = True
-        for b in range(devs.shape[1]):
-            log_b = np.log(np.maximum(devs[:, b], floor))
-            m_b, c_b, r2_b = _fit_line(t[half_t], log_b[half_t])
-            if m_b >= 0.0 or r2_b < fit_min_r2:
-                bound_all = False
-                break
-            if np.any(devs[:, b] > np.exp(c_b + m_b * t) * (1.0 + bound_slack)):
-                bound_all = False
-                break
+        slope_tau, _, r2_tau = _fit_line(taus[half_tau], logs[half_tau, 0])
+        # one fit per probe column; column 0 is the reported one
+        fits = [_fit_line(t[half_t], logs[half_t, b]) for b in range(devs.shape[1])]
+        slope_t, intercept_t, r2_t = fits[0]
+        bound_holds = np.count_nonzero(half_t) >= 3 and all(
+            m < 0.0 and r2 >= fit_min_r2
+            and not np.any(dev > np.exp(c + m * t) * (1.0 + bound_slack))
+            for dev, (m, c, r2) in zip(devs.T, fits))
         dev0 = float(devs[0, 0])
         decay = DecayFit(
             rate_tau=-slope_tau, r2_tau=r2_tau,
             rate_t=-slope_t / alpha, r2_t=r2_t,
             kappa_alpha=float(np.exp(intercept_t)) / dev0 if dev0 > 0 else math.inf,
-            bound_holds=bound_all)
+            bound_holds=bound_holds)
 
     if not stable:
         if n_good == 0 or bool(np.any(escaped)):
@@ -452,7 +441,7 @@ class ConditionCheck:
 class AssumptionReport:
     """Results of the structural condition sweep, keyed C1 through C7."""
 
-    conditions: "OrderedDict[str, ConditionCheck]"
+    conditions: "dict[str, ConditionCheck]"
     alpha: float
 
     def __getitem__(self, name) -> ConditionCheck:
@@ -492,15 +481,10 @@ def _worst(*values):
     return float(np.min([np.min(v) for v in values]))
 
 
-def _cumtrapz(y, x):
-    """Cumulative trapezoid sums of samples y over the grid x, from 0."""
-    return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
-
-
 def _tail_integral(fn, windows):
     """Integrals over expanding windows and the increment of the last one."""
     grid = np.linspace(0.0, windows[-1], max(int(windows[-1] / 0.05), 200) + 1)
-    cum = _cumtrapz(_apply(fn, grid), grid)
+    cum = cumulative_trapezoid(_apply(fn, grid), grid, initial=0.0)
     totals = [float(np.interp(x, grid, cum)) for x in windows]
     increments = np.diff([0.0] + totals)
     return totals, float(increments[-1])
@@ -517,7 +501,7 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
     """
     a = grids.alpha
     c = sys.constants
-    checks = OrderedDict()
+    checks = {}
 
     def add(name, parts, ok=True, **witness):
         worst = _worst(*parts.values())
@@ -665,8 +649,9 @@ def _march_fan(sys, table, conditions, grids, initial_states, t_end, dtau,
     """Check the inputs and the named conditions, then march the fan.
 
     The fan defaults to eight compass states at radii 1 and 2, t_end to the
-    end of the span.  Returns (report, t_end, tau_end, taus, blocks, escaped)
-    with blocks of shape (n_records, 2, n_states).
+    end of the span, and the grids to the table's alpha; grids at another
+    alpha are a ParameterError.  Returns (report, t_end, tau_end, taus,
+    blocks, escaped) with blocks of shape (n_records, 2, n_states).
     """
     t_end, tau_end = _tau_horizon(table, table.span[1] if t_end is None else t_end)
     if tau_end <= 0.0:
@@ -678,7 +663,11 @@ def _march_fan(sys, table, conditions, grids, initial_states, t_end, dtau,
     if not (Y0.ndim == 2 and Y0.shape[1] == 2 and Y0.size > 0):
         raise ParameterError(
             "initial_states must be a non-empty list of finite (y, z) pairs")
-    report = check_assumptions(sys, grids or AssumptionGrids(alpha=table.alpha))
+    grids = grids or AssumptionGrids(alpha=table.alpha)
+    if grids.alpha != table.alpha:
+        raise ParameterError(
+            f"grids.alpha={grids.alpha!r} differs from the table's alpha={table.alpha!r}")
+    report = check_assumptions(sys, grids)
     failing = report.failing(conditions)
     if failing:
         raise PreconditionError(
@@ -797,47 +786,30 @@ def _theorem2_constants(c: FdeConstants, alpha: float, k: float) -> dict:
     }
 
 
-def _certificate_pieces(sys: FdeSystem, k: float, tau_b, Y, Z):
-    """L0, its flow derivative and the envelope pieces at broadcast samples.
+def _lemmas(sys: FdeSystem, consts: dict, tau, Y, Z):
+    """Lemma margins of L0 = v H + z^2 / 2 + k at broadcast samples.
 
-    tau_b must broadcast against Y and Z.  The derivative uses the closed
-    form dL0 = v' H - u f z^2 + q z, in which the v h z cross terms cancel.
+    Returns (lemma1_lo, lemma1_hi, lemma2, L0, dL0): the two sides of the
+    sandwich, the decrease bound minus dL0, the certificate and its flow
+    derivative.  tau must broadcast against Y and Z.  The derivative uses the
+    closed form dL0 = v' H - u f z^2 + q z, in which the v h z cross terms
+    cancel; a system without forcing has q = r1 = r2 = 0.
     """
-    Tb, Yb, Zb = np.broadcast_arrays(*(np.asarray(a, dtype=float)
-                                       for a in (tau_b, Y, Z)))
-    shape = Tb.shape
-    u_v = _apply(sys.u, Tb)
-    v_v = _apply(sys.v, Tb)
-    dv_v = _apply(sys.coefficient_slope, Tb)
-    H_v = _apply(sys.restoring_integral, Yb)
-    f_v = _apply(sys.f, Yb, Zb)
+    T, Y, Z = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (tau, Y, Z)))
+    dv = _apply(sys.coefficient_slope, T)
+    H = _apply(sys.restoring_integral, Y)
     if sys.q is None:
-        q_v = np.zeros(shape)
-        r1_v = np.zeros(shape)
-        r2_v = np.zeros(shape)
+        q = r1 = r2 = np.zeros(T.shape)
     else:
-        q_v = _apply(sys.q, Tb, Yb, Zb)
-        r1_v = _apply(sys.r1, Tb)
-        r2_v = _apply(sys.r2, Tb)
-    zeta0 = np.maximum(dv_v, 0.0)
-    L0 = v_v * H_v + 0.5 * Zb ** 2 + k
-    dL0 = dv_v * H_v - u_v * f_v * Zb ** 2 + q_v * Zb
-    return {"H": H_v, "L0": L0, "dL0": dL0, "zeta0": zeta0,
-            "r1": r1_v, "r2": r2_v, "Z": Zb}
-
-
-def _lemma_margins(pieces: dict, consts: dict, k: float):
-    """Sandwich and decrease margins from precomputed certificate pieces."""
-    H, Z, L0 = pieces["H"], pieces["Z"], pieces["L0"]
+        q, r1, r2 = _apply(sys.q, T, Y, Z), _apply(sys.r1, T), _apply(sys.r2, T)
+    k = consts["k"]
+    L0 = _apply(sys.v, T) * H + 0.5 * Z ** 2 + k
+    dL0 = dv * H - _apply(sys.u, T) * _apply(sys.f, Y, Z) * Z ** 2 + q * Z
     base = H + Z ** 2 + k
-    lemma1_lo = L0 - consts["E1_inv_alpha"] * base
-    lemma1_hi = consts["E2_inv_alpha"] * base - L0
-    bound = (-consts["E3_alpha"] * Z ** 2
-             + (pieces["r1"] + pieces["r2"]) * np.abs(Z)
-             + pieces["r2"] * (H + Z ** 2)
-             + consts["E4_alpha"] * pieces["zeta0"] * L0)
-    lemma2 = bound - pieces["dL0"]
-    return lemma1_lo, lemma1_hi, lemma2
+    bound = (-consts["E3_alpha"] * Z ** 2 + (r1 + r2) * np.abs(Z) + r2 * (H + Z ** 2)
+             + consts["E4_alpha"] * np.maximum(dv, 0.0) * L0)
+    return (L0 - consts["E1_inv_alpha"] * base, consts["E2_inv_alpha"] * base - L0,
+            bound - dL0, L0, dL0)
 
 
 @dataclass
@@ -918,27 +890,24 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
     sup_norm = float(np.max(np.hypot(Yb, Zb)))
 
     consts = _theorem2_constants(sys.constants, alpha, k)
-    pieces = _certificate_pieces(sys, k, taus[:, None], Yb, Zb)
-    l1_lo, l1_hi, l2 = _lemma_margins(pieces, consts, k)
+    l1_lo, l1_hi, l2, L0, dL0 = _lemmas(sys, consts, taus[:, None], Yb, Zb)
     lemma1_margin = _worst(l1_lo, l1_hi)
     lemma2_margin = _worst(l2)
 
     # weight W(tau) integrates the decay factor of the damped certificate
-    zeta_line = (consts["E4_alpha"] * pieces["zeta0"][:, 0]
-                 + (4.0 / consts["E1_alpha"])
-                 * (pieces["r1"][:, 0] + pieces["r2"][:, 0]))
-    W = _cumtrapz(zeta_line, taus)
+    forcing = 0.0 if sys.q is None else _apply(sys.r1, taus) + _apply(sys.r2, taus)
+    zeta_line = (consts["E4_alpha"] * np.maximum(_apply(sys.coefficient_slope, taus), 0.0)
+                 + (4.0 / consts["E1_alpha"]) * forcing)
+    W = cumulative_trapezoid(zeta_line, taus, initial=0.0)
     e5a = consts["E3_alpha"] * math.exp(-float(W[-1]))
-    dLw = np.exp(-W)[:, None] * (pieces["dL0"] - zeta_line[:, None] * pieces["L0"])
-    weighted = -e5a * Zb ** 2 - dLw
-    weighted_margin = _worst(weighted)
+    dLw = np.exp(-W)[:, None] * (dL0 - zeta_line[:, None] * L0)
+    weighted_margin = _worst(-e5a * Zb ** 2 - dLw)
 
     rng = np.random.default_rng(seed)
     r_tau = rng.uniform(0.0, tau_end, n_random)
     r_y = rng.uniform(-3.0, 3.0, n_random)
     r_z = rng.uniform(-3.0, 3.0, n_random)
-    rp = _certificate_pieces(sys, k, r_tau, r_y, r_z)
-    r1_lo, r1_hi, r2m = _lemma_margins(rp, consts, k)
+    r1_lo, r1_hi, r2m, _, _ = _lemmas(sys, consts, r_tau, r_y, r_z)
     lemma1_random = _worst(r1_lo, r1_hi)
     lemma2_random = _worst(r2m)
 
@@ -953,9 +922,7 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
     weighted_ok = weighted_margin >= 0.0
     passed = lemma1_ok and lemma2_ok and weighted_ok and bounded and converged
 
-    constants = dict(consts)
-    constants["E5_alpha"] = e5a
-    constants["weight_integral_end"] = float(W[-1])
+    constants = {**consts, "E5_alpha": e5a, "weight_integral_end": float(W[-1])}
     meta = {"tau_end": tau_end, "t_end": t_end, "dtau": float(dtau),
             "conv_tau": conv_at, "n_states": blocks.shape[2],
             "max_initial_norm": max(map(math.hypot, *blocks[0].tolist())),

@@ -53,7 +53,7 @@ class StaircaseTable:
     Queries read them through writable views kept privately, because
     np.interp copies a read-only breakpoint array on every call; an array
     that is read-only already, such as another table's ``t``, is copied once
-    here instead.
+    here instead.  ``alpha`` must lie in (0, 1] and ``t0`` be finite.
     """
 
     alpha: float
@@ -61,9 +61,10 @@ class StaircaseTable:
     t: np.ndarray
     s: np.ndarray
     t0: float
-    gamma_factor: float
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", _real("alpha", self.alpha, "(0, 1]"))
+        object.__setattr__(self, "t0", _real("t0", self.t0, "(-inf, inf)"))
         for name in ("t", "s"):
             arr = np.require(_reals(name, getattr(self, name)), requirements=["C", "W"])
             # a view taken before the lock stays writable
@@ -156,8 +157,7 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
     alpha = _real("alpha", alpha, "(0, 1]")
     t0 = spec.origin if t0 is None else _real("t0", t0, f"[{spec.origin}, {spec.extent}]")
     t = _breakpoints(spec)
-    g = math.gamma(alpha + 1.0)
-    c = g * (spec.base_length * spec.keep_ratio ** spec.depth) ** alpha
+    c = math.gamma(alpha + 1.0) * (spec.base_length * spec.keep_ratio ** spec.depth) ** alpha
     # s[j] = (j + j%2) * (c/2), so s[2k] = k*c and s[2k+1] = (k+1)*c, each
     # rounded once, since halving c and doubling k are exact.  It is filled
     # in cache-sized rows from one ramp, so the peak is t plus s
@@ -170,8 +170,7 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
     anchor = np.interp(t0, t, s)
     if anchor != 0.0:
         s -= anchor
-    return StaircaseTable(alpha=alpha, spec=spec, t=t, s=s, t0=t0,
-                          gamma_factor=g)
+    return StaircaseTable(alpha=alpha, spec=spec, t=t, s=s, t0=t0)
 
 
 def eval_staircase(table: StaircaseTable, t):

@@ -33,24 +33,31 @@ def example1_lyapunov():
     )
 
 
+def _oscillator(u, v, f, constants=None, q=None, r1=None, r2=None) -> FdeSystem:
+    """Oscillator with restoring force h(y) = y and constant v, with exact hooks.
+
+    u, v and f stay the caller's plain lambdas, since the integrator calls
+    them on every stage; constants default to FdeConstants().
+    """
+    return FdeSystem(
+        u=u, v=v, f=f, h=lambda y: y, q=q,
+        constants=constants or FdeConstants(), r1=r1, r2=r2,
+        h_integral=lambda y: 0.5 * y * y,
+        h_derivative=lambda y: np.ones_like(np.asarray(y, dtype=float)),
+        v_derivative=lambda tau: 0.0 * tau,
+    )
+
+
 def example2_system(constants=None) -> FdeSystem:
     """Nonlinearly damped oscillator D y = z, D z = -(y^2 + 1) z - y.
 
     Damping shape f(y, z) = y^2 + 1 and restoring force h(y) = y with unit
     coefficients and no forcing.
     """
-    return FdeSystem(
-        u=lambda tau: 1.0,
-        v=lambda tau: 1.0,
-        f=lambda y, z: y * y + 1.0,
-        h=lambda y: y,
-        q=None,
-        constants=constants or FdeConstants(lambda1=0.5, lambda2=1.0,
-                                            eps0=0.25, eps1=0.5, eps2=0.1),
-        h_integral=lambda y: 0.5 * y * y,
-        h_derivative=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-        v_derivative=lambda tau: 0.0 * tau,
-    )
+    return _oscillator(
+        lambda tau: 1.0, lambda tau: 1.0, lambda y, z: y * y + 1.0,
+        constants or FdeConstants(lambda1=0.5, lambda2=1.0,
+                                  eps0=0.25, eps1=0.5, eps2=0.1))
 
 
 def example2_lienard_field(tau, y, z):
@@ -99,17 +106,7 @@ def example3_lyapunov(spring=1.0):
 def example3_system(spring=1.0, constants=None) -> FdeSystem:
     """The undamped oscillator packaged as an FdeSystem (u = 0 damping)."""
     c = _real("spring", spring, "(-inf, inf)")
-    return FdeSystem(
-        u=lambda tau: 0.0,
-        v=lambda tau: c,
-        f=lambda y, z: 1.0,
-        h=lambda y: y,
-        q=None,
-        constants=constants or FdeConstants(),
-        h_integral=lambda y: 0.5 * y * y,
-        h_derivative=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-        v_derivative=lambda tau: 0.0 * tau,
-    )
+    return _oscillator(lambda tau: 0.0, lambda tau: c, lambda y, z: 1.0, constants)
 
 
 def linear_damped_system(forcing=None, r1=None, r2=None,
@@ -121,19 +118,8 @@ def linear_damped_system(forcing=None, r1=None, r2=None,
     eps1 = 1/2, eps2 = 1/10, sigma = 1, E = Q = u0 = v0 = 1) satisfy every
     structural assumption with round margins.
     """
-    return FdeSystem(
-        u=lambda tau: 1.0,
-        v=lambda tau: 1.0,
-        f=lambda y, z: 1.0,
-        h=lambda y: y,
-        q=forcing,
-        constants=constants or FdeConstants(),
-        r1=r1,
-        r2=r2,
-        h_integral=lambda y: 0.5 * y * y,
-        h_derivative=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-        v_derivative=lambda tau: 0.0 * tau,
-    )
+    return _oscillator(lambda tau: 1.0, lambda tau: 1.0, lambda y, z: 1.0, constants,
+                       forcing, r1, r2)
 
 
 def theorem1_toy() -> FdeSystem:

@@ -270,6 +270,12 @@ HOLES = {
         example1_lyapunov(), example1_field, np.array([1.0, math.nan])),
     "covering-measure-string": lambda: covering_measure("x"),
     "equilibrium-inf": lambda: _classify(equilibrium=math.inf),
+    "theorem1-grids-other-alpha": lambda: _verify1(grids=_grids(alpha=0.3)),
+    "theorem2-grids-other-alpha": lambda: _verify2(grids=_grids(alpha=0.3)),
+    "staircase-table-alpha-none": lambda: dataclasses.replace(TABLE, alpha=None),
+    "staircase-table-alpha-above-one": lambda: dataclasses.replace(TABLE, alpha=1.5),
+    "staircase-table-t0-string": lambda: dataclasses.replace(TABLE, t0="x"),
+    "staircase-table-t0-nan": lambda: dataclasses.replace(TABLE, t0=math.nan),
 }
 
 
@@ -295,6 +301,8 @@ DOMAIN_HOLES = {
     "from-function-nan": lambda: GridFunction.from_function(TABLE, np.sin, t=[math.nan]),
     "lyapunov-derivative-nan-in-tau": lambda: lyapunov_derivative(
         example1_lyapunov(), example1_field, 1.0, tau=[0.0, math.nan]),
+    "integral-lower-nan": lambda: fractal_integral(SAMPLES, math.nan, 1.0),
+    "integral-upper-nan": lambda: fractal_integral(SAMPLES, 0.0, math.nan),
 }
 
 

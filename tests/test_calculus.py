@@ -78,11 +78,14 @@ def test_grid_functions_leave_the_callers_arrays_writable(table):
     values = np.arange(t.size, dtype=float)
     f = GridFunction.from_values(table, t, values)
     g = GridFunction.from_function(table, np.sin, t=t)
+    # fn hands back an array the caller holds
+    h = GridFunction.from_function(table, lambda x: values, t=t)
     assert t.flags.writeable and values.flags.writeable
     # the functions hold read-only copies, so the caller's writes miss them
     t[0] = values[0] = -1.0
-    assert f.t[0] == g.t[0] == table.t[0] and f.values[0] == 0.0
-    assert not any(a.flags.writeable for a in (f.t, f.s, f.values, g.t, g.s, g.values))
+    assert f.t[0] == g.t[0] == table.t[0] and f.values[0] == h.values[0] == 0.0
+    assert not any(a.flags.writeable
+                   for a in (f.t, f.s, f.values, g.t, g.s, g.values, h.values))
     # an array that is read-only already is kept as it is
     assert GridFunction.from_function(table, np.sin).t is table.t
 

@@ -166,6 +166,14 @@ def test_classify_identity_clock_is_exponential():
     assert abs(rep.decay.rate_t - 1.0) <= 1e-2
 
 
+def test_classify_needs_three_points_for_a_decay_fit(long_table):
+    # the fit window holds one recorded point, and a line through it has
+    # R^2 = 1; the default record_every gives the same label
+    rep = classify_stability(example1_field, long_table, record_every=10**6)
+    assert rep.decay.r2_t == 1.0 and not rep.decay.bound_holds
+    assert rep.classification == "asymptotically-stable"
+
+
 def test_classify_conservative_oscillator(long_table):
     rep = classify_stability(example3_field(1.0), long_table,
                              equilibrium=(0.0, 0.0))
