@@ -173,6 +173,17 @@ def _descend(left, right, r, levels):
     return left, right
 
 
+def _check_resolution(spec: CantorSpec):
+    """Refuse a depth below float resolution; as r < 1/2, a resolved depth is below 51."""
+    r, m = spec.keep_ratio, spec.depth
+    # intervals or gaps (the smallest span mu L r^(m-1)) within 4 float spacings degenerate
+    spacing = np.finfo(float).eps * max(abs(spec.origin), abs(spec.extent), 1.0)
+    if min(r ** m, spec.mu * r ** (m - 1) if m else 1.0) * spec.base_length <= 4.0 * spacing:
+        raise ResolutionError(
+            f"depth {m} intervals or gaps of the mu={spec.mu:g} set fall "
+            "below float resolution; reduce the depth or the cut fraction")
+
+
 def _breakpoints(spec: CantorSpec) -> np.ndarray:
     """Interleaved endpoints l0, r0, l1, r1, ... of the depth-m realization.
 
@@ -181,13 +192,8 @@ def _breakpoints(spec: CantorSpec) -> np.ndarray:
     into its slice of the result.  Every endpoint comes from its ancestors
     by the same float operations either way.
     """
+    _check_resolution(spec)
     r, m = spec.keep_ratio, spec.depth
-    # intervals or gaps (the smallest span mu L r^(m-1)) within 4 float spacings degenerate
-    spacing = np.finfo(float).eps * max(abs(spec.origin), abs(spec.extent), 1.0)
-    if min(r ** m, spec.mu * r ** (m - 1) if m else 1.0) * spec.base_length <= 4.0 * spacing:
-        raise ResolutionError(
-            f"depth {m} intervals or gaps of the mu={spec.mu:g} set fall "
-            "below float resolution; reduce the depth or the cut fraction")
     chunk = min(m, _CHUNK_LEVELS)
     left, right = _descend(np.array([spec.origin]), np.array([spec.extent]), r, m - chunk)
     t = np.empty(2 << m)

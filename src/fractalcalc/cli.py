@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .cantor import CantorSpec, _max_samples, generate, hausdorff_dimension, iter_levels
+from .cantor import CantorSpec, _max_samples, hausdorff_dimension, iter_levels
 from .errors import (
     ExpressionError,
     FractalCalcError,
@@ -127,6 +127,8 @@ def cmd_chi(args):
 
 def cmd_dimension(args):
     spec = _spec_from(args)
+    if spec.depth < 2:
+        raise ParameterError(f"--depth must be at least 2 to estimate, got {spec.depth}")
     fine = spec.base_length * spec.keep_ratio ** spec.depth
     coarse_depth = max(spec.depth - 4, 1)
     coarse = spec.base_length * spec.keep_ratio ** coarse_depth

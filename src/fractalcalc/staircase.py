@@ -11,7 +11,8 @@ exposing a gap strictly decreases it, so the infimum over subdivisions is
 approached by placing subdivision points at the endpoints of a generated
 level and refining by generating deeper.  ``estimate_mass`` exploits this:
 it picks the coarsest depth whose interval length is at or below the
-requested resolution and sums the clipped covering intervals directly.
+requested resolution and sums its intervals without building the set,
+whole ones at the closed-form mass c and clipped ones at their overlap.
 
 The staircase S(t) is the running mass from an anchor t0: piecewise linear
 across covering intervals, flat across gaps, and represented as a breakpoint
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import (CantorSpec, IntervalSet, _breakpoints, _query, _search, contains, generate,
-                     max_depth)
+from .cantor import (CantorSpec, IntervalSet, _breakpoints, _check_resolution, _query, _search,
+                     contains, generate, max_depth)
 from .errors import EstimationError, ParameterError, ResolutionError, _real, _reals
 
 _RAMP = 2 ** 14  # values per row of the s fill; 2^16 shows in a depth-18 build's peak
@@ -120,6 +121,11 @@ def depth_for_resolution(spec: CantorSpec, delta: float) -> int:
     return depth
 
 
+def _interval_mass(spec: CantorSpec, alpha: float) -> float:
+    """Mass c = Gamma(alpha+1) * (L r^m)^alpha of one depth-m covering interval."""
+    return math.gamma(alpha + 1.0) * (spec.base_length * spec.keep_ratio ** spec.depth) ** alpha
+
+
 def estimate_mass(spec: CantorSpec, alpha: float, c1: float, c2: float,
                   delta: float) -> MassEstimate:
     """Mass of order alpha carried by the set between c1 and c2.
@@ -134,12 +140,22 @@ def estimate_mass(spec: CantorSpec, alpha: float, c1: float, c2: float,
     c1, c2 = _real("c1", c1, "[-inf, inf]"), _real("c2", c2, "[-inf, inf]")
     if not c1 < c2:
         raise ParameterError("mass window needs c1 < c2")
-    depth = depth_for_resolution(spec, delta)
-    iset = generate(spec.with_depth(depth))
-    # overlaps with [c1, c2]; misses and boundary touches carry no mass
-    overlap = np.minimum(iset.right, c2) - np.maximum(iset.left, c1)
-    value = float(math.gamma(alpha + 1.0) * np.sum(overlap[overlap > 0.0] ** alpha))
-    return MassEstimate(alpha=alpha, delta=float(delta), value=value, depth=depth)
+    spec = spec.with_depth(depth_for_resolution(spec, delta))
+    _check_resolution(spec)
+    # a piece with k levels to go lying wholly in [c1, c2] holds 2^k intervals;
+    # only pieces an end cuts are split, by the float operations of _descend
+    whole, clipped, stack = 0, 0.0, [(spec.origin, spec.extent, spec.depth)]
+    while stack:
+        a, b, k = stack.pop()
+        if c1 <= a and b <= c2:
+            whole += 1 << k
+        elif k == 0:  # misses and boundary touches add 0
+            clipped += max(min(b, c2) - max(a, c1), 0.0) ** alpha
+        elif a < c2 and c1 < b:
+            cut = (b - a) * spec.keep_ratio
+            stack += [(a, a + cut, k - 1), (b - cut, b, k - 1)]
+    value = whole * _interval_mass(spec, alpha) + math.gamma(alpha + 1.0) * clipped
+    return MassEstimate(alpha=alpha, delta=float(delta), value=value, depth=spec.depth)
 
 
 def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
@@ -157,7 +173,7 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
     alpha = _real("alpha", alpha, "(0, 1]")
     t0 = spec.origin if t0 is None else _real("t0", t0, f"[{spec.origin}, {spec.extent}]")
     t = _breakpoints(spec)
-    c = math.gamma(alpha + 1.0) * (spec.base_length * spec.keep_ratio ** spec.depth) ** alpha
+    c = _interval_mass(spec, alpha)
     # s[j] = (j + j%2) * (c/2), so s[2k] = k*c and s[2k+1] = (k+1)*c, each
     # rounded once, since halving c and doubling k are exact.  It is filled
     # in cache-sized rows from one ramp, so the peak is t plus s
@@ -184,18 +200,6 @@ def characteristic(spec: CantorSpec, alpha: float, t):
     return contains(generate(spec), t) * (1.0 / math.gamma(alpha + 1.0))
 
 
-def _total_mass(iset: IntervalSet):
-    """Total mass of the intervals of ``iset`` as a function of alpha."""
-    # one depth has a single interval length; collapse duplicates once, so
-    # each alpha raises only the distinct lengths to its power
-    vals, counts = np.unique(iset.lengths(), return_counts=True)
-
-    def mass(alpha):
-        return float(math.gamma(alpha + 1.0) * np.sum(counts * vals ** alpha))
-
-    return mass
-
-
 def dimension_sweep(spec: CantorSpec, delta1: float, delta2: float, alphas=None):
     """Mass ratios fine/coarse over a grid of candidate orders.
 
@@ -211,11 +215,10 @@ def dimension_sweep(spec: CantorSpec, delta1: float, delta2: float, alphas=None)
     if m2 <= m1:
         raise ParameterError(
             f"delta2={delta2!r} resolves no deeper than delta1={delta1!r}")
-    mass1 = _total_mass(generate(spec.with_depth(m1)))
-    mass2 = _total_mass(generate(spec.with_depth(m2)))
 
     def ratio_fn(alpha):
-        return mass2(alpha) / mass1(alpha)
+        return (estimate_mass(spec, alpha, -math.inf, math.inf, delta2).value
+                / estimate_mass(spec, alpha, -math.inf, math.inf, delta1).value)
 
     ratios = np.array([ratio_fn(a) for a in alphas])
     return alphas, ratios, ratio_fn

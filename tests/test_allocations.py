@@ -6,7 +6,9 @@ tracemalloc sees numpy's data buffers, so a temporary or a copy the size of
 the table shows in these peaks, while small Python objects do not move them.
 """
 
+import contextlib
 import dataclasses
+import io
 import tracemalloc
 
 import numpy as np
@@ -17,12 +19,14 @@ from fractalcalc import (
     GridFunction,
     build_staircase,
     contains,
+    estimate_mass,
     eval_staircase,
     generate,
     hausdorff_dimension,
     in_set,
     l_alpha_sum,
 )
+from fractalcalc.cli import main
 
 DEPTH = 18
 SPEC = CantorSpec(mu=0.2, depth=DEPTH)
@@ -73,6 +77,19 @@ def test_deep_generate_peak_is_its_breakpoints():
 
 def test_deep_build_staircase_peak_is_the_table():
     assert _peak(lambda: build_staircase(DEEP_SPEC, ALPHA, t0=0.3), DEEP_SPEC.depth) <= 2.05
+
+
+def test_mass_and_dimension_build_no_set():
+    # the masses descend from the base interval, so neither path holds a
+    # 2^m-entry array at any depth
+    def dimension():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["dimension", "--depth", "24"]) == 0
+
+    assert _peak(dimension, 24) <= 0.05
+    spec = CantorSpec(mu=0.2, depth=20)
+    assert _peak(lambda: estimate_mass(spec, ALPHA, 0.3, 0.7, spec.keep_ratio ** 20),
+                 20) <= 0.05
 
 
 _POINTS = np.random.default_rng(7).uniform(0.0, 1.0, 1000)

@@ -13,6 +13,8 @@ from fractalcalc import (
     build_staircase,
     contains,
     covering_measure,
+    dimension_sweep,
+    estimate_mass,
     generate,
     hausdorff_dimension,
     iter_levels,
@@ -169,8 +171,13 @@ def test_depth_cap_from_environment(monkeypatch):
 def test_generate_rejects_sub_resolution_depth():
     # at mu=0.99 the keep ratio is 0.005, so depth-10 pieces measure 1e-23
     # and cannot be told apart near t=1 in float arithmetic
+    spec = CantorSpec(mu=0.99, depth=10)
     with pytest.raises(ResolutionError):
-        generate(CantorSpec(mu=0.99, depth=10))
+        generate(spec)
+    with pytest.raises(ResolutionError):
+        estimate_mass(spec, 0.5, 0.0, 1.0, spec.keep_ratio ** 10)
+    with pytest.raises(ResolutionError):
+        dimension_sweep(spec, spec.keep_ratio ** 6, spec.keep_ratio ** 10)
 
 
 @pytest.mark.parametrize("mu", [1e-17, 1e-16, 2e-16])
@@ -182,6 +189,10 @@ def test_gaps_below_float_resolution_are_refused(mu):
         generate(spec)
     with pytest.raises(ResolutionError):
         build_staircase(spec, 0.5)
+    with pytest.raises(ResolutionError):
+        estimate_mass(spec, 0.5, 0.0, 1.0, spec.keep_ratio ** 3)
+    with pytest.raises(ResolutionError):
+        dimension_sweep(spec, spec.keep_ratio, spec.keep_ratio ** 3)
     # a gap of 2.5e-11 is still resolved
     assert np.all(np.diff(generate(CantorSpec(mu=1e-10, depth=3))._t) > 0.0)
 

@@ -126,6 +126,14 @@ def test_unknown_alpha_keyword_is_usage_error():
     assert run_cli(["staircase", "--alpha", "brisk"]) == 2
 
 
+@pytest.mark.parametrize("depth", ["0", "1"])
+def test_shallow_dimension_names_the_depth(depth, capsys):
+    # the estimate compares depths max(d - 4, 1) and d, so d must exceed 1
+    assert run_cli(["dimension", "--depth", depth]) == 2
+    err = capsys.readouterr().err
+    assert "--depth must be at least 2" in err and "delta" not in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_blowup_is_runtime_error_with_partial_output(tmp_path):
     out = tmp_path / "partial.csv"
@@ -296,7 +304,7 @@ GOLDEN = [
     (["chi"], 0,
      "35be434c0aab86f8c82ffcefb0d0b62a93e434af4d8381de3edd374443189fdf"),
     (["dimension"], 0,
-     "45400b5d1a19f33a55d2e15bba3989ae5b45572a10f487616b289475307913a4"),
+     "61a07ad19cf49d1f17d0e6cc8dfacce8c64e1f97e41b827becd4074767b8dc96"),
     (["deriv", "--function", "t**2"], 0,
      "76849e4d6a4c9f008c16a63bddede17ba5ec13fe0e9a4f8b176ce5bb3d716a24"),
     (["integrate", "--function", "1"], 0,
