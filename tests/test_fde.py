@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -13,12 +14,15 @@ from fractalcalc import (
     FdeSystem,
     NumericalBlowupError,
     ParameterError,
+    ResolutionError,
+    StaircaseTable,
     build_staircase,
     eval_staircase,
     example1_exact,
     example1_field,
     example2_system,
     example3_system,
+    hausdorff_dimension,
     linear_damped_system,
     solve_first_order,
     solve_second_order,
@@ -473,6 +477,83 @@ def test_warp_time_outside_range_raises(table):
         warp_time(table, math.nan)
     with pytest.raises(DomainError):
         warp_time(table, np.array([0.1, math.nan]))
+
+
+def _warp_tables():
+    """Built tables over mu x depth x base interval x t0, then two hand-built ones."""
+    for mu in (0.05, 0.2, 0.5, 0.9):
+        for depth in (0, 1, 2, 3, 5, 8, 11, 14):
+            for origin, extent in ((0.0, 1.0), (-2.0, 3.0), (0.0, 60.0)):
+                for where in (0.0, 0.3, 1.0):
+                    spec = CantorSpec(mu, depth, origin, extent)
+                    try:
+                        yield build_staircase(spec, hausdorff_dimension(mu),
+                                              t0=origin + where * (extent - origin))
+                    except ResolutionError:
+                        continue
+    rng = np.random.default_rng(1717)
+    # a random nondecreasing s with a plateau of 40 equal values
+    t = np.sort(rng.uniform(-1.0, 4.0, 400))
+    steps = rng.exponential(size=399)
+    steps[150:190] = 0.0
+    s = -0.7 + np.concatenate([[0.0], np.cumsum(steps)])
+    yield StaircaseTable(alpha=0.5, spec=CantorSpec(0.2, 0), t=t, s=s, t0=float(t[0]))
+    yield StaircaseTable(alpha=0.5, spec=CantorSpec(0.2, 0), t=np.linspace(0.0, 1.0, 64),
+                         s=np.full(64, 2.5), t0=0.0)
+
+
+def _warp_digest():
+    """sha256 of warp_time at every breakpoint value, its float neighbours,
+    random taus and both range ends, shuffled, and of one scalar query."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(17)
+    for table in _warp_tables():
+        s = table.s
+        lo, hi = table.s_range
+        taus = np.concatenate([s, np.nextafter(s, -math.inf), np.nextafter(s, math.inf),
+                               rng.uniform(lo, hi, 256), [lo, hi]])
+        taus = rng.permutation(taus[(taus >= lo) & (taus <= hi)])
+        h.update(warp_time(table, taus).tobytes())
+        scalar = warp_time(table, taus[taus.size // 2].item())
+        assert type(scalar) is float
+        h.update(np.float64(scalar).tobytes())
+    return h.hexdigest()
+
+
+def test_warp_time_output_is_pinned():
+    # captured before warp_time stopped sorting its queries; any change to
+    # the inverse staircase's numbers shows here
+    assert _warp_digest() == (
+        "5128f7ada8712fce50e62052195a588712dcb981c664e8596d8d98cec67c15e0")
+
+
+def _warp_reference(table, taus):
+    """The inverse staircase through a plain binary search over s."""
+    s, t = table.s, table.t
+    j = np.clip(np.searchsorted(s, taus, side="left"), 0, s.size - 1)
+    j0 = np.maximum(j - 1, 0)
+    ds = s[j] - s[j0]
+    frac = np.where(ds > 0.0, (taus - s[j0]) / np.where(ds > 0.0, ds, 1.0), 0.0)
+    return np.where(s[j] == taus, t[j], t[j0] + frac * (t[j] - t[j0]))
+
+
+def test_warp_time_search_path_matches_a_binary_search():
+    # s = j**4 is far from linear in j, so the one-step index guess
+    # h = ceil((tau - s[0]) n / (s[-1] - s[0])), j = h - 1 for even h and h
+    # otherwise, misses every tau in (s[12], s[40]] and each is searched
+    n = 64
+    s = np.arange(n, dtype=float) ** 4
+    table = StaircaseTable(alpha=0.5, spec=CantorSpec(0.2, 0),
+                           t=np.linspace(-1.0, 2.0, n), s=s, t0=-1.0)
+    rng = np.random.default_rng(4)
+    inner = s[13:41]
+    taus = rng.permutation(np.concatenate([
+        inner, np.nextafter(inner, -math.inf), rng.uniform(s[12], s[40], 5000)]))
+    taus = taus[taus > s[12]]
+    h = np.ceil((taus - s[0]) * n / (s[-1] - s[0])).astype(int)
+    guess = np.clip(np.where(h % 2 == 0, h - 1, h), 0, n - 1)
+    assert np.all(guess != np.searchsorted(s, taus, side="left"))
+    assert warp_time(table, taus).tobytes() == _warp_reference(table, taus).tobytes()
 
 
 def test_constants_defaults_and_delta():
