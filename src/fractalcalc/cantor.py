@@ -213,8 +213,8 @@ def generate(spec: CantorSpec) -> IntervalSet:
     return IntervalSet(t[0::2], t[1::2])
 
 
-def _in_key_order(search, keys):
-    """Apply the pointwise ``search`` to ``keys`` in ascending key order.
+def _in_key_order(search):
+    """Wrap the pointwise ``search`` so that it runs in ascending key order.
 
     ``search`` maps an array of keys to one result per key, such as a binary
     search over a breakpoint table followed by gathers from it.  Keys that
@@ -223,27 +223,30 @@ def _in_key_order(search, keys):
     2^22-entry table stays in cache.  Each result depends on its key alone,
     so the output is the same as ``search(keys)``, bit for bit.
     """
-    flat = keys.reshape(-1)
-    if flat.size < 2 or not (flat[1:] < flat[:-1]).any():
-        return search(keys)
-    order = np.argsort(flat)
-    found = search(flat[order])
-    out = np.empty_like(found)
-    out[order] = found
-    return out.reshape(keys.shape)
+    def ordered(keys):
+        flat = keys.reshape(-1)
+        if flat.size < 2 or not (flat[1:] < flat[:-1]).any():
+            return search(keys)
+        order = np.argsort(flat)
+        found = search(flat[order])
+        out = np.empty_like(found)
+        out[order] = found
+        return out.reshape(keys.shape)
+    return ordered
 
 
 def _query(name, points, search, lo=-math.inf, hi=math.inf):
-    """``search`` answered at ``points``, real numbers in [lo, hi], by ``_in_key_order``.
+    """``search`` answered at ``points``, real numbers in [lo, hi].
 
     A point outside [lo, hi], NaN too, is a DomainError; a scalar or 0-d
-    query gets a Python scalar back.  Every point query goes through here.
+    query gets a Python scalar back.  Every point query goes through here;
+    a search that gains from ascending keys wraps itself in ``_in_key_order``.
     """
     x = _reals(name, points)
     # written so that NaN fails it too
     if not (np.all(x >= lo) and np.all(x <= hi)):
         raise DomainError(f"{name} outside [{lo!r}, {hi!r}] or NaN")
-    out = _in_key_order(search, x)
+    out = search(x)
     return out.item() if x.ndim == 0 else out
 
 
@@ -266,7 +269,7 @@ def contains(iset: IntervalSet, t):
     outside the base span are simply reported as absent; a NaN raises
     DomainError.
     """
-    return _query("t", t, lambda x: _search(iset._t, x)[1])
+    return _query("t", t, _in_key_order(lambda x: _search(iset._t, x)[1]))
 
 
 def covering_measure(obj) -> float:

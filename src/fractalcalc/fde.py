@@ -447,17 +447,59 @@ def warp_time(table: StaircaseTable, tau):
     Values inside a plateau's range return the plateau's left breakpoint, so
     warp_time(S(t)) is the gap's left end for t in a gap, and on the rising
     segments t up to rounding (a few ulps, on either side of t).
-    """
-    s = table.s
 
-    def search(x):
-        j = np.searchsorted(s, x, side="left")
-        j = np.clip(j, 0, s.size - 1)
-        exact = s[j] == x
-        j0 = np.maximum(j - 1, 0)
-        ds = s[j] - s[j0]
-        frac = np.where(ds > 0.0, (x - s[j0]) / np.where(ds > 0.0, ds, 1.0), 0.0)
-        t_between = table.t[j0] + frac * (table.t[j] - table.t[j0])
-        return np.where(exact, table.t[j], t_between)
+    The index j = searchsorted(s, tau, "left") comes from one interpolation
+    step.  A built table's s[j] = (j + j%2) c/2, less the anchor, is linear
+    in j, so with n = s.size and h = ceil((tau - s[0]) n / (s[-1] - s[0]))
+    the guess is j = h - 1 for even h and h for odd.  On any nondecreasing
+    s the search's answer is the one j with s[j-1] < tau <= s[j]; a guess
+    that fails this check, which also takes j = 0, is searched for.  So the
+    answers are those of a binary search, bit for bit, on every table.
+    """
+    s, t = table.s, table.t
+    lo, hi = table.s_range
+    n = s.size
+    step = n / (hi - lo) if hi > lo else 0.0
+
+    def search(keys):
+        x = keys.reshape(-1)
+        if 0.0 < step < math.inf:
+            guess = x - lo
+            guess *= step
+            # h = ceil(guess), and (h - 1) | 1 is h - 1 for even h, h for odd
+            j = np.ceil(guess, out=guess).astype(np.intp)
+            del guess
+            j -= 1
+            j |= 1
+            np.clip(j, 0, n - 1, out=j)
+        else:
+            j = np.zeros(x.size, np.intp)
+        s_hi, t_hi = s[j], t[j]
+        j -= 1
+        np.maximum(j, 0, out=j)
+        s_lo, t_lo = s[j], t[j]
+        del j
+        hit = s_hi >= x
+        hit &= s_lo < x
+        miss = np.flatnonzero(~hit)
+        del hit
+        if miss.size:
+            j = np.searchsorted(s, x[miss], side="left")
+            s_hi[miss], t_hi[miss] = s[j], t[j]
+            j = np.maximum(j - 1, 0)
+            s_lo[miss], t_lo[miss] = s[j], t[j]
+        # t_lo + frac * (t_hi - t_lo) with frac = (x - s_lo) / (s_hi - s_lo)
+        # on a rising step and 0 on a flat one, t_hi where tau hits s_hi
+        exact = s_hi == x
+        ds = np.subtract(s_hi, s_lo, out=s_hi)
+        frac = np.subtract(x, s_lo, out=s_lo)
+        rising = ds > 0.0
+        np.divide(frac, ds, out=frac, where=rising)
+        np.logical_not(rising, out=rising)
+        frac[rising] = 0.0
+        frac *= np.subtract(t_hi, t_lo, out=ds)
+        frac += t_lo
+        np.copyto(frac, t_hi, where=exact)
+        return frac.reshape(keys.shape)
 
     return _query("tau", tau, search, *table.s_range)

@@ -258,9 +258,10 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=None,
       R^2 >= fit_min_r2 over the latter half of the horizon that also holds
       pointwise from t = 0 up to the slack bound_slack.  The pointwise
       requirement matters: a slowly flattening decay can fit the tail well
-      yet exceed any such bound near t = 0.  A fit needs at least 3 recorded
-      points in that half, since a line through fewer has R^2 = 1 by
-      construction, and a NaN fit fails.
+      yet exceed any such bound near t = 0.  A NaN fit fails.  A line
+      through fewer than 3 points has R^2 = 1 by construction, so when the
+      latter half, in tau or in t, holds fewer than 3 recorded points no fit
+      is made: ``decay`` is None and a note says why.
     - every eps satisfied without settling: "lyapunov-stable".
     - no eps satisfied, or an escape to the blow-up ball: "unstable-evidence".
     - anything else: "inconclusive".
@@ -330,23 +331,27 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=None,
     decay = None
     if asymptotic:
         t = warp_time(table, taus)
-        logs = np.log(np.maximum(devs, 1e-300))
         half_tau = taus >= 0.5 * taus[-1]
         half_t = t >= 0.5 * t[-1]
-        slope_tau, _, r2_tau = _fit_line(taus[half_tau], logs[half_tau, 0])
-        # one fit per probe column; column 0 is the reported one
-        fits = [_fit_line(t[half_t], logs[half_t, b]) for b in range(devs.shape[1])]
-        slope_t, intercept_t, r2_t = fits[0]
-        bound_holds = np.count_nonzero(half_t) >= 3 and all(
-            m < 0.0 and r2 >= fit_min_r2
-            and not np.any(dev > np.exp(c + m * t) * (1.0 + bound_slack))
-            for dev, (m, c, r2) in zip(devs.T, fits))
-        dev0 = float(devs[0, 0])
-        decay = DecayFit(
-            rate_tau=-slope_tau, r2_tau=r2_tau,
-            rate_t=-slope_t / alpha, r2_t=r2_t,
-            kappa_alpha=float(np.exp(intercept_t)) / dev0 if dev0 > 0 else math.inf,
-            bound_holds=bound_holds)
+        if min(np.count_nonzero(half_tau), np.count_nonzero(half_t)) < 3:
+            notes.append("no decay fit: fewer than 3 recorded points in the "
+                         "latter half of the horizon")
+        else:
+            logs = np.log(np.maximum(devs, 1e-300))
+            slope_tau, _, r2_tau = _fit_line(taus[half_tau], logs[half_tau, 0])
+            # one fit per probe column; column 0 is the reported one
+            fits = [_fit_line(t[half_t], logs[half_t, b]) for b in range(devs.shape[1])]
+            slope_t, intercept_t, r2_t = fits[0]
+            bound_holds = all(
+                m < 0.0 and r2 >= fit_min_r2
+                and not np.any(dev > np.exp(c + m * t) * (1.0 + bound_slack))
+                for dev, (m, c, r2) in zip(devs.T, fits))
+            dev0 = float(devs[0, 0])
+            decay = DecayFit(
+                rate_tau=-slope_tau, r2_tau=r2_tau,
+                rate_t=-slope_t / alpha, r2_t=r2_t,
+                kappa_alpha=float(np.exp(intercept_t)) / dev0 if dev0 > 0 else math.inf,
+                bound_holds=bound_holds)
 
     if not stable:
         if n_good == 0 or bool(np.any(escaped)):

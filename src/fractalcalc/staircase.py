@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import (CantorSpec, IntervalSet, _breakpoints, _check_resolution, _query, _search,
-                     contains, generate, max_depth)
+from .cantor import (CantorSpec, IntervalSet, _breakpoints, _check_resolution, _in_key_order,
+                     _query, _search, contains, generate, max_depth)
 from .errors import EstimationError, ParameterError, ResolutionError, _real, _reals
 
 _RAMP = 2 ** 14  # values per row of the s fill; 2^16 shows in a depth-18 build's peak
@@ -191,7 +191,8 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
 
 def eval_staircase(table: StaircaseTable, t):
     """Evaluate S(t); vectorized, exact at breakpoints and constant on gaps."""
-    return _query("t", t, lambda x: np.interp(x, table._t, table._s), *table.span)
+    return _query("t", t, _in_key_order(lambda x: np.interp(x, table._t, table._s)),
+                  *table.span)
 
 
 def characteristic(spec: CantorSpec, alpha: float, t):

@@ -25,6 +25,7 @@ from fractalcalc import (
     hausdorff_dimension,
     in_set,
     l_alpha_sum,
+    warp_time,
 )
 from fractalcalc.cli import main
 
@@ -108,12 +109,21 @@ _QUERIES = {
     "contains-scalar": lambda table, iset: contains(iset, 0.3),
     "in-set-scalar": lambda table, iset: in_set(table, 0.3),
     "l-alpha-sum-1000": lambda table, iset: l_alpha_sum(iset, ALPHA, np.sort(_POINTS)),
+    "warp-1000": lambda table, iset: warp_time(table, _POINTS * table.s_range[1]),
+    "warp-scalar": lambda table, iset: warp_time(table, 0.3),
 }
 
 
 @pytest.mark.parametrize("query", _QUERIES.values(), ids=_QUERIES.keys())
 def test_queries_allocate_for_the_query_not_the_table(table, iset, query):
     assert _peak(lambda: query(table, iset)) <= 0.05
+
+
+def test_warp_time_peak_is_a_few_query_arrays(table):
+    # the index guess, four gathers from the table and the answer written
+    # over one of them; no sort, no scatter
+    taus = np.random.default_rng(9).uniform(*table.s_range, 500_000)
+    assert _peak(lambda: warp_time(table, taus)) * TABLE_ARRAY / taus.nbytes <= 7.0
 
 
 def test_public_arrays_stay_read_only(table):

@@ -167,11 +167,23 @@ def test_classify_identity_clock_is_exponential():
 
 
 def test_classify_needs_three_points_for_a_decay_fit(long_table):
-    # the fit window holds one recorded point, and a line through it has
-    # R^2 = 1; the default record_every gives the same label
+    # the fit window holds one recorded point, and a line through it would
+    # have R^2 = 1, so no fit is reported; the default record_every gives
+    # the same label
     rep = classify_stability(example1_field, long_table, record_every=10**6)
-    assert rep.decay.r2_t == 1.0 and not rep.decay.bound_holds
+    assert rep.decay is None
+    assert any("fewer than 3 recorded points" in note for note in rep.notes)
     assert rep.classification == "asymptotically-stable"
+    assert rep.to_json()["decay"] is None
+    # records at 0, 0.4, 0.8 and 1 of the horizon leave two in the latter half
+
+    t_end = long_table.s_range[1]
+    rep = classify_stability(example1_field, long_table, horizon=t_end,
+                             record_every=round(0.4 * t_end / 1e-3))
+    assert rep.decay is None and rep.classification == "asymptotically-stable"
+    full = classify_stability(example1_field, long_table)
+    assert full.decay is not None
+    assert not any("decay fit" in note for note in full.notes)
 
 
 def test_classify_conservative_oscillator(long_table):
