@@ -452,9 +452,10 @@ def warp_time(table: StaircaseTable, tau):
     step.  A built table's s[j] = (j + j%2) c/2, less the anchor, is linear
     in j, so with n = s.size and h = ceil((tau - s[0]) n / (s[-1] - s[0]))
     the guess is j = h - 1 for even h and h for odd.  On any nondecreasing
-    s the search's answer is the one j with s[j-1] < tau <= s[j]; a guess
-    that fails this check, which also takes j = 0, is searched for.  So the
-    answers are those of a binary search, bit for bit, on every table.
+    s the search's answer is the one j with s[j-1] < tau <= s[j].  Only the
+    taus whose guess fails that check are searched for, and a guess of
+    j = 0 always fails it.  So on every nondecreasing s, hand-built ones
+    too, the answers are those of a binary search, bit for bit.
     """
     s, t = table.s, table.t
     lo, hi = table.s_range
@@ -482,7 +483,6 @@ def warp_time(table: StaircaseTable, tau):
         hit = s_hi >= x
         hit &= s_lo < x
         miss = np.flatnonzero(~hit)
-        del hit
         if miss.size:
             j = np.searchsorted(s, x[miss], side="left")
             s_hi[miss], t_hi[miss] = s[j], t[j]
@@ -502,4 +502,4 @@ def warp_time(table: StaircaseTable, tau):
         np.copyto(frac, t_hi, where=exact)
         return frac.reshape(keys.shape)
 
-    return _query("tau", tau, search, *table.s_range)
+    return _query("tau", tau, search, lo, hi)

@@ -521,8 +521,8 @@ def _warp_digest():
 
 
 def test_warp_time_output_is_pinned():
-    # captured before warp_time stopped sorting its queries; any change to
-    # the inverse staircase's numbers shows here
+    # captured from a plain binary search over s; a change that alters the
+    # inverse staircase's numbers on purpose re-captures this digest
     assert _warp_digest() == (
         "5128f7ada8712fce50e62052195a588712dcb981c664e8596d8d98cec67c15e0")
 

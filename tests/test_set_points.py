@@ -1,8 +1,9 @@
 """The set-point path: membership, table searches and the dimension command.
 
-Array queries are answered in ascending key order internally; these
-properties check that the answers match one scalar query per point, bit for
-bit, on breakpoints, gap midpoints, interval midpoints and both span ends.
+Membership and staircase queries are answered in ascending key order
+internally, and warp_time from a one-step index guess; these properties check
+that the answers match one scalar query per point, bit for bit, on
+breakpoints, gap midpoints, interval midpoints and both span ends.
 """
 
 import contextlib
