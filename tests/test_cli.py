@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fractalcalc
-from fractalcalc.cli import main
+from fractalcalc.cli import build_parser, main
 
 
 def run_cli(argv):
@@ -260,8 +261,9 @@ def test_verify_theorem1_rejects_the_forced_toy(capsys):
 
 # sha256 of stdout at every default configuration of the solver commands,
 # and of every other subcommand at its defaults, with the expected exit code;
-# example2 fails C6, so its theorem 2 run exits 3 with empty output.  A
-# change that alters the numbers on purpose re-captures these digests.
+# example2 fails C6, so its theorem 2 run exits 3 with empty output.  The
+# table commands are pinned in JSON too.  A change that alters the numbers
+# on purpose re-captures these digests.
 GOLDEN = [
     (["solve", "--system", "example1"], 0,
      "f2c6ff9aef4739aaf37db03b8bec31889cc3d944d75ce5a3197510d8a31991b0"),
@@ -316,6 +318,26 @@ GOLDEN = [
      "8cf8cfe2b517a2db955659d0a3298a3fcd88503d1b00661130ae3032e11d70e8"),
     (["verify", "--theorem", "2", "--system", "theorem1", "--extent", "60"], 0,
      "536d338ab75bf672639d90bd7b639e53752d5667d955c840b73021b7e6223987"),
+    (["cantor", "--format", "json"], 0,
+     "03eb253e547570d1eab1e184d96314f70228ba3791ac62b05680380be7b51338"),
+    (["staircase", "--format", "json"], 0,
+     "bb95367643059d08095a2b44b032b7d6331ee2bdb30671fbac184e912518a72d"),
+    (["chi", "--format", "json"], 0,
+     "af9c30effc7fb4ff6afdd071efdefff7b82489ebf7d48a3a797a2776b47ac3f1"),
+    (["dimension", "--format", "json"], 0,
+     "7b5afe615cfc16bf5c3aefe0089c0772dea1da3d25e8594db3bde6fe6827060b"),
+    (["deriv", "--function", "t**2", "--format", "json"], 0,
+     "4f129883857a0d6abef65c0edee3fe3b7b89ccf81eb3674b10b34457c6703051"),
+    (["integrate", "--function", "1", "--format", "json"], 0,
+     "aaaa12b89a9d23384fc4fc706ced1a265ef7bb999515a9e5ac2ab6496bf85a6f"),
+    (["solve", "--system", "example1", "--format", "json"], 0,
+     "429e9aa92ef40e4826b989d7ca9a56c964580d89f992af589679bafb528b2a49"),
+    (["solve", "--system", "example2", "--format", "json"], 0,
+     "82541a7695f7702ff01104dfd6a1e2b582b7de5fa4f73527a226600e607b51e2"),
+    (["demo", "example1", "--format", "json"], 0,
+     "310844b187fde0f6f6adeb13c814e54a96295a55434dc2c9fa88e29218cc19fb"),
+    (["demo", "example3", "--format", "json"], 0,
+     "27b0726a7ad668d03e3b269311c05113870ad12305b012c5087c0365ee90c751"),
 ]
 
 
@@ -327,3 +349,86 @@ def test_default_output_is_pinned(argv, code, digest, capsys):
     assert run_cli(argv + ["--out", "-"]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fmt,digest", [
+    ("csv", "987c6552938a8c6d35c0be274acabe870935be9c0fe41a57063d508325f9cab7"),
+    ("json", "e7203ad1c1789ec41ef173f9a9b6f91e46655f00199f0651a8f7172d4b382dbc"),
+])
+def test_partial_trajectory_is_pinned(tmp_path, fmt, digest):
+    # sha256 of what a blow-up leaves in --out, in each format
+    out = tmp_path / f"partial.{fmt}"
+    assert run_cli(["solve", "--system", "custom-first", "--field=y**3", "--y0=1e11",
+                    "--depth", "8", "--format", fmt, "--out", str(out)]) == 3
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# every subparser's options as (option strings, dest, default, type, choices,
+# nargs, required); the help action is left out
+_SHARED = {
+    (("--mu",), "mu", 0.2, float, None, None, False),
+    (("--origin",), "origin", 0.0, float, None, None, False),
+    (("--extent",), "extent", 1.0, float, None, None, False),
+    (("--out",), "out", "-", None, None, None, False),
+    (("--format",), "format", "csv", None, ("csv", "json"), None, False),
+}
+_ALPHA = (("--alpha",), "alpha", "auto", None, None, None, False)
+_T0 = (("--t0",), "t0", None, float, None, None, False)
+_SAMPLES = (("--samples",), "samples", 1001, int, None, None, False)
+_CLASSICAL = (("--classical",), "classical", False, None, None, 0, False)
+_FUNCTION = (("--function",), "function", None, None, None, None, True)
+_Y0 = (("--y0",), "y0", 1.0, float, None, None, False)
+_Z0 = (("--z0",), "z0", 0.0, float, None, None, False)
+_T_END = (("--t-end",), "t_end", None, float, None, None, False)
+_DTAU = (("--dtau",), "dtau", 0.001, float, None, None, False)
+_SPRING = (("--spring",), "spring", 1.0, float, None, None, False)
+
+
+def _depth(default):
+    return (("--depth",), "depth", default, int, None, None, False)
+
+
+OPTIONS = {
+    "cantor": _SHARED | {_depth(6)},
+    "staircase": _SHARED | {_depth(10), _ALPHA, _T0, _SAMPLES, _CLASSICAL},
+    "chi": _SHARED | {_depth(10), _ALPHA, _SAMPLES},
+    "dimension": _SHARED | {_depth(16)},
+    "deriv": _SHARED | {_depth(12), _ALPHA, _T0, _FUNCTION},
+    "integrate": _SHARED | {
+        _depth(12), _ALPHA, _T0, _FUNCTION,
+        (("--lower",), "lower", None, float, None, None, False),
+        (("--upper",), "upper", None, float, None, None, False)},
+    "solve": _SHARED | {
+        _depth(12), _ALPHA, _T0, _Y0, _Z0, _T_END, _DTAU, _SPRING, _CLASSICAL,
+        (("--system",), "system", "example1", None,
+         ("example1", "example2", "example3", "theorem1", "theorem2", "custom-first"),
+         None, False),
+        (("--field",), "field", None, None, None, None, False),
+        (("--method",), "method", "rk4", None, ("rk4", "euler"), None, False),
+        (("--record-every",), "record_every", 1, int, None, None, False)},
+    "stability": _SHARED | {
+        _depth(12), _ALPHA, _T0, _DTAU, _SPRING,
+        (("--system",), "system", "example1", None,
+         ("example1", "example2", "example3", "theorem1"), None, False),
+        (("--horizon",), "horizon", 20.0, float, None, None, False)},
+    "verify": _SHARED | {
+        _depth(12), _ALPHA, _T0, _T_END, _DTAU,
+        (("--theorem",), "theorem", None, int, (1, 2), None, True),
+        (("--system",), "system", None, None, ("theorem1", "theorem2", "example2"),
+         None, False)},
+    "demo": _SHARED | {
+        _depth(12), _ALPHA, _T0, _Y0, _Z0, _T_END, _DTAU, _SPRING, _CLASSICAL,
+        ((), "which", None, None, ("example1", "example2", "example3"), None, True),
+        (("--y0-list",), "y0_list", None, float, None, "*", False)},
+}
+
+
+def test_every_option_is_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {name: {(tuple(a.option_strings), a.dest, a.default, a.type,
+                     None if a.choices is None else tuple(a.choices), a.nargs, a.required)
+                    for a in p._actions if a.dest != "help"}
+             for name, p in sub.choices.items()}
+    assert found == OPTIONS
