@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import _in_key_order, _max_samples, _query, _search
+from .cantor import _max_samples, _query, _search
 from .errors import ParameterError, ResolutionError, _count, _real, _reals
 from .fde import _apply
 from .staircase import StaircaseTable, eval_staircase
@@ -94,7 +94,6 @@ class GridFunction:
         if t.flags.writeable:
             t = _locked(t.copy())
 
-        @_in_key_order
         def s_on_set(x):
             # S is never NaN, so NaN marks the points off the set
             return np.where(_search(table.t, x)[1], np.interp(x, table._t, table._s), np.nan)

@@ -92,14 +92,29 @@ class CantorSpec:
         return CantorSpec(self.mu, depth, self.origin, self.extent)
 
 
+def _built(cls, **fields):
+    """A ``cls`` holding ``fields`` that this package built itself.
+
+    ``__post_init__`` checks the arrays a caller passes in, then stores them
+    through ``_keep``.  Arrays the package constructed already have the
+    shape and order those checks look for, so this route sets the fields
+    as given and runs ``_keep`` alone.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    obj._keep()
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class IntervalSet:
     """Sorted, pairwise-disjoint closed intervals [left[i], right[i]].
 
     ``left`` and ``right`` are read-only stride-2 views of one array of
-    interleaved endpoints l0, r0, l1, r1, ..., kept without a copy when
-    they are given as such views of a read-only array (as ``generate`` does).
-    Two sets are equal when their endpoints are; a set is not hashable.
+    interleaved endpoints l0, r0, l1, r1, ...; ``generate`` hands over its
+    breakpoint array as that array.  Two sets are equal when their
+    endpoints are; a set is not hashable.
     """
 
     left: np.ndarray
@@ -110,21 +125,21 @@ class IntervalSet:
         right = np.atleast_1d(_reals("right", self.right))
         if left.ndim != 1 or left.shape != right.shape or left.size == 0:
             raise ParameterError("left and right must be matching non-empty 1-d arrays")
-        t = left.base
-        if not (isinstance(t, np.ndarray) and t is right.base and not t.flags.writeable
-                and left.__array_interface__ == t[0::2].__array_interface__
-                and right.__array_interface__ == t[1::2].__array_interface__):
-            t = np.empty(2 * left.size)
-            t[0::2], t[1::2] = left, right
-            t.setflags(write=False)
-        object.__setattr__(self, "_t", t)
-        object.__setattr__(self, "left", t[0::2])
-        object.__setattr__(self, "right", t[1::2])
+        t = np.empty(2 * left.size)
+        t[0::2], t[1::2] = left, right
         # written so that NaN fails it too
         if not np.all(t[0::2] <= t[1::2]):
             raise ParameterError("every interval needs left <= right")
         if not np.all(t[1:-1:2] < t[2::2]):
             raise ParameterError("intervals must be sorted and pairwise disjoint")
+        object.__setattr__(self, "_t", t)
+        self._keep()
+
+    def _keep(self):
+        """Lock the interleaved endpoints ``_t``; ``left`` and ``right`` view them."""
+        self._t.setflags(write=False)
+        object.__setattr__(self, "left", self._t[0::2])
+        object.__setattr__(self, "right", self._t[1::2])
 
     def __eq__(self, other):
         if not isinstance(other, IntervalSet):
@@ -208,9 +223,7 @@ def generate(spec: CantorSpec) -> IntervalSet:
     ``left`` and ``right`` are read-only views into one array of
     interleaved endpoints.
     """
-    t = _breakpoints(spec)
-    t.setflags(write=False)
-    return IntervalSet(t[0::2], t[1::2])
+    return _built(IntervalSet, _t=_breakpoints(spec))
 
 
 def _in_key_order(search):

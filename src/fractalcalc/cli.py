@@ -1,7 +1,8 @@
 """Command line front end.
 
 Every subcommand computes one artifact (interval list, staircase samples,
-dimension estimate, solved trajectory, stability report) and writes it as
+dimension estimate, solved trajectory, stability report) and returns it,
+as a table of named columns or as a JSON payload.  ``main`` writes it as
 CSV or JSON to --out, or to stdout with --out -.  Numeric CSV cells use
 twelve significant digits so repeated runs are byte-identical.
 """
@@ -13,61 +14,48 @@ import sys
 
 import numpy as np
 
+from .calculus import GridFunction, derivative_grid, fractal_integral
 from .cantor import CantorSpec, _max_samples, hausdorff_dimension, iter_levels
-from .errors import (
-    ExpressionError,
-    FractalCalcError,
-    NumericalBlowupError,
-    ParameterError,
-    _count,
-)
+from .errors import FractalCalcError, NumericalBlowupError, ParameterError, _count
 from .expressions import compile_expression
 from .fde import FdeSystem, _apply, solve_first_order, solve_second_order
 from .lyapunov import classify_stability, verify_theorem1, verify_theorem2
-from .staircase import (
-    _crossing,
-    build_staircase,
-    characteristic,
-    dimension_sweep,
-    eval_staircase,
-)
+from .staircase import (_crossing, build_staircase, characteristic, dimension_sweep,
+                        eval_staircase)
 from .systems import _named_system, example1_exact
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 3
 
 
-def _write_rows(path, names, columns, fmt):
-    """Write equal-length columns as a table, formatting one column at a time.
+def _write(path, result, fmt):
+    """Write a command's result to ``path``, or to stdout for "-".
 
-    Integer columns are written as integers, every other column as floats.
+    A (names, columns) pair is a table of equal-length columns, written in
+    ``fmt``: integer columns as integers, every other column as floats, one
+    column formatted at a time.  A dict is a JSON payload, written as JSON.
     """
-    arrays = [np.asarray(col) for col in columns]
-    ints = [arr.dtype.kind in "iu" for arr in arrays]
-    values = [arr.tolist() if is_int else arr.astype(float).tolist()
-              for arr, is_int in zip(arrays, ints)]
-    if fmt == "json":
-        payload = {"columns": list(names),
-                   "rows": [list(row) for row in zip(*values)]}
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        cells = [map(str if is_int else "{:.12g}".format, col)
-                 for col, is_int in zip(values, ints)]
-        lines = [",".join(names), *map(",".join, zip(*cells))]
-        text = "\n".join(lines) + "\n"
-    _write_text(path, text)
-
-
-def _write_text(path, text):
+    if isinstance(result, tuple):
+        names, columns = result
+        arrays = [np.asarray(col) for col in columns]
+        ints = [arr.dtype.kind in "iu" for arr in arrays]
+        values = [arr.tolist() if is_int else arr.astype(float).tolist()
+                  for arr, is_int in zip(arrays, ints)]
+        if fmt == "json":
+            result = {"columns": list(names),
+                      "rows": [list(row) for row in zip(*values)]}
+        else:
+            cells = [map(str if is_int else "{:.12g}".format, col)
+                     for col, is_int in zip(values, ints)]
+            lines = [",".join(names), *map(",".join, zip(*cells))]
+            text = "\n".join(lines) + "\n"
+    if isinstance(result, dict):
+        text = json.dumps(result, indent=2) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _write_json(path, payload):
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _spec_from(args):
@@ -99,30 +87,25 @@ def _time_grid(args, spec):
 
 
 def cmd_cantor(args):
-    spec = _spec_from(args)
-    levels = list(iter_levels(spec))
+    levels = list(iter_levels(_spec_from(args)))
     columns = (np.concatenate([np.full(len(iset), level) for level, iset in levels]),
                np.concatenate([np.arange(len(iset)) for _, iset in levels]),
                np.concatenate([iset.left for _, iset in levels]),
                np.concatenate([iset.right for _, iset in levels]))
-    _write_rows(args.out, ("level", "index", "left", "right"), columns, args.format)
-    return 0
+    return ("level", "index", "left", "right"), columns
 
 
 def cmd_staircase(args):
     table, spec = _table_for(args)
     t = _time_grid(args, spec)
-    _write_rows(args.out, ("t", "s"), (t, eval_staircase(table, t)), args.format)
-    return 0
+    return ("t", "s"), (t, eval_staircase(table, t))
 
 
 def cmd_chi(args):
     spec = _spec_from(args)
     alpha = _resolve_alpha(args, spec)
     t = _time_grid(args, spec)
-    _write_rows(args.out, ("t", "chi"), (t, characteristic(spec, alpha, t)),
-                args.format)
-    return 0
+    return ("t", "chi"), (t, characteristic(spec, alpha, t))
 
 
 def cmd_dimension(args):
@@ -136,7 +119,7 @@ def cmd_dimension(args):
     estimate = _crossing(alphas, ratios, ratio_fn)
     closed_form = hausdorff_dimension(spec.mu)
     if args.format == "json":
-        payload = {
+        return {
             "estimate": estimate,
             "closed_form": closed_form,
             "difference": estimate - closed_form,
@@ -145,43 +128,29 @@ def cmd_dimension(args):
             "sweep": {"alpha": [float(a) for a in alphas],
                       "ratio": [float(r) for r in ratios]},
         }
-        _write_json(args.out, payload)
-    else:
-        columns = (np.append(alphas, estimate), np.append(ratios, ratio_fn(estimate)))
-        _write_rows(args.out, ("alpha", "ratio"), columns, args.format)
-    return 0
+    return ("alpha", "ratio"), (np.append(alphas, estimate),
+                                np.append(ratios, ratio_fn(estimate)))
 
 
 def _grid_function(args):
-    from .calculus import GridFunction
-
     table, spec = _table_for(args)
     fn = compile_expression(args.function, ("t",))
-    return GridFunction.from_function(table, fn), table, spec
+    return GridFunction.from_function(table, fn), spec
 
 
 def cmd_deriv(args):
-    from .calculus import derivative_grid
-
-    f, table, _ = _grid_function(args)
-    d = derivative_grid(f)
-    _write_rows(args.out, ("t", "f", "deriv"), (f.t, f.values, d.values), args.format)
-    return 0
+    f, _ = _grid_function(args)
+    return ("t", "f", "deriv"), (f.t, f.values, derivative_grid(f).values)
 
 
 def cmd_integrate(args):
-    from .calculus import fractal_integral
-
-    f, table, spec = _grid_function(args)
+    f, spec = _grid_function(args)
     a = spec.origin if args.lower is None else args.lower
     b = spec.extent if args.upper is None else args.upper
     value = fractal_integral(f, a, b)
     if args.format == "json":
-        _write_json(args.out, {"lower": a, "upper": b, "value": value})
-    else:
-        _write_rows(args.out, ("lower", "upper", "value"), ([a], [b], [value]),
-                    args.format)
-    return 0
+        return {"lower": a, "upper": b, "value": value}
+    return ("lower", "upper", "value"), ([a], [b], [value])
 
 
 def _system(args, name):
@@ -196,80 +165,94 @@ def _trajectory_columns(traj):
     return ("t", "tau", "y", "z"), (traj.t, traj.tau, traj.y, traj.z)
 
 
-def cmd_solve(args):
+def _solver(args, name, **opts):
+    """The named flow, and a function of y0 that solves it on the command's table.
+
+    The table is built once; each solve runs to --t-end (the extent unless
+    given) with --dtau and ``opts``, from --z0 too for a second order flow.
+    """
     table, spec = _table_for(args)
-    flow = _system(args, args.system)
+    flow = _system(args, name)
     t_end = spec.extent if args.t_end is None else args.t_end
-    opts = {"dtau": args.dtau, "method": args.method,
-            "record_every": args.record_every}
     if isinstance(flow, FdeSystem):
-        traj = solve_second_order(flow, table, args.y0, args.z0, t_end, **opts)
-    else:
-        traj = solve_first_order(flow, table, args.y0, t_end, **opts)
-    _write_rows(args.out, *_trajectory_columns(traj), args.format)
-    return 0
+        return flow, lambda y0: solve_second_order(flow, table, y0, args.z0, t_end,
+                                                   dtau=args.dtau, **opts)
+    return flow, lambda y0: solve_first_order(flow, table, y0, t_end,
+                                              dtau=args.dtau, **opts)
+
+
+def cmd_solve(args):
+    _, solve = _solver(args, args.system, method=args.method,
+                       record_every=args.record_every)
+    return _trajectory_columns(solve(args.y0))
 
 
 def cmd_stability(args):
-    table, spec = _table_for(args)
+    table, _ = _table_for(args)
     flow = _system(args, args.system)
-    report = classify_stability(flow, table, horizon=args.horizon, dtau=args.dtau)
-    _write_json(args.out, report.to_json())
-    return 0
+    return classify_stability(flow, table, horizon=args.horizon, dtau=args.dtau).to_json()
 
 
 def cmd_verify(args):
-    table, spec = _table_for(args)
+    table, _ = _table_for(args)
     verifier = verify_theorem1 if args.theorem == 1 else verify_theorem2
     flow = _system(args, args.system or f"theorem{args.theorem}")
-    report = verifier(flow, table, t_end=args.t_end, dtau=args.dtau)
-    _write_json(args.out, report.to_json())
-    return 0
+    return verifier(flow, table, t_end=args.t_end, dtau=args.dtau).to_json()
 
 
 def cmd_demo(args):
-    table, spec = _table_for(args)
-    t_end = spec.extent if args.t_end is None else args.t_end
-    flow = _system(args, args.which)
+    flow, solve = _solver(args, args.which)
     if isinstance(flow, FdeSystem):
         # oscillator energy v(tau) H(y) + z^2 / 2
-        traj = solve_second_order(flow, table, args.y0, args.z0, t_end,
-                                  dtau=args.dtau)
+        traj = solve(args.y0)
         energy = (_apply(flow.v, traj.tau) * _apply(flow.restoring_integral, traj.y)
                   + 0.5 * traj.z * traj.z)
-        names = ("t", "tau", "y", "z", "energy")
-        columns = (traj.t, traj.tau, traj.y, traj.z, energy)
-    else:
-        # example1, the one first order demo, has the closed form exp(-tau)
-        runs = []
-        for z0 in args.y0_list or [1.0, 0.5]:
-            traj = solve_first_order(flow, table, z0, t_end, dtau=args.dtau)
-            runs.append((np.full(len(traj), z0), traj.t, traj.tau, traj.y,
-                         example1_exact(z0, traj.tau)))
-        names = ("y0", "t", "tau", "y", "y_exact")
-        columns = [np.concatenate(col) for col in zip(*runs)]
-    _write_rows(args.out, names, columns, args.format)
-    return 0
+        return ("t", "tau", "y", "z", "energy"), (traj.t, traj.tau, traj.y, traj.z, energy)
+    # example1, the one first order demo, has the closed form exp(-tau)
+    runs = []
+    for y0 in args.y0_list or [1.0, 0.5]:
+        traj = solve(y0)
+        runs.append((np.full(len(traj), y0), traj.t, traj.tau, traj.y,
+                     example1_exact(y0, traj.tau)))
+    return ("y0", "t", "tau", "y", "y_exact"), [np.concatenate(col) for col in zip(*runs)]
 
 
-def _add_common(p, depth, *, alpha=True, t0=True):
-    p.add_argument("--mu", type=float, default=0.2,
-                   help="cut fraction of the middle interval, in (0, 1)")
+# flags that more than one subcommand takes, each declared here once
+_FLAGS = {
+    "--mu": {"type": float, "default": 0.2,
+             "help": "cut fraction of the middle interval, in (0, 1)"},
+    "--origin": {"type": float, "default": 0.0, "help": "left end of the base interval"},
+    "--extent": {"type": float, "default": 1.0, "help": "right end of the base interval"},
+    "--alpha": {"default": "auto",
+                "help": "fractional order in (0, 1], or 'auto' to estimate"},
+    "--t0": {"type": float, "default": None,
+             "help": "staircase anchor (defaults to the origin)"},
+    "--out": {"default": "-", "help": "output path, or - for stdout"},
+    "--format": {"choices": ("csv", "json"), "default": "csv", "help": "output format"},
+    "--samples": {"type": int, "default": 1001},
+    "--function": {"required": True, "help": "expression in t, e.g. 't**2'"},
+    "--y0": {"type": float, "default": 1.0},
+    "--z0": {"type": float, "default": 0.0},
+    "--t-end": {"dest": "t_end", "type": float, "default": None},
+    "--dtau": {"type": float, "default": 1e-3},
+    "--spring": {"type": float, "default": 1.0},
+    "--classical": {"action": "store_true", "help": "identity clock on the plain interval"},
+}
+
+
+def _command(sub, name, help, func, depth, *flags):
+    """Add the subcommand ``name``, run by ``func``, and return its parser.
+
+    It takes --depth with its own default, the base interval flags, the
+    shared ``flags``, --out and --format.
+    """
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
     p.add_argument("--depth", type=int, default=depth,
                    help=f"construction depth (default {depth})")
-    p.add_argument("--origin", type=float, default=0.0,
-                   help="left end of the base interval")
-    p.add_argument("--extent", type=float, default=1.0,
-                   help="right end of the base interval")
-    if alpha:
-        p.add_argument("--alpha", default="auto",
-                       help="fractional order in (0, 1], or 'auto' to estimate")
-    if t0:
-        p.add_argument("--t0", type=float, default=None,
-                       help="staircase anchor (defaults to the origin)")
-    p.add_argument("--out", default="-", help="output path, or - for stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format")
+    for flag in ("--mu", "--origin", "--extent", *flags, "--out", "--format"):
+        p.add_argument(flag, **_FLAGS[flag])
+    return p
 
 
 def build_parser():
@@ -278,109 +261,67 @@ def build_parser():
         description="Construction, calculus and stability tools for "
                     "Cantor-like sets in the staircase clock.")
     sub = parser.add_subparsers(dest="command", required=True)
+    _command(sub, "cantor", "list construction intervals per level", cmd_cantor, 6)
+    _command(sub, "staircase", "sample the integral staircase", cmd_staircase, 10,
+             "--alpha", "--t0", "--samples", "--classical")
+    _command(sub, "chi", "sample the characteristic of the set", cmd_chi, 10,
+             "--alpha", "--samples")
+    _command(sub, "dimension", "estimate the mass scaling dimension", cmd_dimension, 16)
+    _command(sub, "deriv", "differentiate an expression on the set", cmd_deriv, 12,
+             "--alpha", "--t0", "--function")
 
-    p = sub.add_parser("cantor", help="list construction intervals per level")
-    _add_common(p, 6, alpha=False, t0=False)
-    p.set_defaults(func=cmd_cantor)
-
-    p = sub.add_parser("staircase", help="sample the integral staircase")
-    _add_common(p, 10)
-    p.add_argument("--samples", type=int, default=1001)
-    p.add_argument("--classical", action="store_true",
-                   help="identity clock on the plain interval")
-    p.set_defaults(func=cmd_staircase)
-
-    p = sub.add_parser("chi", help="sample the characteristic of the set")
-    _add_common(p, 10, t0=False)
-    p.add_argument("--samples", type=int, default=1001)
-    p.set_defaults(func=cmd_chi)
-
-    p = sub.add_parser("dimension", help="estimate the mass scaling dimension")
-    _add_common(p, 16, alpha=False, t0=False)
-    p.set_defaults(func=cmd_dimension)
-
-    p = sub.add_parser("deriv", help="differentiate an expression on the set")
-    _add_common(p, 12)
-    p.add_argument("--function", required=True,
-                   help="expression in t, e.g. 't**2'")
-    p.set_defaults(func=cmd_deriv)
-
-    p = sub.add_parser("integrate", help="integrate an expression over the set")
-    _add_common(p, 12)
-    p.add_argument("--function", required=True,
-                   help="expression in t, e.g. 't**2'")
+    p = _command(sub, "integrate", "integrate an expression over the set", cmd_integrate,
+                 12, "--alpha", "--t0", "--function")
     p.add_argument("--lower", type=float, default=None)
     p.add_argument("--upper", type=float, default=None)
-    p.set_defaults(func=cmd_integrate)
 
-    p = sub.add_parser("solve", help="integrate a system in the staircase clock")
-    _add_common(p, 12)
+    p = _command(sub, "solve", "integrate a system in the staircase clock", cmd_solve, 12,
+                 "--alpha", "--t0", "--y0", "--z0", "--t-end", "--dtau", "--spring",
+                 "--classical")
     p.add_argument("--system", default="example1",
                    choices=("example1", "example2", "example3", "theorem1",
                             "theorem2", "custom-first"))
     p.add_argument("--field", default=None,
                    help="expression in y for custom-first; write one that "
                         "starts with '-' as --field=-y")
-    p.add_argument("--y0", type=float, default=1.0)
-    p.add_argument("--z0", type=float, default=0.0)
-    p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--dtau", type=float, default=1e-3)
     p.add_argument("--method", choices=("rk4", "euler"), default="rk4")
     p.add_argument("--record-every", dest="record_every", type=int, default=1)
-    p.add_argument("--spring", type=float, default=1.0)
-    p.add_argument("--classical", action="store_true",
-                   help="identity clock on the plain interval")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("stability", help="classify an equilibrium empirically")
-    _add_common(p, 12)
+    p = _command(sub, "stability", "classify an equilibrium empirically", cmd_stability,
+                 12, "--alpha", "--t0", "--dtau", "--spring")
     p.add_argument("--system", default="example1",
                    choices=("example1", "example2", "example3", "theorem1"))
     p.add_argument("--horizon", type=float, default=20.0)
-    p.add_argument("--dtau", type=float, default=1e-3)
-    p.add_argument("--spring", type=float, default=1.0)
-    p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("verify", help="run a certificate verifier")
-    _add_common(p, 12)
+    p = _command(sub, "verify", "run a certificate verifier", cmd_verify, 12,
+                 "--alpha", "--t0", "--t-end", "--dtau")
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p.add_argument("--system", default=None,
                    choices=("theorem1", "theorem2", "example2"),
                    help="system to verify (defaults per theorem)")
-    p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--dtau", type=float, default=1e-3)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("demo", help="reproduce a worked example as data")
-    _add_common(p, 12)
+    p = _command(sub, "demo", "reproduce a worked example as data", cmd_demo, 12,
+                 "--alpha", "--t0", "--y0", "--z0", "--t-end", "--dtau", "--spring",
+                 "--classical")
     p.add_argument("which", choices=("example1", "example2", "example3"))
-    p.add_argument("--y0", type=float, default=1.0)
-    p.add_argument("--z0", type=float, default=0.0)
     p.add_argument("--y0-list", dest="y0_list", type=float, nargs="*",
                    default=None, help="initial values for example1")
-    p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--dtau", type=float, default=1e-3)
-    p.add_argument("--spring", type=float, default=1.0)
-    p.add_argument("--classical", action="store_true",
-                   help="identity clock on the plain interval")
-    p.set_defaults(func=cmd_demo)
-
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ParameterError, ExpressionError) as exc:
+        _write(args.out, args.func(args), args.format)
+        return 0
+    except ParameterError as exc:  # an ExpressionError too
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except NumericalBlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         traj = exc.trajectory
         if traj is not None and args.out != "-":
-            _write_rows(args.out, *_trajectory_columns(traj), args.format)
+            _write(args.out, _trajectory_columns(traj), args.format)
             print(f"partial trajectory written to {args.out}", file=sys.stderr)
         return RUNTIME_ERROR
     except FractalCalcError as exc:

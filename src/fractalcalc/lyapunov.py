@@ -117,8 +117,9 @@ def lyapunov_derivative(L: LyapunovFunction, flow, state, tau=0.0):
     """Derivative of L along the flow at one state, in the staircase clock.
 
     Computes grad_tau + sum_i dV/dx_i * field_i and vectorizes over
-    array-valued state components.  A NaN in the state is a ParameterError,
-    a NaN tau a DomainError.
+    array-valued state components and tau.  A flow that raises TypeError or
+    ValueError on arrays is called once per element through ``_by_column``.
+    A NaN in the state is a ParameterError, a NaN tau a DomainError.
     """
     rhs, dim = as_tau_field(flow)
     tau = _query("tau", tau, lambda x: x)
@@ -136,7 +137,10 @@ def lyapunov_derivative(L: LyapunovFunction, flow, state, tau=0.0):
                 f"pass a tuple of {dim} components (arrays allowed)")
     if len(comps) != dim:
         raise ParameterError(f"state has {len(comps)} component(s), flow expects {dim}")
-    derivs = rhs(tau, *comps)
+    try:
+        derivs = rhs(tau, *comps)
+    except (TypeError, ValueError):
+        derivs = _by_column(rhs, dim)(tau, *comps)
     grads = L.state_gradient(tau, comps)
     total = L.time_gradient(tau, comps)
     for g, d in zip(grads, derivs):
@@ -150,15 +154,31 @@ def lyapunov_derivative(L: LyapunovFunction, flow, state, tau=0.0):
 # batch integration shared by the empirical probes
 # ---------------------------------------------------------------------------
 
+def _by_column(rhs, dim):
+    """``rhs`` for a flow that takes scalars only: called once per element.
+
+    tau and the components broadcast to one shape, and each call gets one
+    element of each; the flow must return ``dim`` components.
+    """
+    def by_column(tau, *rows):
+        tau, *rows = np.broadcast_arrays(tau, *rows)
+        outs = [rhs(*col) for col in zip(tau.flat, *(row.flat for row in rows))]
+        if outs and len(outs[0]) != dim:
+            raise ParameterError(
+                f"flow returned {len(outs[0])} component(s), expected {dim}")
+        return [np.array(c, dtype=float).reshape(tau.shape) for c in zip(*outs)]
+    return by_column
+
+
 def _batch_integrate(rhs, dim, Y0, tau_end, dtau, record_every):
     """March the columns of Y0 with RK4, freezing escapes instead of raising.
 
     A column that leaves the blow-up ball is clipped to it and held there
     while the others go on.  The flow gets the block's rows, one array of
     shape (B,) per component, when one probe call on the rows of Y0 gives
-    dim finite components that broadcast to (B,); otherwise an adapter calls
-    it once per column on scalars.  Only TypeError and ValueError from the
-    probe mean "no array support"; any other exception propagates.
+    dim finite components that broadcast to (B,); otherwise ``_by_column``
+    calls it once per column on scalars.  Only TypeError and ValueError from
+    the probe mean "no array support"; any other exception propagates.
 
     Returns (taus, blocks, escaped): blocks has shape (n_records, dim, B) and
     escaped marks columns that left the blow-up ball or went non-finite.
@@ -171,15 +191,7 @@ def _batch_integrate(rhs, dim, Y0, tau_end, dtau, record_every):
         on_rows = probe.shape == (dim, n_cols) and bool(np.all(np.isfinite(probe)))
     except (TypeError, ValueError):
         on_rows = False
-
-    def by_column(tau, *rows):
-        outs = [rhs(tau, *col) for col in zip(*rows)]
-        if len(outs[0]) != dim:
-            raise ParameterError(
-                f"flow returned {len(outs[0])} component(s), expected {dim}")
-        return [np.array(c, dtype=float) for c in zip(*outs)]
-
-    return _integrate(rhs if on_rows else by_column, tau_end, Y, dtau, "rk4",
+    return _integrate(rhs if on_rows else _by_column(rhs, dim), tau_end, Y, dtau, "rk4",
                       record_every, on_escape="freeze")
 
 

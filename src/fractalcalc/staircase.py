@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import (CantorSpec, IntervalSet, _breakpoints, _check_resolution, _in_key_order,
-                     _query, _search, contains, generate, max_depth)
+from .cantor import (CantorSpec, IntervalSet, _breakpoints, _built, _check_resolution,
+                     _in_key_order, _query, _search, contains, generate, max_depth)
 from .errors import EstimationError, ParameterError, ResolutionError, _real, _reals
 
 _RAMP = 2 ** 14  # values per row of the s fill; 2^16 shows in a depth-18 build's peak
@@ -54,7 +54,10 @@ class StaircaseTable:
     Queries read them through writable views kept privately, because
     np.interp copies a read-only breakpoint array on every call; an array
     that is read-only already, such as another table's ``t``, is copied once
-    here instead.  ``alpha`` must lie in (0, 1] and ``t0`` be finite.
+    here instead.  ``alpha`` must lie in (0, 1] and ``t0`` be finite, and
+    ``t`` and ``s`` must be non-empty 1-d arrays of one size, finite and
+    nondecreasing.  ``build_staircase`` makes its tables so, and hands its
+    arrays over without these checks.
     """
 
     alpha: float
@@ -66,8 +69,19 @@ class StaircaseTable:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _real("alpha", self.alpha, "(0, 1]"))
         object.__setattr__(self, "t0", _real("t0", self.t0, "(-inf, inf)"))
+        t, s = (_reals(name, getattr(self, name), "(-inf, inf)") for name in ("t", "s"))
+        if t.ndim != 1 or t.shape != s.shape or t.size == 0:
+            raise ParameterError("t and s must be matching non-empty 1-d arrays")
+        if np.any(t[1:] < t[:-1]) or np.any(s[1:] < s[:-1]):
+            raise ParameterError("t and s must be nondecreasing")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "s", s)
+        self._keep()
+
+    def _keep(self):
+        """Lock ``t`` and ``s``, copying a read-only one, behind writable views."""
         for name in ("t", "s"):
-            arr = np.require(_reals(name, getattr(self, name)), requirements=["C", "W"])
+            arr = np.require(getattr(self, name), requirements=["C", "W"])
             # a view taken before the lock stays writable
             object.__setattr__(self, "_" + name, arr.view())
             arr.setflags(write=False)
@@ -186,7 +200,7 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
     anchor = np.interp(t0, t, s)
     if anchor != 0.0:
         s -= anchor
-    return StaircaseTable(alpha=alpha, spec=spec, t=t, s=s, t0=t0)
+    return _built(StaircaseTable, alpha=alpha, spec=spec, t=t, s=s, t0=t0)
 
 
 def eval_staircase(table: StaircaseTable, t):

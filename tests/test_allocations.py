@@ -71,8 +71,8 @@ DEEP_SPEC = CantorSpec(mu=0.2, depth=22)
 
 
 def test_deep_generate_peak_is_its_breakpoints():
-    # a chunk is 1/64 of the set; the interval set's order checks add two
-    # bool arrays of 1/16 each, one at a time
+    # a chunk is 1/64 of the set; the set takes the breakpoint array as it
+    # is, with no order check over it
     assert _peak(lambda: generate(DEEP_SPEC), DEEP_SPEC.depth) <= 1.1
 
 

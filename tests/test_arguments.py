@@ -104,6 +104,10 @@ def _solve2(**kw):
     return solve_second_order(example3_system(), TABLE, 1.0, 0.0, **args)
 
 
+def _table(t, s):
+    return dataclasses.replace(TABLE, t=t, s=s)
+
+
 def _classify(**kw):
     return classify_stability(example1_field, TABLE, **{"horizon": 1.0, "dtau": 0.05,
                                                        **kw})
@@ -276,6 +280,15 @@ HOLES = {
     "staircase-table-alpha-above-one": lambda: dataclasses.replace(TABLE, alpha=1.5),
     "staircase-table-t0-string": lambda: dataclasses.replace(TABLE, t0="x"),
     "staircase-table-t0-nan": lambda: dataclasses.replace(TABLE, t0=math.nan),
+    "staircase-table-nan-t-inf-s": lambda: _table([0.0, math.nan, 1.0], [0.0, 0.5, math.inf]),
+    "staircase-table-t-nan": lambda: _table([0.0, math.nan, 1.0], [0.0, 0.5, 1.0]),
+    "staircase-table-s-inf": lambda: _table([0.0, 0.5, 1.0], [0.0, 0.5, math.inf]),
+    "staircase-table-t-decreasing": lambda: _table([0.0, 1.0, 0.5], [0.0, 0.5, 1.0]),
+    "staircase-table-s-decreasing": lambda: _table([0.0, 0.5, 1.0], [0.0, 1.0, 0.5]),
+    "staircase-table-sizes-differ": lambda: _table([0.0, 0.5, 1.0], [0.0, 1.0]),
+    "staircase-table-empty": lambda: _table([], []),
+    "staircase-table-scalar": lambda: _table(0.5, 0.5),
+    "staircase-table-2d": lambda: _table(TABLE.t.reshape(2, -1), TABLE.s.reshape(2, -1)),
 }
 
 

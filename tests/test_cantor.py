@@ -293,7 +293,12 @@ def test_sets_compare_by_their_endpoints():
 @given(mu=st.floats(0.01, 0.99), depth=st.integers(0, 12),
        origin=st.floats(-1e3, 1e3), length=st.floats(1e-3, 1e3))
 def test_generate_matches_the_reference_loop_property(mu, depth, origin, length):
-    _assert_matches_reference(CantorSpec(mu, depth, origin, origin + length))
+    spec = CantorSpec(mu, depth, origin, origin + length)
+    if _assert_matches_reference(spec):
+        # generate hands its array to the set unchecked: l <= r < next l
+        iset = generate(spec)
+        assert np.all(iset.left <= iset.right)
+        assert np.all(iset.right[:-1] < iset.left[1:])
 
 
 @settings(max_examples=50)

@@ -111,6 +111,26 @@ def test_planar_derivative_with_system():
     assert got == pytest.approx(-1.2 ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("tau", [0.7, np.array([0.0, 0.5, 1.0, 2.0, 4.0])],
+                         ids=["scalar-tau", "array-tau"])
+def test_scalar_only_flows_answer_arrays_element_by_element(tau):
+    # math.sin takes no arrays, so each flow is called once per element; the
+    # gradients are polynomials, so the array answer must equal the scalar
+    # answers exactly
+    planar = LyapunovFunction(value=lambda tau, y, z: tau * y + 0.5 * (y * y + z * z),
+                              grad_state=(lambda tau, y, z: tau + y, lambda tau, y, z: z),
+                              grad_tau=lambda tau, y, z: y)
+    y, z = np.linspace(-2.0, 2.0, 5), np.linspace(1.0, -1.0, 5)
+    taus = np.broadcast_to(tau, y.shape)
+    cases = [(example1_lyapunov(), lambda y: -math.sin(y), (y,)),
+             (planar, lambda tau, y, z: (z, -math.sin(y)), (y, z))]
+    for L, flow, state in cases:
+        got = lyapunov_derivative(L, flow, state if len(state) > 1 else y, tau=tau)
+        want = [lyapunov_derivative(L, flow, tuple(c[i] for c in state), tau=taus[i])
+                for i in range(y.size)]
+        assert got.tolist() == want
+
+
 def test_lienard_derivative_is_minus_y_times_the_damping_primitive():
     # D L = -y G(y) = -(y^4/3 + y^2), whatever w is
     L = example2_lienard_lyapunov()
