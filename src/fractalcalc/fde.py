@@ -26,8 +26,8 @@ is handled in one of two ways: "raise" stops the march (the solve_*
 functions turn this into a NumericalBlowupError carrying the partial
 trajectory), "freeze" clips the escaped columns to the ball and holds them
 there while the other columns keep integrating (the batched probes of the
-lyapunov module).  ``_apply`` is the one adapter that calls a user
-function on arrays.
+lyapunov module).  ``_call`` is the one adapter between a caller's
+function and arrays, and ``_fit`` its one rule for what comes back.
 """
 
 import math
@@ -147,34 +147,69 @@ def _central_diff(fn, x, clock=False):
     up = 1e-6 * np.maximum(1.0, np.abs(x))
     down = np.clip(x, 0.0, up) if clock else up
     out = (_apply(fn, x + up) - _apply(fn, x - down)) / (up + down)
-    if x.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if x.ndim == 0 else out
 
 
 def _apply(fn, *args):
-    """Evaluate a scalar function elementwise over broadcast arguments.
+    """fn over its broadcast arguments, through ``_call``; a float for scalars."""
+    out, = _call(fn, None, args)
+    return float(out) if out.ndim == 0 else out
 
-    The arguments are broadcast to one shape and fn is called once on the
-    arrays; a result of that shape is kept and a 0-d result (a constant) is
-    broadcast.  Otherwise, or when the call raises TypeError or ValueError,
-    fn runs once per element on Python floats.  All-scalar arguments give a
-    Python float.
+
+def _call(fn, dim, args, arrays=True):
+    """The one adapter between a caller's function and arrays.
+
+    dim is a flow's number of components, None for a function of one value.
+    fn is called once on the arguments broadcast to one shape, and its
+    results are kept when ``_fit`` accepts them.  Otherwise (a TypeError or
+    ValueError, all-scalar arguments, ``arrays`` False) fn runs once per
+    element on np.float64 scalars, and each result must pass ``_fit`` as
+    scalars.  Returns dim float arrays (one for None) of the broadcast shape.
     """
     arrs = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
-    shape = arrs[0].shape
-    if not shape:
-        return float(fn(*(float(a) for a in arrs)))
+    out = _on_arrays(fn, dim, arrs) if arrays and arrs[0].ndim else None
+    if out is not None:
+        return out
+    rows = [fn(*vals) for vals in zip(*(a.flat for a in arrs))]
     try:
-        out = np.asarray(fn(*arrs), dtype=float)
-        if out.shape == shape:
-            return out
-        if out.ndim == 0:
-            return np.full(shape, float(out))
+        cols = np.array(rows, dtype=float)
     except (TypeError, ValueError):
-        pass
-    flat = [float(fn(*vals)) for vals in zip(*(a.ravel().tolist() for a in arrs))]
-    return np.array(flat).reshape(shape)
+        cols = None
+    # the rows stack to this shape exactly when each passes _fit as scalars
+    if rows and (cols is None or cols.shape != (len(rows),) + ((dim,) if dim else ())):
+        bad = next((row for row in rows if _fit(row, dim, ()) is None), rows[0])
+        n = len(bad) if isinstance(bad, (tuple, list)) else 1
+        raise ParameterError(f"a call gave {n} component(s), not {dim or 1} real number(s)")
+    return [col.reshape(arrs[0].shape) for col in np.reshape(cols, (-1, dim or 1)).T]
+
+
+def _flow(rhs, dim, *args):
+    """rhs, or rhs per element: one call on ``args``, as a march passes them, decides."""
+    if _on_arrays(rhs, dim, args) is not None:
+        return rhs
+    return lambda *a: _call(rhs, dim, a, arrays=False)
+
+
+def _on_arrays(fn, dim, args):
+    try:
+        out = fn(*args)
+    except (TypeError, ValueError):  # fn takes no arrays; other errors propagate
+        return None
+    return _fit(out, dim, np.broadcast_shapes(*map(np.shape, args)))
+
+
+def _fit(out, dim, shape):
+    """The adapter's one rule: dim results (one for None), each of ``shape`` or 0-d.
+
+    Returns them as float arrays of ``shape``, a 0-d one broadcast, or None.
+    """
+    try:
+        outs = [np.asarray(o, dtype=float) for o in ([out] if dim is None else out)]
+    except (TypeError, ValueError):
+        return None
+    if len(outs) != (dim or 1) or any(o.shape != shape and o.ndim for o in outs):
+        return None
+    return [o if o.shape == shape else np.full(shape, float(o)) for o in outs]
 
 
 @dataclass(frozen=True)

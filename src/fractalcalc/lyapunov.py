@@ -26,8 +26,8 @@ from scipy.integrate import cumulative_trapezoid
 
 from .cantor import _max_samples, _query
 from .errors import ParameterError, PreconditionError, _count, _real, _reals
-from .fde import (FdeConstants, FdeSystem, _apply, _central_diff, _first_order, _integrate,
-                  _tau_horizon, warp_time)
+from .fde import (FdeConstants, FdeSystem, _apply, _call, _central_diff, _first_order,
+                  _flow, _integrate, _tau_horizon, warp_time)
 from .staircase import StaircaseTable
 
 
@@ -55,11 +55,11 @@ class LyapunovFunction:
     """Candidate function V(tau, *state) with optional analytic gradients.
 
     ``grad_state`` is a tuple of callables, one per state component, and
-    ``grad_tau`` the clock derivative.  Missing gradients fall back to
-    fde._central_diff on tau and the state broadcast to one shape, one-sided
-    at tau = 0; ``value`` is called through fde._apply, so one written for
-    scalars runs once per element.  The differences inject noise around
-    1e-10, so analytic forms are preferred wherever a drift check is tight.
+    ``grad_tau`` the clock derivative.  All are called through fde._apply,
+    so one written for scalars runs once per element.  Missing gradients
+    fall back to fde._central_diff, one-sided at tau = 0.  The differences
+    inject noise around 1e-10, so prefer analytic forms where a drift check
+    is tight.
     """
 
     value: Callable
@@ -67,11 +67,11 @@ class LyapunovFunction:
     grad_tau: Optional[Callable] = None
 
     def __call__(self, tau, *state):
-        return self.value(tau, *state)
+        return _apply(self.value, tau, *state)
 
     def state_gradient(self, tau, state):
         if self.grad_state is not None:
-            return tuple(g(tau, *state) for g in self.grad_state)
+            return tuple(_apply(g, tau, *state) for g in self.grad_state)
         tau, *state = np.broadcast_arrays(tau, *state)
 
         def along(i):
@@ -80,7 +80,7 @@ class LyapunovFunction:
 
     def time_gradient(self, tau, state):
         if self.grad_tau is not None:
-            return self.grad_tau(tau, *state)
+            return _apply(self.grad_tau, tau, *state)
         tau, *state = np.broadcast_arrays(tau, *state)
         return _central_diff(lambda t: _apply(self.value, t, *state), tau,
                              clock=True)
@@ -117,9 +117,10 @@ def lyapunov_derivative(L: LyapunovFunction, flow, state, tau=0.0):
     """Derivative of L along the flow at one state, in the staircase clock.
 
     Computes grad_tau + sum_i dV/dx_i * field_i and vectorizes over
-    array-valued state components and tau.  A flow that raises TypeError or
-    ValueError on arrays is called once per element through ``_by_column``.
-    A NaN in the state is a ParameterError, a NaN tau a DomainError.
+    array-valued state components and tau.  The flow goes through fde's
+    adapter, so a flow written for scalars runs once per element, and one
+    that returns the wrong number of components is a ParameterError, as is
+    a NaN in the state; a NaN tau is a DomainError.
     """
     rhs, dim = as_tau_field(flow)
     tau = _query("tau", tau, lambda x: x)
@@ -137,61 +138,31 @@ def lyapunov_derivative(L: LyapunovFunction, flow, state, tau=0.0):
                 f"pass a tuple of {dim} components (arrays allowed)")
     if len(comps) != dim:
         raise ParameterError(f"state has {len(comps)} component(s), flow expects {dim}")
-    try:
-        derivs = rhs(tau, *comps)
-    except (TypeError, ValueError):
-        derivs = _by_column(rhs, dim)(tau, *comps)
+    derivs = _call(rhs, dim, (tau, *comps))
     grads = L.state_gradient(tau, comps)
     total = L.time_gradient(tau, comps)
     for g, d in zip(grads, derivs):
         total = total + g * d
-    if np.ndim(total) == 0:
-        return float(total)
-    return total
+    return float(total) if np.ndim(total) == 0 else total
 
 
 # ---------------------------------------------------------------------------
 # batch integration shared by the empirical probes
 # ---------------------------------------------------------------------------
 
-def _by_column(rhs, dim):
-    """``rhs`` for a flow that takes scalars only: called once per element.
-
-    tau and the components broadcast to one shape, and each call gets one
-    element of each; the flow must return ``dim`` components.
-    """
-    def by_column(tau, *rows):
-        tau, *rows = np.broadcast_arrays(tau, *rows)
-        outs = [rhs(*col) for col in zip(tau.flat, *(row.flat for row in rows))]
-        if outs and len(outs[0]) != dim:
-            raise ParameterError(
-                f"flow returned {len(outs[0])} component(s), expected {dim}")
-        return [np.array(c, dtype=float).reshape(tau.shape) for c in zip(*outs)]
-    return by_column
-
-
 def _batch_integrate(rhs, dim, Y0, tau_end, dtau, record_every):
     """March the columns of Y0 with RK4, freezing escapes instead of raising.
 
     A column that leaves the blow-up ball is clipped to it and held there
-    while the others go on.  The flow gets the block's rows, one array of
-    shape (B,) per component, when one probe call on the rows of Y0 gives
-    dim finite components that broadcast to (B,); otherwise ``_by_column``
-    calls it once per column on scalars.  Only TypeError and ValueError from
-    the probe mean "no array support"; any other exception propagates.
+    while the others go on.  fde._flow decides once, from one call on the
+    rows of Y0, whether the flow is marched on the block's rows, one array
+    of shape (B,) per component, or once per column on np.float64 scalars.
 
     Returns (taus, blocks, escaped): blocks has shape (n_records, dim, B) and
     escaped marks columns that left the blow-up ball or went non-finite.
     """
     Y = np.array(Y0, dtype=float)
-    n_cols = Y.shape[1]
-    try:
-        probe = np.stack([np.broadcast_to(np.asarray(c, dtype=float), (n_cols,))
-                          for c in rhs(0.0, *Y)])
-        on_rows = probe.shape == (dim, n_cols) and bool(np.all(np.isfinite(probe)))
-    except (TypeError, ValueError):
-        on_rows = False
-    return _integrate(rhs if on_rows else _by_column(rhs, dim), tau_end, Y, dtau, "rk4",
+    return _integrate(_flow(rhs, dim, 0.0, *Y), tau_end, Y, dtau, "rk4",
                       record_every, on_escape="freeze")
 
 
@@ -283,7 +254,7 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=None,
         _reals("equilibrium", equilibrium, "(-inf, inf)"))
     if eq.size != dim:
         raise ParameterError(f"equilibrium needs {dim} component(s), got {eq.size}")
-    resid = float(np.max(np.abs(np.asarray(rhs(0.0, *eq), dtype=float))))
+    resid = float(np.max(np.abs(_call(rhs, dim, (0.0, *eq)))))
     if not resid < 1e-9:
         raise ParameterError(
             f"not an equilibrium: field magnitude {resid:.3g} at the given state")
@@ -639,26 +610,19 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
 def stability_certificate(sys: FdeSystem) -> LyapunovFunction:
     """Energy certificate H(y) + z^2 / (2 v(tau)) for the unforced family."""
     return LyapunovFunction(
-        value=lambda tau, y, z: sys.restoring_integral(y)
-        + z * z / (2.0 * _apply(sys.v, tau)),
-        grad_state=(
-            lambda tau, y, z: _apply(sys.h, y),
-            lambda tau, y, z: z / _apply(sys.v, tau)),
-        grad_tau=lambda tau, y, z: -_apply(sys.coefficient_slope, tau)
-        * z * z / (2.0 * _apply(sys.v, tau) ** 2))
+        value=lambda tau, y, z: sys.restoring_integral(y) + z * z / (2.0 * sys.v(tau)),
+        grad_state=(lambda tau, y, z: sys.h(y), lambda tau, y, z: z / sys.v(tau)),
+        grad_tau=lambda tau, y, z: -sys.coefficient_slope(tau) * z * z
+        / (2.0 * sys.v(tau) ** 2))
 
 
 def boundedness_certificate(sys: FdeSystem, k: float = 1.0 / 32.0) -> LyapunovFunction:
     """Shifted certificate v(tau) H(y) + z^2 / 2 + k for the forced family."""
     k = _real("k", k, "(0, inf)")
     return LyapunovFunction(
-        value=lambda tau, y, z: _apply(sys.v, tau) * sys.restoring_integral(y)
-        + 0.5 * z * z + k,
-        grad_state=(
-            lambda tau, y, z: _apply(sys.v, tau) * _apply(sys.h, y),
-            lambda tau, y, z: z),
-        grad_tau=lambda tau, y, z: _apply(sys.coefficient_slope, tau)
-        * sys.restoring_integral(y))
+        value=lambda tau, y, z: sys.v(tau) * sys.restoring_integral(y) + 0.5 * z * z + k,
+        grad_state=(lambda tau, y, z: sys.v(tau) * sys.h(y), lambda tau, y, z: z),
+        grad_tau=lambda tau, y, z: sys.coefficient_slope(tau) * sys.restoring_integral(y))
 
 
 def _march_fan(sys, table, conditions, grids, initial_states, t_end, dtau,
@@ -769,10 +733,9 @@ def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
     Yg, Zg = np.meshgrid(gp, gp, indexing="ij")
     L2 = stability_certificate(sys)
     probes = (0.0, 0.5 * tau_end, tau_end)
-    bound_margin = _worst(*(np.asarray(L2(tp, Yg, Zg), dtype=float)
-                            - lambda_bar * (Yg ** 2 + Zg ** 2) for tp in probes))
+    bound_margin = _worst(*(L2(tp, Yg, Zg) - lambda_bar * (Yg ** 2 + Zg ** 2) for tp in probes))
     bound_ok = bound_margin >= 0.0
-    zero_value = float(np.max([abs(float(L2(tp, 0.0, 0.0))) for tp in probes]))
+    zero_value = float(np.max([abs(L2(tp, 0.0, 0.0)) for tp in probes]))
     zero_ok = zero_value <= 1e-12
 
     passed = drift_ok and bound_ok and zero_ok

@@ -108,6 +108,11 @@ def _table(t, s):
     return dataclasses.replace(TABLE, t=t, s=s)
 
 
+def _planar_derivative(flow, state):
+    # L = (y^2 + z^2) / 2 with its exact gradients
+    return lyapunov_derivative(example3_lyapunov(), flow, state)
+
+
 def _classify(**kw):
     return classify_stability(example1_field, TABLE, **{"horizon": 1.0, "dtau": 0.05,
                                                        **kw})
@@ -273,6 +278,14 @@ HOLES = {
     "lyapunov-derivative-nan-in-state": lambda: lyapunov_derivative(
         example1_lyapunov(), example1_field, np.array([1.0, math.nan])),
     "covering-measure-string": lambda: covering_measure("x"),
+    "lyapunov-derivative-flow-one-component": lambda: _planar_derivative(
+        lambda tau, y, z: (z,), (1.0, 2.0)),
+    "lyapunov-derivative-flow-three-components": lambda: _planar_derivative(
+        lambda tau, y, z: (z, -y, 5.0), (1.0, 2.0)),
+    "lyapunov-derivative-flow-one-component-arrays": lambda: _planar_derivative(
+        lambda tau, y, z: (z,), (np.array([1.0, 0.5]), np.array([2.0, -1.0]))),
+    "lyapunov-derivative-flow-three-components-arrays": lambda: _planar_derivative(
+        lambda tau, y, z: (z, -y, 5.0), (np.array([1.0, 0.5]), np.array([2.0, -1.0]))),
     "equilibrium-inf": lambda: _classify(equilibrium=math.inf),
     "theorem1-grids-other-alpha": lambda: _verify1(grids=_grids(alpha=0.3)),
     "theorem2-grids-other-alpha": lambda: _verify2(grids=_grids(alpha=0.3)),

@@ -441,6 +441,20 @@ def test_batch_calls_the_rhs_per_stage_plus_one_probe(table):
                                   0.75, 1e-2, 1)
     assert len(calls) == 4 * (len(taus) - 1) + 1
 
+    # math.sin refuses the rows: one failed array call, then one call per
+    # column and stage, on np.float64 scalars (901 calls here at the parent)
+    seen = []
+
+    def scalar_only(tau, y, z):
+        seen.append(type(y))
+        return z, -math.sin(y) - z
+
+    rhs, dim = as_tau_field(scalar_only)
+    taus, _, _ = _batch_integrate(rhs, dim, [[1.0, 0.5, -0.5], [0.0] * 3],
+                                  0.75, 1e-2, 1)
+    assert len(seen) == 4 * 3 * (len(taus) - 1) + 1 == 901
+    assert seen[0] is np.ndarray and set(seen[1:]) == {np.float64}
+
 
 def test_t_end_outside_span_raises(table):
     with pytest.raises(DomainError):

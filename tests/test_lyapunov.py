@@ -122,8 +122,20 @@ def test_scalar_only_flows_answer_arrays_element_by_element(tau):
                               grad_tau=lambda tau, y, z: y)
     y, z = np.linspace(-2.0, 2.0, 5), np.linspace(1.0, -1.0, 5)
     taus = np.broadcast_to(tau, y.shape)
+    # gradients written for scalars run once per element too, whatever the flow
+    scalar_grads = LyapunovFunction(
+        value=lambda tau, y: y * y,
+        grad_state=(lambda tau, y: 2.0 * math.copysign(abs(y), y),),
+        grad_tau=lambda tau, y: 0.0 * math.cos(tau))
+    planar_scalar_grads = dataclasses.replace(
+        planar, grad_state=(lambda tau, y, z: math.fsum((tau, y)), lambda tau, y, z: float(z)),
+        grad_tau=lambda tau, y, z: float(y))
     cases = [(example1_lyapunov(), lambda y: -math.sin(y), (y,)),
-             (planar, lambda tau, y, z: (z, -math.sin(y)), (y, z))]
+             (planar, lambda tau, y, z: (z, -math.sin(y)), (y, z)),
+             (scalar_grads, lambda y: -y, (y,)),
+             (scalar_grads, lambda y: -math.sin(y), (y,)),
+             (planar_scalar_grads, lambda tau, y, z: (z, -y), (y, z)),
+             (planar_scalar_grads, lambda tau, y, z: (z, -math.sin(y)), (y, z))]
     for L, flow, state in cases:
         got = lyapunov_derivative(L, flow, state if len(state) > 1 else y, tau=tau)
         want = [lyapunov_derivative(L, flow, tuple(c[i] for c in state), tau=taus[i])
