@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import _max_samples, _query, _search
+from .cantor import _built, _max_samples, _query, _search
 from .errors import ParameterError, ResolutionError, _count, _real, _reals
 from .fde import _apply
 from .staircase import StaircaseTable, eval_staircase
@@ -47,7 +47,15 @@ def set_samples(table: StaircaseTable, per_segment: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Function samples pinned to set points of a staircase table."""
+    """Function samples pinned to set points of a staircase table.
+
+    ``t`` must be strictly increasing set points of the table and ``s`` the
+    staircase there, equal to what ``_at_set_points`` computes.  The
+    constructor checks both; ``from_function``, ``from_values`` and
+    ``derivative_grid`` make them so and hand them over through
+    ``cantor._built``.  Either way ``_keep`` checks ``values`` against
+    ``t`` and locks it, copying a writable one.
+    """
 
     table: StaircaseTable
     t: np.ndarray
@@ -55,17 +63,21 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        for name in ("t", "s", "values"):
-            arr = _reals(name, getattr(self, name))
-            if arr.flags.writeable:  # the caller's own array stays theirs
-                arr = _locked(arr.copy())
-            object.__setattr__(self, name, arr)
-        if self.t.ndim != 1 or self.t.size == 0:
-            raise ParameterError("sample grid must be a non-empty 1-d array")
-        if self.s.shape != self.t.shape or self.values.shape != self.t.shape:
-            raise ParameterError("t, s and values must have matching shapes")
-        if np.any(np.diff(self.t) <= 0):
-            raise ParameterError("sample grid must be strictly increasing")
+        t, s = self._at_set_points(self.table, self.t)
+        given = _reals("s", self.s)
+        if given.shape != s.shape or not np.array_equal(given, s):
+            raise ParameterError("s must be the table's staircase at t")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "s", s)
+        self._keep()
+
+    def _keep(self):
+        values = _reals("values", self.values)
+        if values.shape != self.t.shape:
+            raise ParameterError("t and values must have matching shapes")
+        if values.flags.writeable:  # the caller's own array stays theirs
+            values = _locked(values.copy())
+        object.__setattr__(self, "values", values)
 
     def __len__(self):
         return int(self.t.size)
@@ -80,16 +92,19 @@ class GridFunction:
         back stays writable.
         """
         t, s = cls._at_set_points(table, table.t if t is None else t)
-        return cls(table=table, t=t, s=s, values=_apply(fn, t))
+        return _built(cls, table=table, t=t, s=s, values=_apply(fn, t))
 
     @classmethod
     def from_values(cls, table: StaircaseTable, t, values) -> "GridFunction":
         t, s = cls._at_set_points(table, t)
-        return cls(table=table, t=t, s=s, values=values)
+        return _built(cls, table=table, t=t, s=s, values=values)
 
     @staticmethod
     def _at_set_points(table, t):
-        """``t`` and S there as read-only 1-d arrays; every point must be a set point."""
+        """``t`` and S there as read-only 1-d arrays.
+
+        ``t`` must be a non-empty, strictly increasing array of set points.
+        """
         t = np.atleast_1d(_reals("t", t))
         if t.flags.writeable:
             t = _locked(t.copy())
@@ -103,6 +118,10 @@ class GridFunction:
         if bad.size:
             raise ParameterError(
                 f"{bad.size} sample point(s) fall outside the set, first: {bad[0]!r}")
+        if t.ndim != 1 or t.size == 0:
+            raise ParameterError("sample grid must be a non-empty 1-d array")
+        if np.any(t[1:] <= t[:-1]):
+            raise ParameterError("sample grid must be strictly increasing")
         return t, _locked(s)
 
 
@@ -149,7 +168,7 @@ def derivative_grid(f: GridFunction) -> GridFunction:
     out[1:-1] = (v[2:] - v[:-2]) / ds
     out[0] = (v[1] - v[0]) / (s[1] - s[0])
     out[-1] = (v[-1] - v[-2]) / (s[-1] - s[-2])
-    return GridFunction(table=f.table, t=f.t, s=f.s, values=_locked(out))
+    return _built(GridFunction, table=f.table, t=f.t, s=f.s, values=_locked(out))
 
 
 def fractal_integral(f: GridFunction, a: float, b: float) -> float:

@@ -121,8 +121,8 @@ class IntervalSet:
     right: np.ndarray
 
     def __post_init__(self):
-        left = np.atleast_1d(_reals("left", self.left))
-        right = np.atleast_1d(_reals("right", self.right))
+        left = np.atleast_1d(_reals("left", self.left, "(-inf, inf)"))
+        right = np.atleast_1d(_reals("right", self.right, "(-inf, inf)"))
         if left.ndim != 1 or left.shape != right.shape or left.size == 0:
             raise ParameterError("left and right must be matching non-empty 1-d arrays")
         t = np.empty(2 * left.size)

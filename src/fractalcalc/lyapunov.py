@@ -71,6 +71,9 @@ class LyapunovFunction:
 
     def state_gradient(self, tau, state):
         if self.grad_state is not None:
+            if len(self.grad_state) != len(state):
+                raise ParameterError(f"{len(self.grad_state)} state gradient(s) for "
+                                     f"{len(state)} state component(s)")
             return tuple(_apply(g, tau, *state) for g in self.grad_state)
         tau, *state = np.broadcast_arrays(tau, *state)
 

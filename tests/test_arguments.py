@@ -302,6 +302,16 @@ HOLES = {
     "staircase-table-empty": lambda: _table([], []),
     "staircase-table-scalar": lambda: _table(0.5, 0.5),
     "staircase-table-2d": lambda: _table(TABLE.t.reshape(2, -1), TABLE.s.reshape(2, -1)),
+    "lyapunov-derivative-one-gradient-for-two-components": lambda: lyapunov_derivative(
+        dataclasses.replace(example3_lyapunov(), grad_state=(lambda tau, y, z: y,)),
+        example3_field(), (1.0, 2.0)),
+    "interval-set-left-inf": lambda: IntervalSet([-math.inf, 1.0], [0.0, 2.0]),
+    "interval-set-right-inf": lambda: IntervalSet([0.0, 1.0], [0.5, math.inf]),
+    # 1.0 lies in the middle gap (0.8, 1.2) of the set on [0, 2]
+    "grid-function-off-set-point": lambda: GridFunction(
+        TABLE, [0.0, 1.0, 2.0], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]),
+    "grid-function-wrong-s": lambda: GridFunction(
+        TABLE, SAMPLES.t, SAMPLES.s * 2.0, SAMPLES.values),
 }
 
 

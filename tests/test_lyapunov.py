@@ -143,6 +143,43 @@ def test_scalar_only_flows_answer_arrays_element_by_element(tau):
         assert got.tolist() == want
 
 
+@pytest.mark.parametrize("make", [theorem1_toy, example2_system, theorem2_toy],
+                         ids=["theorem1_toy", "example2", "theorem2_toy"])
+def test_published_certificates_agree_with_the_verifiers_closed_forms(long_table, make):
+    # the verifiers evaluate closed forms; the certificates the package
+    # publishes must give the same values and derivatives on the verifiers'
+    # default fan
+    from fractalcalc.fde import _apply
+    from fractalcalc.lyapunov import _lemmas, _march_fan, _theorem2_constants
+
+    sys = make()
+    *_, taus, blocks, escaped = _march_fan(sys, long_table, ("C1", "C2", "C3", "C4"), None,
+                                           None, None, 1e-2, 10)
+    assert not escaped.any() and blocks.shape[2] == 16
+    tau, Y, Z = taus[:, None], blocks[:, 0, :], blocks[:, 1, :]
+    state = (Y, Z)
+
+    def agree(got, want):
+        assert got.shape == Y.shape and np.max(np.abs(got - want)) <= 1e-12
+
+    if sys.q is None:
+        # verify_theorem1's drift dL2 = -v'/(2 v^2) z^2 - (u/v) f z^2
+        u, v = _apply(sys.u, tau), _apply(sys.v, tau)
+        drift = (-_apply(sys.coefficient_slope, tau) / (2.0 * v ** 2) * Z ** 2
+                 - (u / v) * _apply(sys.f, Y, Z) * Z ** 2)
+        report = verify_theorem1(sys, long_table, dtau=1e-2)
+        assert report.max_drift == np.max(drift)
+        L2 = stability_certificate(sys)
+        agree(L2(tau, *state), _apply(sys.restoring_integral, Y) + Z ** 2 / (2.0 * v))
+        agree(lyapunov_derivative(L2, sys, state, tau=tau), drift)
+    k = 1.0 / 32.0
+    *_, L0, dL0 = _lemmas(sys, _theorem2_constants(sys.constants, long_table.alpha, k),
+                          tau, Y, Z)
+    L = boundedness_certificate(sys, k)
+    agree(L(tau, *state), L0)
+    agree(lyapunov_derivative(L, sys, state, tau=tau), dL0)
+
+
 def test_lienard_derivative_is_minus_y_times_the_damping_primitive():
     # D L = -y G(y) = -(y^4/3 + y^2), whatever w is
     L = example2_lienard_lyapunov()
