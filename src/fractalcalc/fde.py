@@ -164,10 +164,15 @@ def _call(fn, dim, args, arrays=True):
     results are kept when ``_fit`` accepts them.  Otherwise (a TypeError or
     ValueError, all-scalar arguments, ``arrays`` False) fn runs once per
     element on np.float64 scalars, and each result must pass ``_fit`` as
-    scalars.  Returns dim float arrays (one for None) of the broadcast shape.
+    scalars.  Returns dim float arrays (one for None) of the broadcast shape;
+    arguments that do not broadcast, or a result that fails per element,
+    are a ParameterError.
     """
-    arrs = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
-    out = _on_arrays(fn, dim, arrs) if arrays and arrs[0].ndim else None
+    try:
+        arrs = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    except ValueError:
+        raise ParameterError("the arguments do not broadcast to one shape") from None
+    out = _on_arrays(fn, dim, arrs, arrs[0].shape) if arrays and arrs[0].ndim else None
     if out is not None:
         return out
     rows = [fn(*vals) for vals in zip(*(a.flat for a in arrs))]
@@ -185,17 +190,17 @@ def _call(fn, dim, args, arrays=True):
 
 def _flow(rhs, dim, *args):
     """rhs, or rhs per element: one call on ``args``, as a march passes them, decides."""
-    if _on_arrays(rhs, dim, args) is not None:
+    if _on_arrays(rhs, dim, args, np.broadcast_shapes(*map(np.shape, args))) is not None:
         return rhs
     return lambda *a: _call(rhs, dim, a, arrays=False)
 
 
-def _on_arrays(fn, dim, args):
+def _on_arrays(fn, dim, args, shape):
     try:
         out = fn(*args)
     except (TypeError, ValueError):  # fn takes no arrays; other errors propagate
         return None
-    return _fit(out, dim, np.broadcast_shapes(*map(np.shape, args)))
+    return _fit(out, dim, shape)
 
 
 def _fit(out, dim, shape):

@@ -305,6 +305,8 @@ HOLES = {
     "lyapunov-derivative-one-gradient-for-two-components": lambda: lyapunov_derivative(
         dataclasses.replace(example3_lyapunov(), grad_state=(lambda tau, y, z: y,)),
         example3_field(), (1.0, 2.0)),
+    "lyapunov-derivative-state-shapes-differ": lambda: _planar_derivative(
+        example3_field(), (np.ones(2), np.ones(3))),
     "interval-set-left-inf": lambda: IntervalSet([-math.inf, 1.0], [0.0, 2.0]),
     "interval-set-right-inf": lambda: IntervalSet([0.0, 1.0], [0.5, math.inf]),
     # 1.0 lies in the middle gap (0.8, 1.2) of the set on [0, 2]
