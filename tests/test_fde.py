@@ -442,7 +442,7 @@ def test_batch_calls_the_rhs_per_stage_plus_one_probe(table):
     assert len(calls) == 4 * (len(taus) - 1) + 1
 
     # math.sin refuses the rows: one failed array call, then one call per
-    # column and stage, on np.float64 scalars (901 calls here at the parent)
+    # column and stage, on np.float64 scalars: 901 calls here
     seen = []
 
     def scalar_only(tau, y, z):
