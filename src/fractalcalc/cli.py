@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -26,36 +27,49 @@ from .systems import _named_system, example1_exact
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 3
+# rows of CSV formatted and written at a time
+_CHUNK_ROWS = 4096
 
 
 def _write(path, result, fmt):
     """Write a command's result to ``path``, or to stdout for "-".
 
     A (names, columns) pair is a table of equal-length columns, written in
-    ``fmt``: integer columns as integers, every other column as floats, one
-    column formatted at a time.  A dict is a JSON payload, written as JSON.
+    ``fmt``: integer columns as integers, every other column as floats.  As
+    CSV it goes out in chunks of _CHUNK_ROWS rows, so the text in flight
+    stays small however long the table.  A dict is a JSON payload, written
+    as JSON.
     """
     if isinstance(result, tuple):
         names, columns = result
-        arrays = [np.asarray(col) for col in columns]
-        ints = [arr.dtype.kind in "iu" for arr in arrays]
-        values = [arr.tolist() if is_int else arr.astype(float).tolist()
-                  for arr, is_int in zip(arrays, ints)]
+        arrays = [arr if arr.dtype.kind in "iu" else arr.astype(float, copy=False)
+                  for arr in map(np.asarray, columns)]
         if fmt == "json":
             result = {"columns": list(names),
-                      "rows": [list(row) for row in zip(*values)]}
+                      "rows": [list(row) for row in zip(*(a.tolist() for a in arrays))]}
         else:
-            cells = [map(str if is_int else "{:.12g}".format, col)
-                     for col, is_int in zip(values, ints)]
-            lines = [",".join(names), *map(",".join, zip(*cells))]
-            text = "\n".join(lines) + "\n"
+            chunks = _csv_chunks(names, arrays)
     if isinstance(result, dict):
-        text = json.dumps(result, indent=2) + "\n"
+        chunks = [json.dumps(result, indent=2) + "\n"]
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _csv_chunks(names, arrays):
+    """The header line, then the rows, _CHUNK_ROWS at a time.
+
+    Each chunk is one %-format of the row template repeated: "%d" for an
+    integer cell, "%.12g" for a float, the same text as str and
+    "{:.12g}".format.
+    """
+    yield ",".join(names) + "\n"
+    row = ",".join("%d" if a.dtype.kind in "iu" else "%.12g" for a in arrays) + "\n"
+    for start in range(0, len(arrays[0]), _CHUNK_ROWS):
+        cols = [a[start:start + _CHUNK_ROWS].tolist() for a in arrays]
+        yield (row * len(cols[0])) % tuple(chain.from_iterable(zip(*cols)))
 
 
 def _spec_from(args):
@@ -312,6 +326,24 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        return _run(args)
+    except BrokenPipeError:
+        # downstream reader closed the pipe (e.g. `| head`); not our failure
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    except OSError as exc:  # after BrokenPipeError, one of its subclasses
+        print(f"error: cannot write --out {args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return RUNTIME_ERROR
+
+
+def _run(args):
+    """Run the parsed command, write its result and return the exit code.
+
+    An OSError from writing --out propagates, for ``main`` to report.
+    """
+    try:
         _write(args.out, args.func(args), args.format)
         return 0
     except ParameterError as exc:  # an ExpressionError too
@@ -327,11 +359,6 @@ def main(argv=None):
     except FractalCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
-    except BrokenPipeError:
-        # downstream reader closed the pipe (e.g. `| head`); not our failure
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 1
 
 
 if __name__ == "__main__":

@@ -120,3 +120,10 @@ def _count(name, value, minimum, maximum=None):
             return int(value)
     bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
     raise ParameterError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _function(name, fn, optional=False):
+    """Raise a ParameterError unless ``fn`` is callable, or None when ``optional``."""
+    if not (callable(fn) or optional and fn is None):
+        what = "a callable or None" if optional else "a callable"
+        raise ParameterError(f"{name} must be {what}, got {type(fn).__name__}")

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .cantor import _query
-from .errors import NumericalBlowupError, ParameterError, _count, _real
+from .errors import NumericalBlowupError, ParameterError, _count, _function, _real
 from .staircase import StaircaseTable, eval_staircase
 
 BLOWUP_LIMIT = 1e12
@@ -93,7 +93,9 @@ class FdeSystem:
     forcing as |q| <= r1 + r2 [H(y) + z^2]^(sigma^alpha / 2) + delta^alpha |z|
     with H the restoring potential.  The analytic hooks ``h_integral``,
     ``h_derivative`` and ``v_derivative`` replace numeric quadrature and
-    finite differences when provided.
+    finite differences when provided.  Each function field must be callable,
+    and each optional one None or callable; anything else is a
+    ParameterError when the system is made.
     """
 
     u: Callable[[float], float]
@@ -108,6 +110,15 @@ class FdeSystem:
     h_derivative: Optional[Callable[[float], float]] = None
     v_derivative: Optional[Callable[[float], float]] = None
 
+    def __post_init__(self):
+        # u, v, f and h are required, the hooks and q may be None
+        for f in fields(self):
+            if f.name != "constants":
+                _function(f.name, getattr(self, f.name), optional=f.default is None)
+        if not isinstance(self.constants, FdeConstants):
+            raise ParameterError(f"constants must be an FdeConstants, "
+                                 f"got {type(self.constants).__name__}")
+
     def rhs(self, tau, y, z):
         """Right-hand side (Dy, Dz) of the first order form in tau."""
         zdot = -self.u(tau) * self.f(y, z) * z - self.v(tau) * self.h(y)
@@ -119,8 +130,9 @@ class FdeSystem:
         """Potential H(y), the integral of h from 0 to y."""
         if self.h_integral is not None:
             return self.h_integral(y)
-        # quad takes scalar bounds only, so _apply calls it once per element
-        return _apply(lambda v: quad(self.h, 0.0, v, limit=200)[0], y)
+        # quad takes scalar bounds only, so it goes straight to the per-element path
+        out, = _call(lambda v: quad(self.h, 0.0, v, limit=200)[0], None, (y,), arrays=False)
+        return float(out) if out.ndim == 0 else out
 
     def restoring_slope(self, y):
         """h'(y), analytic when available, else a central difference."""

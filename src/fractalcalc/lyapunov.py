@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .cantor import _max_samples, _query
-from .errors import ParameterError, PreconditionError, _count, _real, _reals
+from .errors import ParameterError, PreconditionError, _count, _function, _real, _reals
 from .fde import (FdeConstants, FdeSystem, _apply, _call, _central_diff, _first_order,
                   _flow, _integrate, _tau_horizon, warp_time)
 from .staircase import StaircaseTable
@@ -59,12 +59,24 @@ class LyapunovFunction:
     so one written for scalars runs once per element.  Missing gradients
     fall back to fde._central_diff, one-sided at tau = 0.  The differences
     inject noise around 1e-10, so prefer analytic forms where a drift check
-    is tight.
+    is tight.  A field of the wrong kind (a value that is not callable, a
+    grad_state that is not a tuple or list of callables) is a
+    ParameterError when the function is made.
     """
 
     value: Callable
     grad_state: Optional[tuple] = None
     grad_tau: Optional[Callable] = None
+
+    def __post_init__(self):
+        _function("value", self.value)
+        _function("grad_tau", self.grad_tau, optional=True)
+        if self.grad_state is not None:
+            if not isinstance(self.grad_state, (tuple, list)):
+                raise ParameterError(f"grad_state must be a tuple of callables, "
+                                     f"got {type(self.grad_state).__name__}")
+            for i, g in enumerate(self.grad_state):
+                _function(f"grad_state[{i}]", g)
 
     def __call__(self, tau, *state):
         return _apply(self.value, tau, *state)

@@ -27,7 +27,7 @@ from fractalcalc import (
     l_alpha_sum,
     warp_time,
 )
-from fractalcalc.cli import main
+from fractalcalc.cli import _write, main
 
 DEPTH = 18
 SPEC = CantorSpec(mu=0.2, depth=DEPTH)
@@ -91,6 +91,30 @@ def test_mass_and_dimension_build_no_set():
     spec = CantorSpec(mu=0.2, depth=20)
     assert _peak(lambda: estimate_mass(spec, ALPHA, 0.3, 0.7, spec.keep_ratio ** 20),
                  20) <= 0.05
+
+
+class _Sink(io.TextIOBase):
+    """A text stream that keeps only the count of what it is given."""
+
+    written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+def test_csv_writer_peak_is_below_its_output():
+    # the deriv --depth 16 table's shape: two float columns and an int one,
+    # formatted and written a bounded chunk of rows at a time
+    rows = 2 ** 17
+    rng = np.random.default_rng(3)
+    columns = (rng.uniform(0.0, 1.0, rows), rng.standard_normal(rows), np.arange(rows))
+    table = (("t", "f", "n"), columns)
+    sink = _Sink()
+    with contextlib.redirect_stdout(sink):
+        peak_bytes = _peak(lambda: _write("-", table, "csv")) * TABLE_ARRAY
+    assert sink.written > 0
+    assert peak_bytes <= 1.0 * sink.written
 
 
 _POINTS = np.random.default_rng(7).uniform(0.0, 1.0, 1000)

@@ -28,9 +28,11 @@ from fractalcalc import (
     CantorSpec,
     DomainError,
     FdeConstants,
+    FdeSystem,
     FractalCalcError,
     GridFunction,
     IntervalSet,
+    LyapunovFunction,
     ParameterError,
     boundedness_certificate,
     build_staircase,
@@ -56,6 +58,7 @@ from fractalcalc import (
     hausdorff_dimension,
     in_set,
     l_alpha_sum,
+    linear_damped_system,
     lyapunov_derivative,
     set_samples,
     solve_first_order,
@@ -314,6 +317,22 @@ HOLES = {
         TABLE, [0.0, 1.0, 2.0], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]),
     "grid-function-wrong-s": lambda: GridFunction(
         TABLE, SAMPLES.t, SAMPLES.s * 2.0, SAMPLES.values),
+    # a system's and a Lyapunov function's fields are checked when it is made,
+    # not in its first call
+    "fde-system-u-float": lambda: FdeSystem(u=1.0, v=abs, f=max, h=abs),
+    "fde-system-h-none": lambda: dataclasses.replace(linear_damped_system(), h=None),
+    "fde-system-q-string": lambda: dataclasses.replace(linear_damped_system(), q="0"),
+    "fde-system-h-integral-float": lambda: dataclasses.replace(
+        linear_damped_system(), h_integral=0.5),
+    "fde-system-constants-dict": lambda: dataclasses.replace(
+        linear_damped_system(), constants={"E": 1.0}),
+    "lyapunov-value-string": lambda: LyapunovFunction(value="x"),
+    "lyapunov-grad-state-function": lambda: LyapunovFunction(
+        value=lambda tau, z: z * z, grad_state=lambda tau, z: 2 * z),
+    "lyapunov-grad-state-holds-float": lambda: LyapunovFunction(
+        value=lambda tau, z: z * z, grad_state=(0.0,)),
+    "lyapunov-grad-tau-float": lambda: LyapunovFunction(
+        value=lambda tau, z: z * z, grad_tau=0.0),
 }
 
 

@@ -8,11 +8,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fractalcalc
+from fractalcalc import cli
 from fractalcalc.cli import build_parser, main
 
 
@@ -155,6 +157,19 @@ def test_blowup_is_runtime_error_with_partial_output(tmp_path):
         assert out.read_text().startswith("t,tau,y\n")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["staircase"],
+    ["solve", "--system", "custom-first", "--field=y**3", "--y0=1e11", "--depth", "8"],
+])
+def test_unwritable_out_is_runtime_error(argv, tmp_path, capsys):
+    # a missing directory and a directory, for a table and for a blow-up's
+    # partial trajectory
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert run_cli(argv + ["--out", str(out)]) == 3
+        assert f"error: cannot write --out {out}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--t-end", "nan"],
     ["stability", "--horizon", "nan"],
@@ -257,6 +272,40 @@ def test_verify_rejects_unknown_systems(theorem, system):
 def test_verify_theorem1_rejects_the_forced_toy(capsys):
     assert run_cli(["verify", "--theorem", "1", "--system", "theorem2"]) == 2
     assert "unforced systems" in capsys.readouterr().err
+
+
+def _per_cell_csv(names, columns):
+    """The CSV text of a table by the writer's earlier rule, one cell at a time."""
+    arrays = [np.asarray(col) for col in columns]
+    ints = [arr.dtype.kind in "iu" for arr in arrays]
+    values = [arr.tolist() if is_int else arr.astype(float).tolist()
+              for arr, is_int in zip(arrays, ints)]
+    cells = [map(str if is_int else "{:.12g}".format, col)
+             for col, is_int in zip(values, ints)]
+    return "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n"
+
+
+_SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e22, 1e-5, 0.1 + 0.2,
+            -1.5, 1e300, 123456789012.5, 2.0 ** -1074 * 3]
+_ROWS = [0, 1, cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1,
+         3 * cli._CHUNK_ROWS + 7]
+
+
+@pytest.mark.parametrize("rows", _ROWS)
+def test_chunked_csv_matches_the_per_cell_rule(rows, tmp_path, capsys):
+    rng = np.random.default_rng(rows)
+    ints = rng.integers(-2 ** 62, 2 ** 62, rows, dtype=np.int64)
+    ints[:3] = [2 ** 62, -2 ** 62, 0][:rows]
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    special = np.resize(np.array(_SPECIAL), rows)
+    columns = (ints, floats, special, np.arange(rows, dtype=np.uint8), special[::-1] * 7)
+    names = ("i", "x", "special", "small", "scaled")
+    expected = _per_cell_csv(names, columns)
+    cli._write("-", (names, columns), "csv")
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "table.csv"
+    cli._write(str(out), (names, columns), "csv")
+    assert out.read_bytes() == expected.encode()
 
 
 # sha256 of stdout at every default configuration of the solver commands,

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+import fractalcalc.fde
 from fractalcalc import (
     CantorSpec,
     DomainError,
@@ -190,6 +192,25 @@ def test_numeric_hooks_match_the_analytic_ones():
     assert bare.restoring_integral(ys).shape == ys.shape
     assert type(bare.restoring_slope(1.5)) is float
     assert bare.coefficient_slope(ys).shape == ys.shape
+
+
+def test_numeric_potential_hands_quad_scalar_bounds_only(monkeypatch):
+    # quad takes no array bound, so H(y) goes per element from the start;
+    # each element is the value quad gives on that bound alone
+    bare = dataclasses.replace(linear_damped_system(), h_integral=None)
+    ys = np.linspace(-3.0, 3.0, 13)
+    expected = [quad(bare.h, 0.0, y, limit=200)[0] for y in ys]
+    bounds = []
+
+    def scalar_quad(fn, a, b, **kw):
+        bounds.append(b)
+        return quad(fn, a, b, **kw)
+
+    monkeypatch.setattr(fractalcalc.fde, "quad", scalar_quad)
+    assert bare.restoring_integral(ys).tolist() == expected
+    assert bare.restoring_integral(ys[4]) == expected[4]
+    assert len(bounds) == ys.size + 1
+    assert all(np.ndim(b) == 0 for b in bounds)
 
 
 def test_blowup_raises_with_partial_trajectory(long_table):
