@@ -17,7 +17,9 @@ state, as a sequence of dim components, 1 or 2: Python floats for one
 state, rows of shape (B,) for a block.  The right-hand side takes them
 positionally, rhs(tau, y) or rhs(tau, y, z), and returns dim derivatives,
 each a scalar or an array that broadcasts to the rows, so no step packs the
-components into a container: FdeSystem.rhs is a flow as it stands.
+components into a container.  ``_first_order`` and ``_second_order`` make
+the flows of the two families; the latter checks an FdeSystem's fields and
+binds its functions once per march, so no stage looks them up.
 A step on Python floats that raises (1/0, an overflowing power) or yields
 anything but floats (a complex root, a narrower numpy scalar) is redone on
 np.float64, so 1/0 and a negative base to a fractional power give inf/nan
@@ -111,6 +113,10 @@ class FdeSystem:
     v_derivative: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
+        self._check()
+
+    def _check(self):
+        """Raise a ParameterError naming the first field of the wrong kind."""
         # u, v, f and h are required, the hooks and q may be None
         for f in fields(self):
             if f.name != "constants":
@@ -121,10 +127,7 @@ class FdeSystem:
 
     def rhs(self, tau, y, z):
         """Right-hand side (Dy, Dz) of the first order form in tau."""
-        zdot = -self.u(tau) * self.f(y, z) * z - self.v(tau) * self.h(y)
-        if self.q is not None:
-            zdot = zdot + self.q(tau, y, z)
-        return z, zdot
+        return _second_order(self)(tau, y, z)
 
     def restoring_integral(self, y):
         """Potential H(y), the integral of h from 0 to y."""
@@ -466,6 +469,24 @@ def _first_order(g):
     return lambda tau, y: (g(y),)
 
 
+def _second_order(sys):
+    """The flow of the damped system ``sys`` under the contract of _integrate.
+
+    The fields are checked and read once, here, so a march binds the
+    functions the system holds when it starts; a later reassignment takes
+    effect at the next march.
+    """
+    sys._check()
+    u, f, v, h, q = sys.u, sys.f, sys.v, sys.h, sys.q
+    if q is None:
+        def rhs(tau, y, z):
+            return z, -u(tau) * f(y, z) * z - v(tau) * h(y)
+    else:
+        def rhs(tau, y, z):
+            return z, -u(tau) * f(y, z) * z - v(tau) * h(y) + q(tau, y, z)
+    return rhs
+
+
 def solve_first_order(g, table: StaircaseTable, h0: float, t_end: float,
                       dtau: float = 1e-3, method: str = "rk4",
                       record_every: int = 1,
@@ -489,8 +510,8 @@ def solve_second_order(sys: FdeSystem, table: StaircaseTable, y0: float,
     y0 and z0 follow the rule for h0 of solve_first_order.
     """
     state0 = [_real("y0", y0, "[-inf, inf]"), _real("z0", z0, "[-inf, inf]")]
-    return _solve(sys.rhs, table, state0, t_end, dtau, method, record_every,
-                  blowup_limit)
+    return _solve(_second_order(sys), table, state0, t_end, dtau, method,
+                  record_every, blowup_limit)
 
 
 def warp_time(table: StaircaseTable, tau):

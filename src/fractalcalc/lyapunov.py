@@ -27,7 +27,7 @@ from scipy.integrate import cumulative_trapezoid
 from .cantor import _max_samples, _query
 from .errors import ParameterError, PreconditionError, _count, _function, _real, _reals
 from .fde import (FdeConstants, FdeSystem, _apply, _call, _central_diff, _first_order,
-                  _flow, _integrate, _tau_horizon, warp_time)
+                  _flow, _integrate, _second_order, _tau_horizon, warp_time)
 from .staircase import StaircaseTable
 
 
@@ -61,7 +61,8 @@ class LyapunovFunction:
     inject noise around 1e-10, so prefer analytic forms where a drift check
     is tight.  A field of the wrong kind (a value that is not callable, a
     grad_state that is not a tuple or list of callables) is a
-    ParameterError when the function is made.
+    ParameterError when the function is made, and again when it is called
+    after a field was reassigned.
     """
 
     value: Callable
@@ -69,6 +70,9 @@ class LyapunovFunction:
     grad_tau: Optional[Callable] = None
 
     def __post_init__(self):
+        self._check()
+
+    def _check(self):
         _function("value", self.value)
         _function("grad_tau", self.grad_tau, optional=True)
         if self.grad_state is not None:
@@ -79,9 +83,11 @@ class LyapunovFunction:
                 _function(f"grad_state[{i}]", g)
 
     def __call__(self, tau, *state):
+        self._check()
         return _apply(self.value, tau, *state)
 
     def state_gradient(self, tau, state):
+        self._check()
         if self.grad_state is not None:
             if len(self.grad_state) != len(state):
                 raise ParameterError(f"{len(self.grad_state)} state gradient(s) for "
@@ -94,6 +100,7 @@ class LyapunovFunction:
         return tuple(_central_diff(along(i), x) for i, x in enumerate(state))
 
     def time_gradient(self, tau, state):
+        self._check()
         if self.grad_tau is not None:
             return _apply(self.grad_tau, tau, *state)
         tau, *state = np.broadcast_arrays(tau, *state)
@@ -106,11 +113,12 @@ def as_tau_field(flow):
 
     Accepts an FdeSystem, a scalar map g(y) for first order problems, or a
     planar field field(tau, y, z) returning (Dy, Dz).  The rhs takes the
-    components positionally, the contract of fde._integrate: ``flow.rhs``
-    for an FdeSystem, the field itself, or g wrapped as (tau, y) -> (g(y),).
+    components positionally, the contract of fde._integrate: an FdeSystem's
+    functions bound by fde._second_order, the field itself, or g wrapped as
+    (tau, y) -> (g(y),).
     """
     if isinstance(flow, FdeSystem):
-        return flow.rhs, 2
+        return _second_order(flow), 2
     if not callable(flow):
         raise ParameterError(
             f"flow must be callable or an FdeSystem, got {type(flow).__name__}")
@@ -647,8 +655,11 @@ def _march_fan(sys, table, conditions, grids, initial_states, t_end, dtau,
     The fan defaults to eight compass states at radii 1 and 2, t_end to the
     end of the span, and the grids to the table's alpha; grids at another
     alpha are a ParameterError.  Returns (report, t_end, tau_end, taus,
-    blocks, escaped) with blocks of shape (n_records, 2, n_states).
+    blocks, escaped) with blocks of shape (n_records, 2, n_states).  The
+    system's fields are checked and bound first, so a reassigned field is a
+    ParameterError before any condition is swept.
     """
+    rhs = _second_order(sys)
     t_end, tau_end = _tau_horizon(table, table.span[1] if t_end is None else t_end)
     if tau_end <= 0.0:
         raise ParameterError("t_end must advance the staircase past the anchor")
@@ -672,7 +683,7 @@ def _march_fan(sys, table, conditions, grids, initial_states, t_end, dtau,
                         for n in failing),
             failing=failing)
     return (report, t_end, tau_end,
-            *_batch_integrate(sys.rhs, 2, Y0.T, tau_end, dtau, record_every))
+            *_batch_integrate(rhs, 2, Y0.T, tau_end, dtau, record_every))
 
 
 @dataclass

@@ -35,6 +35,24 @@ def test_module_entry_point():
     assert lines[1] == "1,0,0,0.4"
 
 
+def test_a_closed_pipe_exits_1_without_a_traceback():
+    # a reader that stops early, like `| head -2`: the table is far larger
+    # than a pipe's buffer, so the writer meets the closed pipe
+    src = os.path.dirname(os.path.dirname(fractalcalc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fractalcalc", "deriv", "--function", "t", "--depth", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=path))
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head[0].startswith("t,") and head[1].count(",") == head[0].count(",")
+    assert "Traceback" not in err and "Error" not in err
+
+
 def test_cantor_row_count(tmp_path):
     out = tmp_path / "levels.csv"
     assert run_cli(["cantor", "--depth", "6", "--out", str(out)]) == 0

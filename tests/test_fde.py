@@ -28,7 +28,9 @@ from fractalcalc import (
     linear_damped_system,
     solve_first_order,
     solve_second_order,
+    theorem1_toy,
     theorem2_toy,
+    verify_theorem1,
     warp_time,
 )
 from fractalcalc.expressions import compile_expression
@@ -264,6 +266,62 @@ def test_one_column_batch_matches_the_solve_bit_for_bit(long_table):
     assert np.array_equal(blocks[:, 1, 0], traj.z)
 
 
+def _method_rhs(sys):
+    # the system's formula, reading every field from the instance at each
+    # call: the reference for the flow a march binds once
+    def rhs(tau, y, z):
+        zdot = -sys.u(tau) * sys.f(y, z) * z - sys.v(tau) * sys.h(y)
+        if sys.q is not None:
+            zdot = zdot + sys.q(tau, y, z)
+        return z, zdot
+
+    return rhs
+
+
+@pytest.mark.parametrize("build", [example2_system, example3_system, theorem1_toy,
+                                   theorem2_toy])
+def test_bound_flow_matches_the_method_formula_bit_for_bit(long_table, build):
+    from fractalcalc.lyapunov import _batch_integrate, as_tau_field
+
+    sys = build()
+    ref = _method_rhs(sys)
+    traj = solve_second_order(sys, long_table, 0.7, -0.3, 5.0, dtau=1e-2)
+    want = _reference_march(ref, traj.meta["tau_end"], [0.7, -0.3], 1e-2, "rk4", 1,
+                            BLOWUP_LIMIT)
+    _assert_same_outcome((traj.tau, traj.y, traj.z),
+                         (want[0], want[1][:, 0], want[1][:, 1]))
+    Y0 = [[0.7, 1.0, -2.0], [-0.3, 0.0, 0.5]]
+    rhs, dim = as_tau_field(sys)
+    _assert_same_outcome(_batch_integrate(rhs, dim, Y0, 5.0, 1e-2, 3),
+                         _reference_march(ref, 5.0, Y0, 1e-2, "rk4", 3, BLOWUP_LIMIT))
+    assert sys.rhs(0.5, 0.7, -0.3) == ref(0.5, 0.7, -0.3)
+
+
+def test_a_reassigned_field_takes_effect_at_the_next_march(table):
+    sys = linear_damped_system()
+    first = solve_second_order(sys, table, 1.0, 0.0, 1.0, dtau=1e-2)
+    sys.u = lambda tau: 2.0
+    second = solve_second_order(sys, table, 1.0, 0.0, 1.0, dtau=1e-2)
+    fresh = solve_second_order(dataclasses.replace(linear_damped_system(), u=sys.u),
+                               table, 1.0, 0.0, 1.0, dtau=1e-2)
+    assert not np.array_equal(first.z, second.z)
+    assert np.array_equal(second.z, fresh.z)
+
+
+@pytest.mark.parametrize("run", ["solve", "verify"])
+def test_a_reassigned_field_is_refused_before_any_step(table, run):
+    calls = []
+    sys = linear_damped_system()
+    sys.v = lambda tau: calls.append(tau) or 1.0
+    sys.u = 1.0
+    with pytest.raises(ParameterError, match="^u must be a callable, got float$"):
+        if run == "solve":
+            solve_second_order(sys, table, 1.0, 0.0, 0.5)
+        else:
+            verify_theorem1(sys, table)
+    assert calls == []
+
+
 def _rk4_step(rhs, tau, x, h):
     # classical RK4 for any number of components, with the groupings of the
     # package's steppers
@@ -434,7 +492,7 @@ def test_a_complex_root_turned_real_keeps_the_float_march():
 
 
 def _counting_system(calls):
-    # sys.rhs calls u exactly once per right-hand-side evaluation
+    # the system's flow calls u exactly once per right-hand-side evaluation
     def u(tau):
         calls.append(tau)
         return 1.0

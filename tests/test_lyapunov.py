@@ -200,6 +200,20 @@ def test_oscillator_energy_is_conserved(spring):
     assert np.array_equal(got, np.zeros_like(y))
 
 
+@pytest.mark.parametrize("name,value", [("value", 1.0), ("grad_tau", 0.0),
+                                        ("grad_state", (0.0,))],
+                         ids=["value", "grad_tau", "grad_state"])
+@pytest.mark.parametrize("method", ["call", "state_gradient", "time_gradient"])
+def test_a_reassigned_field_is_refused_at_each_call(name, value, method):
+    L = example1_lyapunov()
+    setattr(L, name, value)
+    calls = {"call": lambda: L(0.0, 1.0),
+             "state_gradient": lambda: L.state_gradient(0.0, (1.0,)),
+             "time_gradient": lambda: L.time_gradient(0.0, (1.0,))}
+    with pytest.raises(ParameterError, match=f"^{name}(\\[0\\])? must be"):
+        calls[method]()
+
+
 def test_state_dimension_mismatch_rejected():
     L = example1_lyapunov()
     with pytest.raises(ParameterError):

@@ -40,5 +40,7 @@ def test_tracer_counts_both_integrators():
     # four RK4 stages a step, plus the batch's one array probe
     assert c["lyapunov.rhs_calls"] == 4 * c["lyapunov.steps"] + 1
     assert c["fde.rhs_calls"] == 4 * c["fde.state_steps"]
+    # the flow bound at the march's start calls the wrapped u, f, v and h
+    assert c["systems.calls"] >= 4 * c["lyapunov.rhs_calls"]
     assert (fractalcalc.fde._integrate,
             fractalcalc.lyapunov._batch_integrate) == originals
