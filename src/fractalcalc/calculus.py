@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import _built, _max_samples, _query, _search
+from .cantor import _built, _max_samples, _query, _same, _search
 from .errors import ParameterError, ResolutionError, _count, _real, _reals
 from .fde import _apply
 from .staircase import StaircaseTable, eval_staircase
@@ -45,7 +45,7 @@ def set_samples(table: StaircaseTable, per_segment: int = 0) -> np.ndarray:
     return (lefts[:, None] + w[None, :] * (rights - lefts)[:, None]).ravel()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Function samples pinned to set points of a staircase table.
 
@@ -61,6 +61,8 @@ class GridFunction:
     t: np.ndarray
     s: np.ndarray
     values: np.ndarray
+
+    __eq__ = _same
 
     def __post_init__(self):
         t, s = self._at_set_points(self.table, self.t)

@@ -14,7 +14,7 @@ shared freely across threads.
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -107,14 +107,32 @@ def _built(cls, **fields):
     return obj
 
 
+def _same(a, b):
+    """``==`` for the package's value classes with array fields.
+
+    Field by field, arrays by ``np.array_equal`` (the dataclass default
+    compares them with ``==`` and raises on the array it gets back).  A
+    class that sets ``__eq__ = _same`` in its body is not hashable.
+    """
+    if a.__class__ is not b.__class__:
+        return NotImplemented
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if not np.array_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class IntervalSet:
     """Sorted, pairwise-disjoint closed intervals [left[i], right[i]].
 
     ``left`` and ``right`` are read-only stride-2 views of one array of
     interleaved endpoints l0, r0, l1, r1, ...; ``generate`` hands over its
-    breakpoint array as that array.  Two sets are equal when their
-    endpoints are; a set is not hashable.
+    breakpoint array as that array.
     """
 
     left: np.ndarray
@@ -141,10 +159,7 @@ class IntervalSet:
         object.__setattr__(self, "left", self._t[0::2])
         object.__setattr__(self, "right", self._t[1::2])
 
-    def __eq__(self, other):
-        if not isinstance(other, IntervalSet):
-            return NotImplemented
-        return bool(np.array_equal(self._t, other._t))
+    __eq__ = _same
 
     def __len__(self):
         return int(self.left.size)

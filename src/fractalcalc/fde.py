@@ -18,8 +18,9 @@ state, rows of shape (B,) for a block.  The right-hand side takes them
 positionally, rhs(tau, y) or rhs(tau, y, z), and returns dim derivatives,
 each a scalar or an array that broadcasts to the rows, so no step packs the
 components into a container.  ``_first_order`` and ``_second_order`` make
-the flows of the two families; the latter checks an FdeSystem's fields and
-binds its functions once per march, so no stage looks them up.
+the flows of the two families; an FdeSystem checks each field when it is
+set, and the latter binds its functions once per march, so no stage looks
+them up.
 A step on Python floats that raises (1/0, an overflowing power) or yields
 anything but floats (a complex root, a narrower numpy scalar) is redone on
 np.float64, so 1/0 and a negative base to a fractional power give inf/nan
@@ -39,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .cantor import _query
+from .cantor import _query, _same
 from .errors import NumericalBlowupError, ParameterError, _count, _function, _real
 from .staircase import StaircaseTable, eval_staircase
 
@@ -96,8 +97,10 @@ class FdeSystem:
     with H the restoring potential.  The analytic hooks ``h_integral``,
     ``h_derivative`` and ``v_derivative`` replace numeric quadrature and
     finite differences when provided.  Each function field must be callable,
-    and each optional one None or callable; anything else is a
-    ParameterError when the system is made.
+    and each optional one None or callable, and ``constants`` an
+    FdeConstants; anything else is a ParameterError at the assignment, by
+    the constructor, ``dataclasses.replace`` or a later ``s.u = ...``, and
+    the field keeps its old value.
     """
 
     u: Callable[[float], float]
@@ -112,18 +115,14 @@ class FdeSystem:
     h_derivative: Optional[Callable[[float], float]] = None
     v_derivative: Optional[Callable[[float], float]] = None
 
-    def __post_init__(self):
-        self._check()
-
-    def _check(self):
-        """Raise a ParameterError naming the first field of the wrong kind."""
+    def __setattr__(self, name, value):
         # u, v, f and h are required, the hooks and q may be None
-        for f in fields(self):
-            if f.name != "constants":
-                _function(f.name, getattr(self, f.name), optional=f.default is None)
-        if not isinstance(self.constants, FdeConstants):
+        if name != "constants":
+            _function(name, value, optional=name not in ("u", "v", "f", "h"))
+        elif not isinstance(value, FdeConstants):
             raise ParameterError(f"constants must be an FdeConstants, "
-                                 f"got {type(self.constants).__name__}")
+                                 f"got {type(value).__name__}")
+        object.__setattr__(self, name, value)
 
     def rhs(self, tau, y, z):
         """Right-hand side (Dy, Dz) of the first order form in tau."""
@@ -232,7 +231,7 @@ def _fit(out, dim, shape):
     return [o if o.shape == shape else np.full(shape, float(o)) for o in outs]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded solution samples in both clocks.
 
@@ -247,6 +246,8 @@ class Trajectory:
     z: Optional[np.ndarray]
     table: StaircaseTable = field(repr=False)
     meta: dict = field(default_factory=dict)
+
+    __eq__ = _same
 
     def __len__(self):
         return int(self.tau.size)
@@ -472,11 +473,10 @@ def _first_order(g):
 def _second_order(sys):
     """The flow of the damped system ``sys`` under the contract of _integrate.
 
-    The fields are checked and read once, here, so a march binds the
-    functions the system holds when it starts; a later reassignment takes
-    effect at the next march.
+    The functions are read once, here, so a march binds the ones the
+    system holds when it starts; a later reassignment, checked when it is
+    made, takes effect at the next march.
     """
-    sys._check()
     u, f, v, h, q = sys.u, sys.f, sys.v, sys.h, sys.q
     if q is None:
         def rhs(tau, y, z):

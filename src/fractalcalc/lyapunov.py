@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .cantor import _max_samples, _query
+from .cantor import _max_samples, _query, _same
 from .errors import ParameterError, PreconditionError, _count, _function, _real, _reals
 from .fde import (FdeConstants, FdeSystem, _apply, _call, _central_diff, _first_order,
                   _flow, _integrate, _second_order, _tau_horizon, warp_time)
@@ -61,33 +61,32 @@ class LyapunovFunction:
     inject noise around 1e-10, so prefer analytic forms where a drift check
     is tight.  A field of the wrong kind (a value that is not callable, a
     grad_state that is not a tuple or list of callables) is a
-    ParameterError when the function is made, and again when it is called
-    after a field was reassigned.
+    ParameterError at the assignment, by the constructor,
+    ``dataclasses.replace`` or a later ``L.value = ...``, and the field
+    keeps its old value.  A grad_state list is stored as a tuple.
     """
 
     value: Callable
     grad_state: Optional[tuple] = None
     grad_tau: Optional[Callable] = None
 
-    def __post_init__(self):
-        self._check()
-
-    def _check(self):
-        _function("value", self.value)
-        _function("grad_tau", self.grad_tau, optional=True)
-        if self.grad_state is not None:
-            if not isinstance(self.grad_state, (tuple, list)):
+    def __setattr__(self, name, value):
+        if name != "grad_state":
+            _function(name, value, optional=name == "grad_tau")
+        elif value is not None:
+            if not isinstance(value, (tuple, list)):
                 raise ParameterError(f"grad_state must be a tuple of callables, "
-                                     f"got {type(self.grad_state).__name__}")
-            for i, g in enumerate(self.grad_state):
+                                     f"got {type(value).__name__}")
+            # a tuple, so no change in place gets past this check
+            value = tuple(value)
+            for i, g in enumerate(value):
                 _function(f"grad_state[{i}]", g)
+        object.__setattr__(self, name, value)
 
     def __call__(self, tau, *state):
-        self._check()
         return _apply(self.value, tau, *state)
 
     def state_gradient(self, tau, state):
-        self._check()
         if self.grad_state is not None:
             if len(self.grad_state) != len(state):
                 raise ParameterError(f"{len(self.grad_state)} state gradient(s) for "
@@ -100,7 +99,6 @@ class LyapunovFunction:
         return tuple(_central_diff(along(i), x) for i, x in enumerate(state))
 
     def time_gradient(self, tau, state):
-        self._check()
         if self.grad_tau is not None:
             return _apply(self.grad_tau, tau, *state)
         tau, *state = np.broadcast_arrays(tau, *state)
@@ -368,8 +366,7 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=None,
             notes.append("some trajectories left the blow-up ball")
     elif not asymptotic:
         classification = "lyapunov-stable"
-    elif decay is not None and decay.bound_holds and decay.r2_t >= fit_min_r2 \
-            and decay.rate_t > 0.0:
+    elif decay is not None and decay.bound_holds:
         classification = "exponentially-stable"
     else:
         classification = "asymptotically-stable"
@@ -392,7 +389,7 @@ def _default_state():
     return np.linspace(-5.0, 5.0, 201)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssumptionGrids:
     """Grids and tolerances the condition checks sweep over.
 
@@ -419,6 +416,8 @@ class AssumptionGrids:
     slack: float = 1e-9
     growth_factor: float = 10.0
     forcing_stride: int = 8
+
+    __eq__ = _same
 
     def __post_init__(self):
         for name, interval in (("alpha", "(0, 1]"), ("tail_tol", "[0, inf)"),
@@ -655,11 +654,8 @@ def _march_fan(sys, table, conditions, grids, initial_states, t_end, dtau,
     The fan defaults to eight compass states at radii 1 and 2, t_end to the
     end of the span, and the grids to the table's alpha; grids at another
     alpha are a ParameterError.  Returns (report, t_end, tau_end, taus,
-    blocks, escaped) with blocks of shape (n_records, 2, n_states).  The
-    system's fields are checked and bound first, so a reassigned field is a
-    ParameterError before any condition is swept.
+    blocks, escaped) with blocks of shape (n_records, 2, n_states).
     """
-    rhs = _second_order(sys)
     t_end, tau_end = _tau_horizon(table, table.span[1] if t_end is None else t_end)
     if tau_end <= 0.0:
         raise ParameterError("t_end must advance the staircase past the anchor")
@@ -683,7 +679,8 @@ def _march_fan(sys, table, conditions, grids, initial_states, t_end, dtau,
                         for n in failing),
             failing=failing)
     return (report, t_end, tau_end,
-            *_batch_integrate(rhs, 2, Y0.T, tau_end, dtau, record_every))
+            *_batch_integrate(_second_order(sys), 2, Y0.T, tau_end, dtau,
+                              record_every))
 
 
 @dataclass

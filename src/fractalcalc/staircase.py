@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import (CantorSpec, IntervalSet, _breakpoints, _built, _check_resolution,
-                     _in_key_order, _query, _search, contains, generate, max_depth)
+                     _in_key_order, _query, _same, _search, contains, generate, max_depth)
 from .errors import EstimationError, ParameterError, ResolutionError, _real, _reals
 
 _RAMP = 2 ** 14  # values per row of the s fill; 2^16 shows in a depth-18 build's peak
@@ -41,7 +41,7 @@ class MassEstimate:
     depth: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StaircaseTable:
     """Breakpoint table for the staircase S(t), anchored so S(t0) = 0.
 
@@ -65,6 +65,8 @@ class StaircaseTable:
     t: np.ndarray
     s: np.ndarray
     t0: float
+
+    __eq__ = _same
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _real("alpha", self.alpha, "(0, 1]"))

@@ -16,6 +16,8 @@ import dataclasses
 import inspect
 import io
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from fractalcalc import (
     characteristic,
     check_assumptions,
     classify_stability,
+    compile_expression,
     contains,
     covering_measure,
     depth_for_resolution,
@@ -60,6 +63,7 @@ from fractalcalc import (
     l_alpha_sum,
     linear_damped_system,
     lyapunov_derivative,
+    max_depth,
     set_samples,
     solve_first_order,
     solve_second_order,
@@ -109,6 +113,11 @@ def _solve2(**kw):
 
 def _table(t, s):
     return dataclasses.replace(TABLE, t=t, s=s)
+
+
+def _max_depth_from_env(raw):
+    with mock.patch.dict(os.environ, {"FRACTAL_CALC_MAX_DEPTH": raw}):
+        return max_depth()
 
 
 def _planar_derivative(flow, state):
@@ -333,6 +342,31 @@ HOLES = {
         value=lambda tau, z: z * z, grad_state=(0.0,)),
     "lyapunov-grad-tau-float": lambda: LyapunovFunction(
         value=lambda tau, z: z * z, grad_tau=0.0),
+    # refusals no other test reaches
+    "interval-set-shapes-differ": lambda: IntervalSet([0.0, 1.0], [0.5]),
+    "interval-set-left-above-right": lambda: IntervalSet([1.0], [0.0]),
+    "interval-set-overlapping": lambda: IntervalSet([0.0, 0.5], [1.0, 2.0]),
+    "from-values-shapes-differ": lambda: GridFunction.from_values(
+        TABLE, TABLE.t[:2], [1.0]),
+    "from-values-decreasing": lambda: GridFunction.from_values(
+        TABLE, TABLE.t[1::-1], [1.0, 1.0]),
+    "from-values-2d": lambda: GridFunction.from_values(
+        TABLE, TABLE.t[:4].reshape(2, 2), np.ones((2, 2))),
+    "l-alpha-sum-one-point": lambda: l_alpha_sum(ISET, ALPHA, [0.5]),
+    "dimension-sweep-alphas-decreasing": lambda: dimension_sweep(
+        SPEC, 0.5, 1e-3, [0.8, 0.5]),
+    "classify-equilibrium-other-dimension": lambda: classify_stability(
+        example1_field, TABLE, equilibrium=(0.0, 0.0)),
+    "lyapunov-derivative-flow-float": lambda: lyapunov_derivative(
+        example1_lyapunov(), 1.0, 1.0),
+    "lyapunov-derivative-flow-uninspectable": lambda: lyapunov_derivative(
+        example1_lyapunov(), max, 1.0),
+    "lyapunov-derivative-state-three-for-two": lambda: _planar_derivative(
+        example3_field(), np.ones(3)),
+    "from-function-string-values": lambda: GridFunction.from_function(
+        TABLE, lambda t: "a"),
+    "expression-unknown-operator": lambda: compile_expression("~t", ("t",)),
+    "max-depth-negative": lambda: _max_depth_from_env("-1"),
 }
 
 

@@ -46,6 +46,30 @@ def test_in_set_distinguishes_points(table):
         in_set(table, -0.1)
 
 
+def test_a_hand_built_grid_function_is_accepted(staircase_fn):
+    f = staircase_fn
+    g = GridFunction(f.table, f.t, f.s, f.values)
+    assert all(np.array_equal(getattr(g, x), getattr(f, x)) for x in ("t", "s", "values"))
+    assert fractal_integral(g, 0.0, 1.0) == fractal_integral(f, 0.0, 1.0)
+
+
+# two samples across the first gap, and one sample at the origin
+UNRESOLVED = {
+    "derivative-across-a-gap": lambda gap, one: fractal_derivative(gap, gap.t[0]),
+    "derivative-grid-across-a-gap": lambda gap, one: derivative_grid(gap),
+    "derivative-grid-one-sample": lambda gap, one: derivative_grid(one),
+    "integral-one-sample": lambda gap, one: fractal_integral(one, 0.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNRESOLVED))
+def test_too_few_samples_are_resolution_errors(table, name):
+    gap = GridFunction.from_values(table, table.t[1:3], [1.0, 2.0])
+    one = GridFunction.from_values(table, [0.0], [1.0])
+    with pytest.raises(ResolutionError):
+        UNRESOLVED[name](gap, one)
+
+
 def test_from_function_defaults_to_breakpoints(table):
     f = GridFunction.from_function(table, lambda t: t)
     assert len(f) == len(table.t)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalcalc import (
+    AssumptionGrids,
     CantorSpec,
+    GridFunction,
     IntervalSet,
     ParameterError,
     ResolutionError,
@@ -18,6 +20,7 @@ from fractalcalc import (
     generate,
     hausdorff_dimension,
     iter_levels,
+    solve_first_order,
 )
 from fractalcalc import cantor, staircase
 from fractalcalc.cantor import max_depth
@@ -287,6 +290,31 @@ def test_sets_compare_by_their_endpoints():
     assert iset != iset.intervals
     with pytest.raises(TypeError):
         hash(iset)
+
+
+_SPEC5 = CantorSpec(mu=0.2, depth=5)
+# each builds a value from one number; two builds from one number are equal
+VALUE_BUILDS = {
+    "IntervalSet": lambda x: generate(CantorSpec(mu=x, depth=5)),
+    "StaircaseTable": lambda x: build_staircase(_SPEC5, x),
+    "GridFunction": lambda x: GridFunction.from_function(
+        build_staircase(_SPEC5, 0.5), lambda t: x * t),
+    "Trajectory": lambda x: solve_first_order(
+        lambda y: -y, build_staircase(_SPEC5, 0.5), x, 0.5, dtau=0.05),
+    "AssumptionGrids": lambda x: AssumptionGrids(alpha=x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_BUILDS))
+def test_values_with_array_fields_compare_field_by_field(name):
+    build = VALUE_BUILDS[name]
+    value = build(0.3)
+    assert value == build(0.3)
+    assert not value != build(0.3)
+    assert value != build(0.4)
+    assert value != object()
+    with pytest.raises(TypeError):
+        hash(value)
 
 
 @settings(max_examples=50)

@@ -292,6 +292,11 @@ def test_verify_theorem1_rejects_the_forced_toy(capsys):
     assert "unforced systems" in capsys.readouterr().err
 
 
+def test_custom_first_without_a_field_is_usage_error(capsys):
+    assert run_cli(["solve", "--system", "custom-first", "--depth", "4"]) == 2
+    assert "custom-first needs --field" in capsys.readouterr().err
+
+
 def _per_cell_csv(names, columns):
     """The CSV text of a table by the writer's earlier rule, one cell at a time."""
     arrays = [np.asarray(col) for col in columns]

@@ -204,14 +204,24 @@ def test_oscillator_energy_is_conserved(spring):
                                         ("grad_state", (0.0,))],
                          ids=["value", "grad_tau", "grad_state"])
 @pytest.mark.parametrize("method", ["call", "state_gradient", "time_gradient"])
-def test_a_reassigned_field_is_refused_at_each_call(name, value, method):
+def test_a_reassigned_field_is_refused_at_the_assignment(name, value, method):
     L = example1_lyapunov()
-    setattr(L, name, value)
-    calls = {"call": lambda: L(0.0, 1.0),
-             "state_gradient": lambda: L.state_gradient(0.0, (1.0,)),
-             "time_gradient": lambda: L.time_gradient(0.0, (1.0,))}
+    old = getattr(L, name)
     with pytest.raises(ParameterError, match=f"^{name}(\\[0\\])? must be"):
-        calls[method]()
+        setattr(L, name, value)
+    assert getattr(L, name) is old
+    calls = {"call": lambda L: L(0.0, 1.0),
+             "state_gradient": lambda L: L.state_gradient(0.0, (1.0,)),
+             "time_gradient": lambda L: L.time_gradient(0.0, (1.0,))}
+    assert calls[method](L) == calls[method](example1_lyapunov())
+
+
+def test_a_grad_state_list_is_kept_as_a_tuple():
+    grads = [lambda tau, y: 2.0 * y]
+    L = LyapunovFunction(value=lambda tau, y: y * y, grad_state=grads)
+    grads.append(1.0)
+    assert L.grad_state == (grads[0],)
+    assert L.state_gradient(0.0, (1.5,)) == (3.0,)
 
 
 def test_state_dimension_mismatch_rejected():
