@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import _built, _max_samples, _query, _same, _search
+from .cantor import _built, _locked, _max_samples, _query, _same, _search
 from .errors import ParameterError, ResolutionError, _count, _real, _reals
 from .fde import _apply
 from .staircase import StaircaseTable, eval_staircase
@@ -54,7 +54,10 @@ class GridFunction:
     constructor checks both; ``from_function``, ``from_values`` and
     ``derivative_grid`` make them so and hand them over through
     ``cantor._built``.  Either way ``_keep`` checks ``values`` against
-    ``t`` and locks it, copying a writable one.
+    ``t`` and locks a copy of it.  The function holds read-only copies of
+    every array a caller hands it, so a caller's later write misses them;
+    only the table's own ``t``, the default grid of ``from_function``, is
+    held as it is.
     """
 
     table: StaircaseTable
@@ -74,12 +77,11 @@ class GridFunction:
         self._keep()
 
     def _keep(self):
+        """Check ``values`` against ``t`` and lock a copy of it."""
         values = _reals("values", self.values)
         if values.shape != self.t.shape:
             raise ParameterError("t and values must have matching shapes")
-        if values.flags.writeable:  # the caller's own array stays theirs
-            values = _locked(values.copy())
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _locked(values.copy()))
 
     def __len__(self):
         return int(self.t.size)
@@ -89,9 +91,9 @@ class GridFunction:
         """Sample ``fn`` at set points; defaults to every breakpoint.
 
         ``fn`` receives the time array (vectorized call, with a scalar
-        fallback).  Supplied grids must consist of set points.  Values ``fn``
-        returns are copied like any caller's array, so an array it hands
-        back stays writable.
+        fallback).  Supplied grids must consist of set points, and are
+        copied like the values ``fn`` returns, so an array the caller holds
+        stays theirs; the default grid is the table's own ``t``, uncopied.
         """
         t, s = cls._at_set_points(table, table.t if t is None else t)
         return _built(cls, table=table, t=t, s=s, values=_apply(fn, t))
@@ -103,12 +105,12 @@ class GridFunction:
 
     @staticmethod
     def _at_set_points(table, t):
-        """``t`` and S there as read-only 1-d arrays.
+        """A read-only copy of ``t``, or the table's own ``t``, and S there.
 
         ``t`` must be a non-empty, strictly increasing array of set points.
         """
         t = np.atleast_1d(_reals("t", t))
-        if t.flags.writeable:
+        if t is not table.t:
             t = _locked(t.copy())
 
         def s_on_set(x):
@@ -125,12 +127,6 @@ class GridFunction:
         if np.any(t[1:] <= t[:-1]):
             raise ParameterError("sample grid must be strictly increasing")
         return t, _locked(s)
-
-
-def _locked(arr):
-    """``arr``, made read-only."""
-    arr.setflags(write=False)
-    return arr
 
 
 def fractal_derivative(f: GridFunction, t: float) -> float:
@@ -170,7 +166,7 @@ def derivative_grid(f: GridFunction) -> GridFunction:
     out[1:-1] = (v[2:] - v[:-2]) / ds
     out[0] = (v[1] - v[0]) / (s[1] - s[0])
     out[-1] = (v[-1] - v[-2]) / (s[-1] - s[-2])
-    return _built(GridFunction, table=f.table, t=f.t, s=f.s, values=_locked(out))
+    return _built(GridFunction, table=f.table, t=f.t, s=f.s, values=out)
 
 
 def fractal_integral(f: GridFunction, a: float, b: float) -> float:

@@ -95,16 +95,23 @@ class CantorSpec:
 def _built(cls, **fields):
     """A ``cls`` holding ``fields`` that this package built itself.
 
-    ``__post_init__`` checks the arrays a caller passes in, then stores them
-    through ``_keep``.  Arrays the package constructed already have the
-    shape and order those checks look for, so this route sets the fields
-    as given and runs ``_keep`` alone.
+    ``__post_init__`` checks the arrays a caller passes in and copies them,
+    so no array a caller can still write backs a value class; ``_keep``
+    then locks what it holds.  Arrays the package constructed are its own
+    and already have the shape and order those checks look for, so this
+    route sets the fields as given, with no copy, and runs ``_keep`` alone.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     obj._keep()
     return obj
+
+
+def _locked(arr):
+    """``arr``, made read-only."""
+    arr.setflags(write=False)
+    return arr
 
 
 def _same(a, b):
@@ -131,8 +138,8 @@ class IntervalSet:
     """Sorted, pairwise-disjoint closed intervals [left[i], right[i]].
 
     ``left`` and ``right`` are read-only stride-2 views of one array of
-    interleaved endpoints l0, r0, l1, r1, ...; ``generate`` hands over its
-    breakpoint array as that array.
+    interleaved endpoints l0, r0, l1, r1, ...: a copy of the ends a caller
+    passes in, or the breakpoint array ``generate`` hands over.
     """
 
     left: np.ndarray
@@ -154,8 +161,8 @@ class IntervalSet:
         self._keep()
 
     def _keep(self):
-        """Lock the interleaved endpoints ``_t``; ``left`` and ``right`` view them."""
-        self._t.setflags(write=False)
+        """Lock the set's own endpoints ``_t``; ``left`` and ``right`` view them."""
+        _locked(self._t)
         object.__setattr__(self, "left", self._t[0::2])
         object.__setattr__(self, "right", self._t[1::2])
 

@@ -23,7 +23,7 @@ from .fde import FdeSystem, _apply, solve_first_order, solve_second_order
 from .lyapunov import classify_stability, verify_theorem1, verify_theorem2
 from .staircase import (_crossing, build_staircase, characteristic, dimension_sweep,
                         eval_staircase)
-from .systems import _named_system, example1_exact
+from .systems import _NAMED_SYSTEMS, example1_exact
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 3
@@ -168,8 +168,8 @@ def cmd_integrate(args):
 
 
 def _system(args, name):
-    return _named_system(name, getattr(args, "spring", 1.0),
-                         getattr(args, "field", None))
+    """The flow a command line system name stands for."""
+    return _NAMED_SYSTEMS[name](getattr(args, "spring", 1.0), getattr(args, "field", None))
 
 
 def _trajectory_columns(traj):
@@ -292,9 +292,7 @@ def build_parser():
     p = _command(sub, "solve", "integrate a system in the staircase clock", cmd_solve, 12,
                  "--alpha", "--t0", "--y0", "--z0", "--t-end", "--dtau", "--spring",
                  "--classical")
-    p.add_argument("--system", default="example1",
-                   choices=("example1", "example2", "example3", "theorem1",
-                            "theorem2", "custom-first"))
+    p.add_argument("--system", default="example1", choices=tuple(_NAMED_SYSTEMS))
     p.add_argument("--field", default=None,
                    help="expression in y for custom-first; write one that "
                         "starts with '-' as --field=-y")

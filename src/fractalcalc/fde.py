@@ -24,12 +24,12 @@ them up.
 A step on Python floats that raises (1/0, an overflowing power) or yields
 anything but floats (a complex root, a narrower numpy scalar) is redone on
 np.float64, so 1/0 and a negative base to a fractional power give inf/nan
-(and a blow-up) instead of raising.  A state that leaves the blow-up ball
-is handled in one of two ways: "raise" stops the march (the solve_*
+(and a blow-up) instead of raising.  The state's shape decides what
+leaving the blow-up ball does: one state stops the march (the solve_*
 functions turn this into a NumericalBlowupError carrying the partial
-trajectory), "freeze" clips the escaped columns to the ball and holds them
-there while the other columns keep integrating (the batched probes of the
-lyapunov module).  ``_call`` is the one adapter between a caller's
+trajectory), and a block clips each escaped column to the ball and holds
+it there while the other columns keep integrating (the batched probes of
+the lyapunov module).  ``_call`` is the one adapter between a caller's
 function and arrays, and ``_fit`` its one rule for what comes back.
 """
 
@@ -317,8 +317,7 @@ _INSIDE = {1: lambda x, limit: abs(x[0]) <= limit,
            2: lambda x, limit: abs(x[0]) <= limit and abs(x[1]) <= limit}
 
 
-def _integrate(rhs, tau_end, state0, dtau, method, record_every,
-               limit=BLOWUP_LIMIT, on_escape="raise"):
+def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LIMIT):
     """Fixed-step march from tau=0 to tau_end, recording every k-th step.
 
     state0 has shape (dim,) or (dim, B) with dim 1 or 2; rhs(tau, *comps)
@@ -342,12 +341,13 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
     exception or a type; a flow that turns a complex back into a float
     (abs() or .real of a complex root) hides it and may not match.
 
-    on_escape="raise" raises _BlowupSignal with the records so far at the
-    first escape.  on_escape="freeze" clips escaped columns to the ball and
-    holds them at that value from then on; the other columns integrate
-    undisturbed.  Each step tests the whole state once, through tests chosen
-    before the loop for the state's shape; the per-column bookkeeping, on a
-    stacked block, runs only once some column has escaped.
+    A (dim,) march raises _BlowupSignal with the records so far at the
+    first escape.  A (dim, B) march clips each escaped column to the ball
+    and holds it at that value from then on, whatever its later steps
+    give; the other columns integrate undisturbed.  Each step tests the
+    whole state once, through tests chosen before the loop for the state's
+    shape; the per-column bookkeeping runs only once some column has
+    escaped.
 
     dtau and limit must be finite and positive, tau_end finite and >= 0,
     record_every an integer >= 1, the state 1 or 2 components and the march
@@ -409,15 +409,15 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every,
             new = stepper(rhs, tau, state, h)
         tau = tau_end if last else (k + 1) * dtau
         if frozen or not inside(new, limit):
-            if on_escape == "raise":
+            if block.ndim == 1:
                 raise _BlowupSignal(taus[:r], states[:r], tau)
+            # the escaped columns hold their clipped value; test the others
             new = np.array(new)
+            new[:, escaped] = np.array(state)[:, escaped]
             bad = ~np.all(np.abs(new) <= limit, axis=0)
             new[:, bad] = np.clip(
                 np.nan_to_num(new[:, bad], nan=limit, posinf=limit,
                               neginf=-limit), -limit, limit)
-            hold = escaped & ~bad
-            new[:, hold] = np.array(state)[:, hold]
             escaped |= bad
             frozen = True
             new = list(new)

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .cantor import _max_samples, _query, _same
+from .cantor import _locked, _max_samples, _query, _same
 from .errors import ParameterError, PreconditionError, _count, _function, _real, _reals
 from .fde import (FdeConstants, FdeSystem, _apply, _call, _central_diff, _first_order,
                   _flow, _integrate, _second_order, _tau_horizon, warp_time)
@@ -172,19 +172,20 @@ def lyapunov_derivative(L: LyapunovFunction, flow, state, tau=0.0):
 # ---------------------------------------------------------------------------
 
 def _batch_integrate(rhs, dim, Y0, tau_end, dtau, record_every):
-    """March the columns of Y0 with RK4, freezing escapes instead of raising.
+    """March the columns of the (dim, B) block Y0 with RK4.
 
-    A column that leaves the blow-up ball is clipped to it and held there
-    while the others go on.  fde._flow decides once, from one call on the
-    rows of Y0, whether the flow is marched on the block's rows, one array
-    of shape (B,) per component, or once per column on np.float64 scalars.
+    _integrate freezes a block's escapes instead of raising: a column that
+    leaves the blow-up ball is clipped to it and held at that value from
+    then on, while the others go on.  fde._flow decides once, from one
+    call on the rows of Y0, whether the flow is marched on the block's
+    rows, one array of shape (B,) per component, or once per column on
+    np.float64 scalars.
 
     Returns (taus, blocks, escaped): blocks has shape (n_records, dim, B) and
     escaped marks columns that left the blow-up ball or went non-finite.
     """
     Y = np.array(Y0, dtype=float)
-    return _integrate(_flow(rhs, dim, 0.0, *Y), tau_end, Y, dtau, "rk4",
-                      record_every, on_escape="freeze")
+    return _integrate(_flow(rhs, dim, 0.0, *Y), tau_end, Y, dtau, "rk4", record_every)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +401,12 @@ class AssumptionGrids:
     fall below ``tail_tol``; unboundedness of the potential is judged by a
     growth factor across ``y_growth``.  A pass is therefore grid-supported
     evidence, not a proof.  Every grid must be non-empty and finite, and is
-    stored as a float array; ``y`` must hold a nonzero point, since C3 tests
-    the sign of h off zero, ``y_growth`` two points, since C3 compares H
-    across it, and ``tail_windows`` must be positive and strictly increasing.
+    stored as a read-only float copy, so a caller's later write misses it;
+    ``y`` must hold a nonzero point, since C3 tests the sign of h off zero,
+    ``y_growth`` two points, since C3 compares H across it, and
+    ``tail_windows`` must be positive and strictly increasing.  The
+    tolerances are stored as floats and ``forcing_stride`` as an int, also
+    when they are given as numpy numbers.
     """
 
     alpha: float
@@ -423,13 +427,14 @@ class AssumptionGrids:
         for name, interval in (("alpha", "(0, 1]"), ("tail_tol", "[0, inf)"),
                                ("zero_tol", "[0, inf)"), ("slack", "[0, inf)"),
                                ("growth_factor", "(0, inf)")):
-            _real(name, getattr(self, name), interval)
-        _count("forcing_stride", self.forcing_stride, 1)
+            object.__setattr__(self, name, _real(name, getattr(self, name), interval))
+        object.__setattr__(self, "forcing_stride",
+                           _count("forcing_stride", self.forcing_stride, 1))
         for name in ("tau", "y", "z", "y_growth", "tail_windows"):
             grid = _reals(name, getattr(self, name), "(-inf, inf)")
             if grid.size == 0:
                 raise ParameterError(f"{name} must be non-empty")
-            object.__setattr__(self, name, grid)
+            object.__setattr__(self, name, _locked(grid.copy()))
         w = self.tail_windows
         if w.ndim != 1 or w[0] <= 0.0 or np.any(np.diff(w) <= 0.0):
             raise ParameterError("tail_windows must be positive and strictly increasing")

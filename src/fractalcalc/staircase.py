@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import (CantorSpec, IntervalSet, _breakpoints, _built, _check_resolution,
-                     _in_key_order, _query, _same, _search, contains, generate, max_depth)
+                     _in_key_order, _locked, _query, _same, _search, contains, generate,
+                     max_depth)
 from .errors import EstimationError, ParameterError, ResolutionError, _real, _reals
 
 _RAMP = 2 ** 14  # values per row of the s fill; 2^16 shows in a depth-18 build's peak
@@ -50,14 +51,13 @@ class StaircaseTable:
     reproduces S exactly because mass accrues linearly in length^alpha
     within a covering interval and not at all across a gap.
 
-    The arrays passed in as ``t`` and ``s`` are made read-only and kept.
-    Queries read them through writable views kept privately, because
-    np.interp copies a read-only breakpoint array on every call; an array
-    that is read-only already, such as another table's ``t``, is copied once
-    here instead.  ``alpha`` must lie in (0, 1] and ``t0`` be finite, and
-    ``t`` and ``s`` must be non-empty 1-d arrays of one size, finite and
-    nondecreasing.  ``build_staircase`` makes its tables so, and hands its
-    arrays over without these checks.
+    The table holds read-only copies of the ``t`` and ``s`` passed in, so
+    a caller's later write misses them.  Queries read them through writable
+    views kept privately, because np.interp copies a read-only breakpoint
+    array on every call.  ``alpha`` must lie in (0, 1] and ``t0`` be finite,
+    and ``t`` and ``s`` must be non-empty 1-d arrays of one size, finite
+    and nondecreasing.  ``build_staircase`` makes its tables so, and hands
+    its own arrays over without these checks and without a copy.
     """
 
     alpha: float
@@ -76,18 +76,16 @@ class StaircaseTable:
             raise ParameterError("t and s must be matching non-empty 1-d arrays")
         if np.any(t[1:] < t[:-1]) or np.any(s[1:] < s[:-1]):
             raise ParameterError("t and s must be nondecreasing")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t.copy())
+        object.__setattr__(self, "s", s.copy())
         self._keep()
 
     def _keep(self):
-        """Lock ``t`` and ``s``, copying a read-only one, behind writable views."""
+        """Lock the table's own ``t`` and ``s`` behind private writable views."""
         for name in ("t", "s"):
-            arr = np.require(getattr(self, name), requirements=["C", "W"])
             # a view taken before the lock stays writable
-            object.__setattr__(self, "_" + name, arr.view())
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, "_" + name, getattr(self, name).view())
+            _locked(getattr(self, name))
 
     @property
     def span(self):

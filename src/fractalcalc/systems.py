@@ -158,12 +158,3 @@ _NAMED_SYSTEMS = {
     "theorem2": lambda spring, field: theorem2_toy(),
     "custom-first": lambda spring, field: _custom_first(field),
 }
-
-
-def _named_system(name, spring=1.0, field=None):
-    """The flow a command line system name stands for."""
-    try:
-        build = _NAMED_SYSTEMS[name]
-    except KeyError:
-        raise ParameterError(f"unknown system {name!r}") from None
-    return build(spring, field)

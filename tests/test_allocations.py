@@ -153,14 +153,17 @@ def test_warp_time_peak_is_a_few_query_arrays(table):
 def test_public_arrays_stay_read_only(table):
     iset = generate(SPEC.with_depth(4))
     f = GridFunction.from_function(build_staircase(SPEC.with_depth(4), ALPHA), np.cos)
-    # the arrays a table is built from are locked too, as the table's own
+    # a table built from a caller's arrays locks its copies; the caller's
+    # arrays stay theirs, and a write to them misses the table
     given_t, given_s = table.t[:8].copy(), table.s[:8].copy()
-    dataclasses.replace(table, t=given_t, s=given_s)
+    rebuilt = dataclasses.replace(table, t=given_t, s=given_s)
     for arr in (table.t, table.s, iset.left, iset.right, f.t, f.s, f.values,
-                given_t, given_s):
+                rebuilt.t, rebuilt.s):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
+    given_t[0] = given_s[0] = 1.0
+    assert rebuilt.t[0] == table.t[0] and rebuilt.s[0] == table.s[0]
 
 
 def test_a_table_rebuilt_from_views_answers_the_same(table):

@@ -230,6 +230,23 @@ def test_numpy_scalars_are_real_numbers():
     assert type(spec.mu) is float and type(spec.extent) is float
 
 
+def test_grids_store_numpy_numbers_as_python_numbers():
+    # a float32 alpha would make every (C1)-(C7) exponent float32, and a
+    # float16 tail_tol the C4 margins float16
+    given = _grids(alpha=np.float32(ALPHA), tail_tol=np.float16(1e-3),
+                   zero_tol=np.float32(1e-12), slack=np.float32(1e-9),
+                   growth_factor=np.int64(10), forcing_stride=np.int64(8))
+    for name in ("alpha", "tail_tol", "zero_tol", "slack", "growth_factor"):
+        assert type(getattr(given, name)) is float
+    assert type(given.forcing_stride) is int
+    plain = _grids(alpha=float(np.float32(ALPHA)), tail_tol=float(np.float16(1e-3)),
+                   zero_tol=float(np.float32(1e-12)), slack=float(np.float32(1e-9)))
+    assert given == plain
+    got, want = (check_assumptions(theorem1_toy(), g) for g in (given, plain))
+    assert got["C6"].worst_margin == want["C6"].worst_margin
+    assert got.to_json() == want.to_json()
+
+
 # inputs that once ended in a raw TypeError, a silent NaN or a changed verdict
 HOLES = {
     "theorem2-n-random-fraction": lambda: _verify2(n_random=1.5),

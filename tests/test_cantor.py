@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,15 +13,23 @@ from fractalcalc import (
     IntervalSet,
     ParameterError,
     ResolutionError,
+    StaircaseTable,
     build_staircase,
+    check_assumptions,
     contains,
     covering_measure,
+    derivative_grid,
     dimension_sweep,
     estimate_mass,
+    eval_staircase,
+    fractal_integral,
     generate,
     hausdorff_dimension,
+    in_set,
     iter_levels,
     solve_first_order,
+    theorem1_toy,
+    warp_time,
 )
 from fractalcalc import cantor, staircase
 from fractalcalc.cantor import max_depth
@@ -315,6 +324,91 @@ def test_values_with_array_fields_compare_field_by_field(name):
     assert value != object()
     with pytest.raises(TypeError):
         hash(value)
+
+
+_ISET5 = generate(_SPEC5)
+_TABLE5 = build_staircase(_SPEC5, 0.5)
+_POINTS = np.linspace(0.0, 1.0, 41)
+
+
+def _samples(with_s=False):
+    # strictly increasing set points of _TABLE5, and values there
+    t = _TABLE5.t[::3].copy()
+    arrays = {"t": t, "values": np.cos(t)}
+    if with_s:
+        arrays["s"] = eval_staircase(_TABLE5, t)
+    return arrays
+
+
+def _sample_answers(f):
+    return (f.t, f.s, f.values, [in_set(f.table, x) for x in f.t],
+            fractal_integral(f, 0.0, 1.0), derivative_grid(f).values)
+
+
+# each: the arrays a caller hands a value class, by name, a build from them,
+# and what the value answers: its arrays, queries and check results
+OWNED = {
+    "IntervalSet": (
+        lambda: {"left": _ISET5.left.copy(), "right": _ISET5.right.copy()},
+        lambda a: IntervalSet(**a),
+        lambda o: (o.left, o.right, contains(o, _POINTS), covering_measure(o))),
+    "StaircaseTable": (
+        lambda: {"t": _TABLE5.t.copy(), "s": _TABLE5.s.copy()},
+        lambda a: StaircaseTable(0.5, _SPEC5, t0=0.0, **a),
+        lambda o: (o.t, o.s, eval_staircase(o, _POINTS), warp_time(o, _POINTS * o.s[-1]))),
+    "GridFunction": (
+        lambda: _samples(with_s=True), lambda a: GridFunction(_TABLE5, **a),
+        _sample_answers),
+    "GridFunction.from_values": (
+        _samples, lambda a: GridFunction.from_values(_TABLE5, a["t"], a["values"]),
+        _sample_answers),
+    "GridFunction.from_function": (
+        _samples,
+        lambda a: GridFunction.from_function(_TABLE5, lambda t: a["values"], t=a["t"]),
+        _sample_answers),
+    "AssumptionGrids": (
+        lambda: {"tau": np.linspace(0.0, 20.0, 41), "y": np.linspace(-5.0, 5.0, 21),
+                 "z": np.linspace(-5.0, 5.0, 21), "y_growth": np.geomspace(1.0, 1e3, 13),
+                 "tail_windows": np.array([5.0, 10.0, 20.0, 40.0])},
+        lambda a: AssumptionGrids(alpha=0.5, **a),
+        lambda o: (o.tau, o.y, o.z, o.y_growth, o.tail_windows,
+                   json.dumps(check_assumptions(theorem1_toy(), o).to_json()))),
+}
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+# each: how a caller hands over its array, as (the array handed, the array
+# the caller writes into afterwards)
+HANDED = {
+    "writable": lambda a: (a, a),
+    "read-only": lambda a: (_read_only(a), a),
+    "view": lambda a: (a[:], a),
+    "read-only-view": lambda a: (_read_only(a[:]), a),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HANDED))
+@pytest.mark.parametrize("name", sorted(OWNED))
+def test_values_hold_copies_of_the_callers_arrays(name, kind):
+    arrays, build, answers = OWNED[name]
+    handed, written = {}, []
+    for key, arr in arrays().items():
+        handed[key], base = HANDED[kind](arr)
+        written.append(base)
+    value = build(handed)
+    before = [np.array(x) for x in answers(value)]
+    # the caller unlocks its array, if need be, and writes into it
+    for base in written:
+        base.setflags(write=True)
+        base[...] = 0.5
+    after = answers(value)
+    assert len(after) == len(before)
+    for b, a in zip(before, after):
+        assert np.array_equal(b, a)
 
 
 @settings(max_examples=50)

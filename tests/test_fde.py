@@ -266,6 +266,20 @@ def test_one_column_batch_matches_the_solve_bit_for_bit(long_table):
     assert np.array_equal(blocks[:, 1, 0], traj.z)
 
 
+def test_an_escaped_column_holds_its_clipped_value():
+    from fractalcalc.lyapunov import _batch_integrate
+
+    # column 0 spirals out through the ball's edge near tau = 28 and keeps
+    # leaving it; column 1 rests at the origin
+    taus, blocks, escaped = _batch_integrate(lambda tau, y, z: (y + z, -y + z), 2,
+                                             [[1.0, 0.0], [0.0, 0.0]], 40.0, 1e-2, 1)
+    assert escaped.tolist() == [True, False]
+    edge = int(np.argmax(np.abs(blocks[:, :, 0]).max(axis=1) == BLOWUP_LIMIT))
+    assert 0 < edge < len(taus) - 1
+    assert np.all(blocks[edge:, :, 0] == blocks[edge, :, 0])
+    assert not blocks[:, :, 1].any()
+
+
 def _method_rhs(sys):
     # the system's formula, reading every field from the instance at each
     # call: the reference for the flow a march binds once
@@ -335,23 +349,37 @@ def _rk4_step(rhs, tau, x, h):
 
 def _reference_march(rhs, tau_end, state0, dtau, method, record_every, limit):
     # the march on np.float64 components (rows for a block) through the
-    # generic steppers, raising at the first escape like on_escape="raise"
+    # generic steppers: one state raises at its first escape, and a block
+    # clips each column that escapes to the ball and holds it there
     step = {"rk4": _rk4_step, "euler": _euler_step}[method]
     state = list(np.array(state0, dtype=float))
     n_steps = max(math.ceil(tau_end / dtau - 1e-12), 0)
     taus, states = [0.0], [np.array(state)]
+    held = np.zeros(np.shape(state0)[1:], bool)
     tau = 0.0
     for k in range(n_steps):
         last = k == n_steps - 1
         h = tau_end - tau if last else dtau
-        state = step(rhs, tau, state, h)
+        new = step(rhs, tau, state, h)
         tau = tau_end if last else (k + 1) * dtau
-        if not np.abs(np.array(state)).max() <= limit:
-            raise _BlowupSignal(np.array(taus), np.array(states), tau)
+        if held.ndim == 0:
+            if not np.abs(np.array(new)).max() <= limit:
+                raise _BlowupSignal(np.array(taus), np.array(states), tau)
+        else:
+            new = np.array(new)
+            for col in range(new.shape[1]):
+                if held[col]:
+                    new[:, col] = np.array(state)[:, col]
+                elif not np.all(np.abs(new[:, col]) <= limit):
+                    new[:, col] = np.clip(np.nan_to_num(new[:, col], nan=limit),
+                                          -limit, limit)
+                    held[col] = True
+            new = list(new)
+        state = new
         if last or (k + 1) % record_every == 0:
             taus.append(tau)
             states.append(np.array(state))
-    return np.array(taus), np.array(states), np.zeros(np.shape(state0)[1:], bool)
+    return np.array(taus), np.array(states), held
 
 
 def _outcome(march, *args):

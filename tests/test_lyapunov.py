@@ -192,6 +192,14 @@ def test_lienard_derivative_is_minus_y_times_the_damping_primitive():
                                -(y ** 4 / 3.0 + y ** 2), rtol=1e-14, atol=1e-14)
 
 
+def test_a_planar_state_array_is_the_tuple_of_its_components():
+    # a 1-d array of two numbers is read as (y, w), as the tuple form is
+    L = example2_lienard_lyapunov()
+    got = lyapunov_derivative(L, example2_lienard_field, np.array([0.7, -0.2]))
+    assert got == lyapunov_derivative(L, example2_lienard_field, (0.7, -0.2))
+    assert got == pytest.approx(-(0.7 ** 4 / 3.0 + 0.7 ** 2), rel=1e-15)
+
+
 @pytest.mark.parametrize("spring", [1.0, 2.5])
 def test_oscillator_energy_is_conserved(spring):
     y, z = np.meshgrid(np.linspace(-3.0, 3.0, 7), np.linspace(-2.0, 2.0, 5))
