@@ -107,18 +107,14 @@ class GridFunction:
     def _at_set_points(table, t):
         """A read-only copy of ``t``, or the table's own ``t``, and S there.
 
-        ``t`` must be a non-empty, strictly increasing array of set points.
+        ``t`` must be a non-empty, strictly increasing array of set points;
+        S comes from ``eval_staircase`` and membership from ``_search``.
         """
         t = np.atleast_1d(_reals("t", t))
         if t is not table.t:
             t = _locked(t.copy())
-
-        def s_on_set(x):
-            # S is never NaN, so NaN marks the points off the set
-            return np.where(_search(table.t, x)[1], np.interp(x, table._t, table._s), np.nan)
-
-        s = _query("t", t, s_on_set, *table.span)
-        bad = t[np.isnan(s)]
+        s = eval_staircase(table, t)
+        bad = t[~_search(table.t, t)[1]]
         if bad.size:
             raise ParameterError(
                 f"{bad.size} sample point(s) fall outside the set, first: {bad[0]!r}")
@@ -129,12 +125,25 @@ class GridFunction:
         return t, _locked(s)
 
 
+def _quotients(f: GridFunction, lo, hi):
+    """(values[hi] - values[lo]) / (s[hi] - s[lo]) for sample indices or slices.
+
+    Both derivatives form their quotients here.  Fewer than two samples, or
+    a pair of samples between which S does not advance, is a ResolutionError.
+    """
+    if len(f) < 2:
+        raise ResolutionError("a difference quotient needs two samples")
+    ds = f.s[hi] - f.s[lo]
+    if np.any(ds <= 0.0):
+        raise ResolutionError("staircase does not advance between two samples; refine the grid")
+    return (f.values[hi] - f.values[lo]) / ds
+
+
 def fractal_derivative(f: GridFunction, t: float) -> float:
     """Difference quotient of f in staircase value at the sample point t.
 
-    Points off the set return 0.0 by convention.  Interior samples use the
-    symmetric quotient (values[i+1] - values[i-1]) / (s[i+1] - s[i-1]); the
-    first and last samples fall back to one-sided quotients.
+    Points off the set return 0.0 by convention; at a stored sample this is
+    the value ``derivative_grid`` gives there.
     """
     if not in_set(f.table, t):  # raises DomainError outside the span
         return 0.0
@@ -143,50 +152,39 @@ def fractal_derivative(f: GridFunction, t: float) -> float:
     if i >= len(f) or f.t[i] != t:
         raise ParameterError(
             f"t={t!r} is in the set but is not one of the stored samples")
-    if len(f) < 2:
-        raise ResolutionError("cannot form a quotient from a single sample")
-    lo = max(i - 1, 0)
-    hi = min(i + 1, len(f) - 1)
-    ds = f.s[hi] - f.s[lo]
-    if ds <= 0.0:
-        raise ResolutionError(
-            f"staircase does not advance around t={t!r}; refine the grid")
-    return float((f.values[hi] - f.values[lo]) / ds)
+    return float(_quotients(f, max(i - 1, 0), min(i + 1, len(f) - 1)))
 
 
 def derivative_grid(f: GridFunction) -> GridFunction:
-    """Fractal derivative at every stored sample, as a new GridFunction."""
-    if len(f) < 2:
-        raise ResolutionError("cannot form quotients from fewer than two samples")
-    s, v = f.s, f.values
-    ds = s[2:] - s[:-2]
-    if np.any(ds <= 0.0) or s[1] <= s[0] or s[-1] <= s[-2]:
-        raise ResolutionError("staircase stalls inside the sample grid; refine it")
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / ds
-    out[0] = (v[1] - v[0]) / (s[1] - s[0])
-    out[-1] = (v[-1] - v[-2]) / (s[-1] - s[-2])
+    """Fractal derivative at every stored sample, as a new GridFunction.
+
+    Interior samples take the symmetric quotient, the first and last the
+    one-sided quotient to their one neighbour.
+    """
+    n = len(f)
+    interior = _quotients(f, slice(0, n - 2), slice(2, n))
+    out = np.concatenate(([_quotients(f, 0, 1)], interior, [_quotients(f, n - 2, n - 1)]))
     return _built(GridFunction, table=f.table, t=f.t, s=f.s, values=out)
 
 
 def fractal_integral(f: GridFunction, a: float, b: float) -> float:
     """Left sum of f against staircase increments over [a, b].
 
-    Needs at least two samples inside [a, b] unless the staircase is flat
-    there, in which case the integral is exactly zero (gaps carry no mass).
-    Each bound is one real number in the table's span; a NaN bound, like one
-    outside the span, is a DomainError.
+    The samples in [a, b] must carry its mass: S may not rise between a
+    bound and its nearest sample, nor across [a, b] where no sample lies in
+    it; otherwise it is a ResolutionError.  With one sample or none the sum
+    is empty, 0.0.  Each bound is one real number in the table's span; a
+    NaN bound, like one outside the span, is a DomainError.
     """
     a = _query("a", _real("a", a), lambda x: x, *f.table.span)
     b = _query("b", _real("b", b), lambda x: x, *f.table.span)
     if not a < b:
         raise ParameterError("integration bounds need a < b")
-    i0 = int(np.searchsorted(f.t, a, side="left"))
-    i1 = int(np.searchsorted(f.t, b, side="right")) - 1
-    if i1 - i0 + 1 < 2:
-        if eval_staircase(f.table, a) == eval_staircase(f.table, b):
-            return 0.0
+    inside = slice(int(np.searchsorted(f.t, a, side="left")),
+                   int(np.searchsorted(f.t, b, side="right")))
+    s, v = f.s[inside], f.values[inside]
+    sa, sb = eval_staircase(f.table, [a, b])
+    if (s[0] != sa or s[-1] != sb) if s.size else sa != sb:
         raise ResolutionError(
-            f"fewer than two samples cover [{a}, {b}] but mass accrues there")
-    ds = np.diff(f.s[i0:i1 + 1])
-    return float(np.sum(f.values[i0:i1] * ds))
+            f"the samples in [{a}, {b}] miss mass that accrues next to a bound")
+    return float(np.sum(v[:-1] * np.diff(s)))

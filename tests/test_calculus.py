@@ -59,6 +59,9 @@ UNRESOLVED = {
     "derivative-grid-across-a-gap": lambda gap, one: derivative_grid(gap),
     "derivative-grid-one-sample": lambda gap, one: derivative_grid(one),
     "integral-one-sample": lambda gap, one: fractal_integral(one, 0.0, 0.5),
+    # S rises between the last sample and the upper bound, inside the next interval
+    "integral-past-the-last-sample":
+        lambda gap, one: fractal_integral(gap, gap.t[0], (gap.t[1] + gap.table.t[3]) / 2),
 }
 
 
@@ -110,7 +113,7 @@ def test_grid_functions_leave_the_callers_arrays_writable(table):
     assert f.t[0] == g.t[0] == table.t[0] and f.values[0] == h.values[0] == 0.0
     assert not any(a.flags.writeable
                    for a in (f.t, f.s, f.values, g.t, g.s, g.values, h.values))
-    # an array that is read-only already is kept as it is
+    # only the table's own t, the default grid, is kept without a copy
     assert GridFunction.from_function(table, np.sin).t is table.t
 
 
@@ -142,16 +145,13 @@ def test_derivative_matches_chain_rule(table):
 
 
 def test_interior_quotient_matches_the_grid_derivative(table):
-    # interior samples of set_samples sit inside covering segments, where
-    # the scalar quotient and the grid one use the same neighbours
-    t = set_samples(table, 2)
-    f = GridFunction.from_function(table, lambda x: np.exp(eval_staircase(table, x)), t=t)
-    grid = derivative_grid(f)
-    for i in (1, 5, 6, 401, t.size - 2):
-        assert fractal_derivative(f, t[i]) == grid.values[i]
-    # the two ends use one-sided quotients
-    assert fractal_derivative(f, t[0]) == grid.values[0]
-    assert fractal_derivative(f, t[-1]) == grid.values[-1]
+    # the scalar quotient at every stored sample is the grid one: on the
+    # breakpoint grid, where every quotient next to a gap spans it, with two
+    # samples inside each covering segment, and on two samples, both ends
+    for t in (table.t, set_samples(table, 2), table.t[:2]):
+        f = GridFunction.from_function(table, lambda x: np.exp(eval_staircase(table, x)), t=t)
+        grid = derivative_grid(f).values
+        assert np.array_equal([fractal_derivative(f, x) for x in f.t], grid)
 
 
 def test_single_sample_derivative_raises(table):
