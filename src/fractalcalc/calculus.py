@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import _built, _locked, _max_samples, _query, _same, _search
+from .cantor import _built, _locked, _max_samples, _query, _rebuilt, _same, _search
 from .errors import ParameterError, ResolutionError, _count, _real, _reals
 from .fde import _apply
 from .staircase import StaircaseTable, eval_staircase
@@ -66,6 +66,7 @@ class GridFunction:
     values: np.ndarray
 
     __eq__ = _same
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         t, s = self._at_set_points(self.table, self.t)

@@ -9,11 +9,15 @@ realizations, so the construction here is the single source of truth for
 what "the set" means at a given resolution.
 
 All functions are pure and the data types are immutable, so values can be
-shared freely across threads.
+shared freely across threads.  A spec's endpoints are built once and shared
+by every set and staircase table of an equal spec while any of them lives;
+two threads that build one spec at once may both build them, and both
+results are correct.
 """
 
 import math
 import os
+import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -29,7 +33,8 @@ def max_depth():
     The cap exists because a depth-m realization stores 2^m intervals in
     16 * 2^m bytes and a staircase table over it takes 32 * 2^m bytes; at the
     default of 24 that is 256 MiB and 512 MiB, and generating the intervals
-    peaks at 272 MiB.
+    peaks at 272 MiB.  A set and the tables of an equal spec share their
+    16 * 2^m bytes of endpoints, so the pair takes 512 MiB, not 768.
     """
     raw = os.environ.get("FRACTAL_CALC_MAX_DEPTH")
     if raw is None:
@@ -97,9 +102,11 @@ def _built(cls, **fields):
 
     ``__post_init__`` checks the arrays a caller passes in and copies them,
     so no array a caller can still write backs a value class; ``_keep``
-    then locks what it holds.  Arrays the package constructed are its own
+    then locks what it holds, or sets the public views of the private
+    handles ``_private`` made.  Arrays the package constructed are its own
     and already have the shape and order those checks look for, so this
-    route sets the fields as given, with no copy, and runs ``_keep`` alone.
+    route sets the fields as given, with no copy, and runs ``_keep`` alone;
+    a set's or table's endpoints come as the handle ``_breakpoints`` shares.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -112,6 +119,19 @@ def _locked(arr):
     """``arr``, made read-only."""
     arr.setflags(write=False)
     return arr
+
+
+def _private(owner):
+    """A writable view of ``owner``, which is then locked.
+
+    The view, kept private, is the one writable way to ``owner``'s data:
+    every other view of it, such as a public field, and ``owner`` itself,
+    which is their ``.base``, is read-only.  The handle has to be writable
+    because np.interp copies a read-only breakpoint array on every call.
+    """
+    handle = owner.view()
+    _locked(owner)
+    return handle
 
 
 def _same(a, b):
@@ -133,13 +153,25 @@ def _same(a, b):
     return True
 
 
+def _rebuilt(self):
+    """``__reduce__`` for the package's value classes with array fields.
+
+    A pickled or deep-copied value is rebuilt from its fields through the
+    constructor, which checks them and locks its own copies; a copy of the
+    value's ``__dict__`` would hold writable arrays and private handles
+    that view none of its public ones.
+    """
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
 class IntervalSet:
     """Sorted, pairwise-disjoint closed intervals [left[i], right[i]].
 
-    ``left`` and ``right`` are read-only stride-2 views of one array of
-    interleaved endpoints l0, r0, l1, r1, ...: a copy of the ends a caller
-    passes in, or the breakpoint array ``generate`` hands over.
+    ``left`` and ``right`` are read-only stride-2 views of the private
+    handle ``_t`` to one array of interleaved endpoints l0, r0, l1, r1, ...:
+    a copy of the ends a caller passes in, or the breakpoints ``generate``
+    shares with every set and table of an equal spec.
     """
 
     left: np.ndarray
@@ -157,16 +189,16 @@ class IntervalSet:
             raise ParameterError("every interval needs left <= right")
         if not np.all(t[1:-1:2] < t[2::2]):
             raise ParameterError("intervals must be sorted and pairwise disjoint")
-        object.__setattr__(self, "_t", t)
+        object.__setattr__(self, "_t", _private(t))
         self._keep()
 
     def _keep(self):
-        """Lock the set's own endpoints ``_t``; ``left`` and ``right`` view them."""
-        _locked(self._t)
-        object.__setattr__(self, "left", self._t[0::2])
-        object.__setattr__(self, "right", self._t[1::2])
+        """Set ``left`` and ``right`` as read-only views of the handle ``_t``."""
+        object.__setattr__(self, "left", _locked(self._t[0::2]))
+        object.__setattr__(self, "right", _locked(self._t[1::2]))
 
     __eq__ = _same
+    __reduce__ = _rebuilt
 
     def __len__(self):
         return int(self.left.size)
@@ -221,7 +253,7 @@ def _check_resolution(spec: CantorSpec):
             "below float resolution; reduce the depth or the cut fraction")
 
 
-def _breakpoints(spec: CantorSpec) -> np.ndarray:
+def _build_breakpoints(spec: CantorSpec) -> np.ndarray:
     """Interleaved endpoints l0, r0, l1, r1, ... of the depth-m realization.
 
     The set is built whole down to ``_CHUNK_LEVELS`` levels above the last;
@@ -239,11 +271,31 @@ def _breakpoints(spec: CantorSpec) -> np.ndarray:
     return t
 
 
+# the endpoint handle of every spec a live set or table holds; an entry dies
+# with the last of them.  An equal spec with a -0.0 end builds a -0.0
+# endpoint, so the signs of the ends are part of the key
+_LIVE = weakref.WeakValueDictionary()
+
+
+def _breakpoints(spec: CantorSpec) -> np.ndarray:
+    """The private handle to the endpoints of ``spec``, built if none lives.
+
+    Every set and table of an equal spec holds the same handle while any of
+    them lives; the endpoints are the same, bit for bit, either way.
+    """
+    key = (spec, math.copysign(1.0, spec.origin), math.copysign(1.0, spec.extent))
+    t = _LIVE.get(key)
+    if t is None:
+        t = _LIVE[key] = _private(_build_breakpoints(spec))
+    return t
+
+
 def generate(spec: CantorSpec) -> IntervalSet:
     """Build the depth-m realization of the middle-mu set.
 
     ``left`` and ``right`` are read-only views into one array of
-    interleaved endpoints.
+    interleaved endpoints, the one every set and table of an equal spec
+    shares while any of them lives.
     """
     return _built(IntervalSet, _t=_breakpoints(spec))
 

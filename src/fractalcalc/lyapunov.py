@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .cantor import _locked, _max_samples, _query, _same
+from .cantor import _locked, _max_samples, _query, _rebuilt, _same
 from .errors import ParameterError, PreconditionError, _count, _function, _real, _reals
 from .fde import (FdeConstants, FdeSystem, _apply, _call, _central_diff, _first_order,
                   _flow, _integrate, _second_order, _tau_horizon, warp_time)
@@ -422,6 +422,7 @@ class AssumptionGrids:
     forcing_stride: int = 8
 
     __eq__ = _same
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         for name, interval in (("alpha", "(0, 1]"), ("tail_tol", "[0, inf)"),

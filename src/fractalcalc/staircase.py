@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import (CantorSpec, IntervalSet, _breakpoints, _built, _check_resolution,
-                     _in_key_order, _locked, _query, _same, _search, contains, generate,
-                     max_depth)
+                     _in_key_order, _locked, _private, _query, _rebuilt, _same, _search,
+                     contains, generate, max_depth)
 from .errors import EstimationError, ParameterError, ResolutionError, _real, _reals
 
 _RAMP = 2 ** 14  # values per row of the s fill; 2^16 shows in a depth-18 build's peak
@@ -51,13 +51,15 @@ class StaircaseTable:
     reproduces S exactly because mass accrues linearly in length^alpha
     within a covering interval and not at all across a gap.
 
-    The table holds read-only copies of the ``t`` and ``s`` passed in, so
-    a caller's later write misses them.  Queries read them through writable
-    views kept privately, because np.interp copies a read-only breakpoint
-    array on every call.  ``alpha`` must lie in (0, 1] and ``t0`` be finite,
-    and ``t`` and ``s`` must be non-empty 1-d arrays of one size, finite
-    and nondecreasing.  ``build_staircase`` makes its tables so, and hands
-    its own arrays over without these checks and without a copy.
+    The table holds copies of the ``t`` and ``s`` passed in, so a caller's
+    later write misses them.  It keeps them as the private writable handles
+    ``_t`` and ``_s``, which queries read, because np.interp copies a
+    read-only breakpoint array on every call; ``t`` and ``s`` are read-only
+    views of them.  ``alpha`` must lie in (0, 1] and ``t0`` be finite, and
+    ``t`` and ``s`` must be non-empty 1-d arrays of one size, finite and
+    nondecreasing.  ``build_staircase`` makes its tables so, and hands its
+    own handles over without these checks and without a copy: ``_t`` is
+    the one the sets and tables of an equal spec share.
     """
 
     alpha: float
@@ -76,16 +78,16 @@ class StaircaseTable:
             raise ParameterError("t and s must be matching non-empty 1-d arrays")
         if np.any(t[1:] < t[:-1]) or np.any(s[1:] < s[:-1]):
             raise ParameterError("t and s must be nondecreasing")
-        object.__setattr__(self, "t", t.copy())
-        object.__setattr__(self, "s", s.copy())
+        object.__setattr__(self, "_t", _private(t.copy()))
+        object.__setattr__(self, "_s", _private(s.copy()))
         self._keep()
 
     def _keep(self):
-        """Lock the table's own ``t`` and ``s`` behind private writable views."""
-        for name in ("t", "s"):
-            # a view taken before the lock stays writable
-            object.__setattr__(self, "_" + name, getattr(self, name).view())
-            _locked(getattr(self, name))
+        """Set ``t`` and ``s`` as read-only views of the handles ``_t`` and ``_s``."""
+        object.__setattr__(self, "t", _locked(self._t[:]))
+        object.__setattr__(self, "s", _locked(self._s[:]))
+
+    __reduce__ = _rebuilt
 
     @property
     def span(self):
@@ -181,8 +183,10 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
     interval k and (k+1)*c at its right end, linear in between and flat
     across the gap that follows.  Each value is k*c rounded once, with no
     endpoint differences and no running sum, so the total mass is 2^m c.
-    ``t`` holds the endpoints of ``generate(spec)``, interleaved.  S(t0) = 0
-    and points before the anchor get negative values.
+    ``t`` holds the endpoints of ``generate(spec)``, interleaved: the same
+    array, while a set or table of an equal spec lives, so such a build
+    makes only ``s``.  S(t0) = 0 and points before the anchor get negative
+    values.
     """
     alpha = _real("alpha", alpha, "(0, 1]")
     t0 = spec.origin if t0 is None else _real("t0", t0, f"[{spec.origin}, {spec.extent}]")
@@ -190,7 +194,8 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
     c = _interval_mass(spec, alpha)
     # s[j] = (j + j%2) * (c/2), so s[2k] = k*c and s[2k+1] = (k+1)*c, each
     # rounded once, since halving c and doubling k are exact.  It is filled
-    # in cache-sized rows from one ramp, so the peak is t plus s
+    # in cache-sized rows from one ramp, so the peak is s, plus t if no set
+    # or table of the spec held it
     s = np.empty(t.size)
     ramp = np.arange(min(_RAMP, t.size), dtype=float)
     ramp[1::2] += 1.0
@@ -200,7 +205,7 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
     anchor = np.interp(t0, t, s)
     if anchor != 0.0:
         s -= anchor
-    return _built(StaircaseTable, alpha=alpha, spec=spec, t=t, s=s, t0=t0)
+    return _built(StaircaseTable, alpha=alpha, spec=spec, _t=t, _s=_private(s), t0=t0)
 
 
 def eval_staircase(table: StaircaseTable, t):

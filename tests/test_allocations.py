@@ -80,6 +80,19 @@ def test_deep_build_staircase_peak_is_the_table():
     assert _peak(lambda: build_staircase(DEEP_SPEC, ALPHA, t0=0.3), DEEP_SPEC.depth) <= 2.05
 
 
+def test_a_build_over_a_live_set_makes_only_s():
+    # the set's endpoints are the table's t; s and the ramp are new
+    iset = generate(DEEP_SPEC)
+    assert _peak(lambda: build_staircase(DEEP_SPEC, ALPHA, t0=0.3), DEEP_SPEC.depth) <= 1.05
+    del iset
+
+
+def test_generate_over_a_live_table_makes_no_array():
+    table = build_staircase(SPEC, ALPHA)
+    assert _peak(lambda: generate(SPEC)) <= 0.05
+    del table
+
+
 def test_mass_and_dimension_build_no_set():
     # the masses descend from the base interval, so neither path holds a
     # 2^m-entry array at any depth
@@ -157,8 +170,8 @@ def test_public_arrays_stay_read_only(table):
     # arrays stay theirs, and a write to them misses the table
     given_t, given_s = table.t[:8].copy(), table.s[:8].copy()
     rebuilt = dataclasses.replace(table, t=given_t, s=given_s)
-    for arr in (table.t, table.s, iset.left, iset.right, f.t, f.s, f.values,
-                rebuilt.t, rebuilt.s):
+    for arr in (table.t, table.s, table.t.base, table.s.base, iset.left, iset.right,
+                f.t, f.s, f.values, rebuilt.t, rebuilt.s):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0

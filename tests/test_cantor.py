@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -285,6 +289,39 @@ def test_generate_returns_views_of_one_array():
     assert not iset.left.base.flags.writeable
 
 
+def _lives(spec):
+    return any(key[0] == spec for key in list(cantor._LIVE.keys()))
+
+
+# a spec's ends with one of them 0.0, by that end's name, and its index in t
+ZERO_ENDS = {"origin": ({"origin": 0.0, "extent": 1.0}, 0),
+             "extent": ({"origin": -1.0, "extent": 0.0}, -1)}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_ENDS))
+def test_a_negative_zero_end_is_kept_beside_a_live_zero_end(name):
+    ends, index = ZERO_ENDS[name]
+    positive = CantorSpec(mu=0.2, depth=4, **ends)
+    negative = dataclasses.replace(positive, **{name: -0.0})
+    assert negative == positive
+    kept = generate(positive), build_staircase(positive, 0.5)
+    built = generate(negative), build_staircase(negative, 0.5)
+    for (iset, table), sign in ((kept, 1.0), (built, -1.0)):
+        assert math.copysign(1.0, iset._t[index]) == math.copysign(1.0, table.t[index]) == sign
+    assert np.array_equal(kept[0]._t, built[0]._t)
+
+
+def test_the_endpoints_die_with_their_last_holder():
+    spec = CantorSpec(mu=0.45, depth=6, origin=2.0, extent=3.0)
+    iset, table = generate(spec), build_staircase(spec, 0.5)
+    assert table._t is iset._t and _lives(spec)
+    handle = weakref.ref(iset._t)
+    del iset
+    assert handle() is table._t
+    del table
+    assert handle() is None and not _lives(spec)
+
+
 def test_sets_compare_by_their_endpoints():
     spec = CantorSpec(mu=0.2, depth=5)
     iset = generate(spec)
@@ -324,6 +361,30 @@ def test_values_with_array_fields_compare_field_by_field(name):
     assert value != object()
     with pytest.raises(TypeError):
         hash(value)
+
+
+# each rebuilds a value the way a caller can copy it
+ROUND_TRIPS = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+@pytest.mark.parametrize("name", sorted(set(VALUE_BUILDS) - {"Trajectory"}))
+def test_a_copied_value_goes_through_its_constructor(name, how):
+    value = VALUE_BUILDS[name](0.3)
+    copied = ROUND_TRIPS[how](value)
+    assert copied == value
+    arrays = [getattr(copied, f.name) for f in dataclasses.fields(copied)]
+    arrays = [arr for arr in arrays if isinstance(arr, np.ndarray)]
+    assert arrays
+    for arr in arrays:
+        assert not arr.flags.writeable
+        assert arr.base is None or not arr.base.flags.writeable
+    if name == "StaircaseTable":
+        # queries read the handles, membership the public views: one array each
+        assert np.shares_memory(copied._t, copied.t) and np.shares_memory(copied._s, copied.s)
 
 
 _ISET5 = generate(_SPEC5)

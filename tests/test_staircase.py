@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -228,6 +230,44 @@ def test_breakpoints_pair_t_with_s():
     assert pairs == list(zip(table.t.tolist(), table.s.tolist()))
     assert len(pairs) == 8 and all(type(x) is float for pair in pairs for x in pair)
     assert pairs[0] == (0.0, table.s[0]) and pairs[-1][0] == 1.0
+
+
+@pytest.mark.parametrize("set_first", [True, False], ids=["set-first", "table-first"])
+def test_a_set_and_a_table_of_one_spec_share_their_endpoints(set_first):
+    spec = CantorSpec(mu=0.35, depth=9, origin=-1.5, extent=2.0)
+    alone = build_staircase(spec, 0.5, t0=0.25)
+    t, s = alone.t.tobytes(), alone.s.tobytes()
+    del alone
+    alone = generate(spec)
+    left, right = alone.left.tobytes(), alone.right.tobytes()
+    del alone
+    if set_first:
+        iset = generate(spec)
+        table = build_staircase(spec, 0.5, t0=0.25)
+    else:
+        table = build_staircase(spec, 0.5, t0=0.25)
+        iset = generate(spec)
+    assert table.t.base is iset.left.base is iset.right.base
+    assert (table.t.tobytes(), table.s.tobytes()) == (t, s)
+    assert (iset.left.tobytes(), iset.right.tobytes()) == (left, right)
+    # s moves with the anchor, so two tables share t alone
+    other = build_staircase(spec, 0.5, t0=1.0)
+    assert other.t.base is table.t.base and not np.shares_memory(other.s, table.s)
+
+
+def test_threads_building_one_spec_get_equal_tables():
+    spec = CantorSpec(mu=0.25, depth=12, origin=-2.0, extent=5.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            tables = list(pool.map(lambda _: build_staircase(spec, 0.5), range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    for table in tables:
+        assert table == tables[0]
+        for arr in (table.t, table.s, table.t.base, table.s.base):
+            assert not arr.flags.writeable
 
 
 def test_eval_outside_span_raises(table02):
