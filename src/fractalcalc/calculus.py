@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import _built, _locked, _max_samples, _query, _rebuilt, _same, _search
+from .cantor import _built, _max_samples, _query, _search, _Value
 from .errors import ParameterError, ResolutionError, _count, _real, _reals
 from .fde import _apply
 from .staircase import StaircaseTable, eval_staircase
@@ -46,18 +46,14 @@ def set_samples(table: StaircaseTable, per_segment: int = 0) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class GridFunction:
+class GridFunction(_Value):
     """Function samples pinned to set points of a staircase table.
 
-    ``t`` must be strictly increasing set points of the table and ``s`` the
-    staircase there, equal to what ``_at_set_points`` computes.  The
-    constructor checks both; ``from_function``, ``from_values`` and
-    ``derivative_grid`` make them so and hand them over through
-    ``cantor._built``.  Either way ``_keep`` checks ``values`` against
-    ``t`` and locks a copy of it.  The function holds read-only copies of
-    every array a caller hands it, so a caller's later write misses them;
-    only the table's own ``t``, the default grid of ``from_function``, is
-    held as it is.
+    ``t`` must be strictly increasing set points of the table, ``s`` the
+    staircase there and ``values`` one real number per point; a caller's
+    arrays are held as read-only copies.  A grid equal to the table's
+    ``t``, such as ``from_function``'s default, is held as the table's own
+    ``t``, also by a copy, rebuilt on the copied table.
     """
 
     table: StaircaseTable
@@ -65,24 +61,11 @@ class GridFunction:
     s: np.ndarray
     values: np.ndarray
 
-    __eq__ = _same
-    __reduce__ = _rebuilt
-
-    def __post_init__(self):
-        t, s = self._at_set_points(self.table, self.t)
-        given = _reals("s", self.s)
-        if given.shape != s.shape or not np.array_equal(given, s):
+    def _check(self):
+        made = self.from_values(self.table, self.t, self.values)
+        if not np.array_equal(_reals("s", self.s), made.s):
             raise ParameterError("s must be the table's staircase at t")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "s", s)
-        self._keep()
-
-    def _keep(self):
-        """Check ``values`` against ``t`` and lock a copy of it."""
-        values = _reals("values", self.values)
-        if values.shape != self.t.shape:
-            raise ParameterError("t and values must have matching shapes")
-        object.__setattr__(self, "values", _locked(values.copy()))
+        return {"t": made.t, "s": made.s, "values": made.values}
 
     def __len__(self):
         return int(self.t.size)
@@ -96,34 +79,38 @@ class GridFunction:
         copied like the values ``fn`` returns, so an array the caller holds
         stays theirs; the default grid is the table's own ``t``, uncopied.
         """
-        t, s = cls._at_set_points(table, table.t if t is None else t)
-        return _built(cls, table=table, t=t, s=s, values=_apply(fn, t))
+        grid, s, theirs = cls._at_set_points(table, table.t if t is None else t)
+        values = _apply(fn, grid)
+        return _built(cls, theirs + (values,), table=table, t=grid, s=s, values=values)
 
     @classmethod
     def from_values(cls, table: StaircaseTable, t, values) -> "GridFunction":
-        t, s = cls._at_set_points(table, t)
-        return _built(cls, table=table, t=t, s=s, values=values)
+        grid, s, theirs = cls._at_set_points(table, t)
+        checked = _reals("values", values)
+        if checked.shape != grid.shape:
+            raise ParameterError("t and values must have matching shapes")
+        return _built(cls, theirs + (values,), table=table, t=grid, s=s, values=checked)
 
     @staticmethod
     def _at_set_points(table, t):
-        """A read-only copy of ``t``, or the table's own ``t``, and S there.
+        """``t``, or the table's own ``t`` if they are equal, S there, and what to copy.
 
         ``t`` must be a non-empty, strictly increasing array of set points;
         S comes from ``eval_staircase`` and membership from ``_search``.
         """
-        t = np.atleast_1d(_reals("t", t))
-        if t is not table.t:
-            t = _locked(t.copy())
-        s = eval_staircase(table, t)
-        bad = t[~_search(table.t, t)[1]]
+        grid = np.atleast_1d(_reals("t", t))
+        if grid is not table.t and np.array_equal(grid, table.t):
+            grid = table.t
+        s = eval_staircase(table, grid)
+        bad = grid[~_search(table.t, grid)[1]]
         if bad.size:
             raise ParameterError(
                 f"{bad.size} sample point(s) fall outside the set, first: {bad[0]!r}")
-        if t.ndim != 1 or t.size == 0:
+        if grid.ndim != 1 or grid.size == 0:
             raise ParameterError("sample grid must be a non-empty 1-d array")
-        if np.any(t[1:] <= t[:-1]):
+        if np.any(grid[1:] <= grid[:-1]):
             raise ParameterError("sample grid must be strictly increasing")
-        return t, _locked(s)
+        return grid, s, () if grid is table.t else (t,)
 
 
 def _quotients(f: GridFunction, lo, hi):

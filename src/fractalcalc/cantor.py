@@ -97,87 +97,90 @@ class CantorSpec:
         return CantorSpec(self.mu, depth, self.origin, self.extent)
 
 
-def _built(cls, **fields):
-    """A ``cls`` holding ``fields`` that this package built itself.
+class _Value:
+    """The one ownership rule of the package's value classes that hold arrays.
 
-    ``__post_init__`` checks the arrays a caller passes in and copies them,
-    so no array a caller can still write backs a value class; ``_keep``
-    then locks what it holds, or sets the public views of the private
-    handles ``_private`` made.  Arrays the package constructed are its own
-    and already have the shape and order those checks look for, so this
-    route sets the fields as given, with no copy, and runs ``_keep`` alone;
-    a set's or table's endpoints come as the handle ``_breakpoints`` shares.
+    A class's ``_check`` vets a caller's fields and returns those to hold,
+    by name; ``_built`` hands over what the package made, unchecked.
+    ``_hold`` copies an array that may share memory with what the caller
+    passed, and locks each with the array it views.  A field ``_x`` is a
+    private writable handle for queries, as np.interp copies a read-only
+    array on every call; its public view ``x`` is read-only.  Values
+    compare field by field, arrays by ``np.array_equal``, are not hashable,
+    and a copy is rebuilt through the constructor or the call that built it.
+    """
+
+    def __post_init__(self):
+        self._hold(self._check(), list(vars(self).values()))
+
+    def _hold(self, held, given=()):
+        given = [arg for arg in given if not isinstance(arg, (list, tuple))]  # share no memory
+        for name, value in held.items():
+            if isinstance(value, np.ndarray):
+                if any(np.may_share_memory(value, arg) for arg in given):
+                    value = value.copy()
+                value = _private(value) if name[0] == "_" else _locked(value)
+            object.__setattr__(self, name, value)
+        for name, view in self._views().items():
+            object.__setattr__(self, name, view if view is None else _locked(view))
+
+    def _views(self):
+        return {name[1:]: handle if handle is None else handle[:]
+                for name, handle in vars(self).items() if name[0] == "_"}
+
+    def __eq__(self, other):
+        if self.__class__ is not other.__class__:
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray)
+                   else x == y for x, y in pairs)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _built(cls, given=(), **fields):
+    """A ``cls`` holding ``fields``, which a package function made or checked.
+
+    Only what may share memory with ``given``, the arrays a caller handed
+    that function, is copied; an array the package made is locked as it is.
     """
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    obj._keep()
+    obj._hold(fields, given)
     return obj
 
 
 def _locked(arr):
-    """``arr``, made read-only."""
+    """``arr`` and the array it views, made read-only."""
     arr.setflags(write=False)
+    if isinstance(arr.base, np.ndarray):
+        arr.base.setflags(write=False)
     return arr
 
 
-def _private(owner):
-    """A writable view of ``owner``, which is then locked.
-
-    The view, kept private, is the one writable way to ``owner``'s data:
-    every other view of it, such as a public field, and ``owner`` itself,
-    which is their ``.base``, is read-only.  The handle has to be writable
-    because np.interp copies a read-only breakpoint array on every call.
-    """
-    handle = owner.view()
-    _locked(owner)
+def _private(arr):
+    """A writable view of ``arr``, which is then locked, or ``arr`` if it is one already."""
+    if arr.flags.writeable and isinstance(arr.base, np.ndarray) and not arr.base.flags.writeable:
+        return arr
+    handle = arr.view()
+    _locked(arr)
     return handle
 
 
-def _same(a, b):
-    """``==`` for the package's value classes with array fields.
-
-    Field by field, arrays by ``np.array_equal`` (the dataclass default
-    compares them with ``==`` and raises on the array it gets back).  A
-    class that sets ``__eq__ = _same`` in its body is not hashable.
-    """
-    if a.__class__ is not b.__class__:
-        return NotImplemented
-    for f in fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-            if not np.array_equal(x, y):
-                return False
-        elif x != y:
-            return False
-    return True
-
-
-def _rebuilt(self):
-    """``__reduce__`` for the package's value classes with array fields.
-
-    A pickled or deep-copied value is rebuilt from its fields through the
-    constructor, which checks them and locks its own copies; a copy of the
-    value's ``__dict__`` would hold writable arrays and private handles
-    that view none of its public ones.
-    """
-    return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-
 @dataclass(frozen=True, eq=False)
-class IntervalSet:
+class IntervalSet(_Value):
     """Sorted, pairwise-disjoint closed intervals [left[i], right[i]].
 
     ``left`` and ``right`` are read-only stride-2 views of the private
     handle ``_t`` to one array of interleaved endpoints l0, r0, l1, r1, ...:
-    a copy of the ends a caller passes in, or the breakpoints ``generate``
-    shares with every set and table of an equal spec.
+    the ends a caller passes in, or the breakpoints ``generate`` shares with
+    every set and table of an equal spec, also with a copy of the set.
     """
 
     left: np.ndarray
     right: np.ndarray
 
-    def __post_init__(self):
+    def _check(self):
         left = np.atleast_1d(_reals("left", self.left, "(-inf, inf)"))
         right = np.atleast_1d(_reals("right", self.right, "(-inf, inf)"))
         if left.ndim != 1 or left.shape != right.shape or left.size == 0:
@@ -189,16 +192,14 @@ class IntervalSet:
             raise ParameterError("every interval needs left <= right")
         if not np.all(t[1:-1:2] < t[2::2]):
             raise ParameterError("intervals must be sorted and pairwise disjoint")
-        object.__setattr__(self, "_t", _private(t))
-        self._keep()
+        return {"_t": t}
 
-    def _keep(self):
-        """Set ``left`` and ``right`` as read-only views of the handle ``_t``."""
-        object.__setattr__(self, "left", _locked(self._t[0::2]))
-        object.__setattr__(self, "right", _locked(self._t[1::2]))
+    def _views(self):
+        return {"left": self._t[0::2], "right": self._t[1::2]}
 
-    __eq__ = _same
-    __reduce__ = _rebuilt
+    def __reduce__(self):
+        spec = _live_spec(self._t)
+        return super().__reduce__() if spec is None else (generate, (spec,))
 
     def __len__(self):
         return int(self.left.size)
@@ -288,6 +289,12 @@ def _breakpoints(spec: CantorSpec) -> np.ndarray:
     if t is None:
         t = _LIVE[key] = _private(_build_breakpoints(spec))
     return t
+
+
+def _live_spec(t):
+    """The spec whose live endpoint handle is ``t``, or None for any other array."""
+    # valuerefs() is a list, taken whole, so another thread's new spec cannot upset it
+    return next((ref.key[0] for ref in _LIVE.valuerefs() if ref() is t), None)
 
 
 def generate(spec: CantorSpec) -> IntervalSet:

@@ -40,8 +40,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .cantor import _query, _same
-from .errors import NumericalBlowupError, ParameterError, _count, _function, _real
+from .cantor import _built, _query, _Value
+from .errors import NumericalBlowupError, ParameterError, _count, _function, _real, _reals
 from .staircase import StaircaseTable, eval_staircase
 
 BLOWUP_LIMIT = 1e12
@@ -191,15 +191,15 @@ def _call(fn, dim, args, arrays=True):
         return out
     rows = [fn(*vals) for vals in zip(*(a.flat for a in arrs))]
     try:
-        cols = np.array(rows, dtype=float)
+        cols = np.array(rows)
     except (TypeError, ValueError):
         cols = None
-    # the rows stack to this shape exactly when each passes _fit as scalars
-    if rows and (cols is None or cols.shape != (len(rows),) + ((dim,) if dim else ())):
-        bad = next((row for row in rows if _fit(row, dim, ()) is None), rows[0])
-        n = len(bad) if isinstance(bad, (tuple, list)) else 1
-        raise ParameterError(f"a call gave {n} component(s), not {dim or 1} real number(s)")
-    return [col.reshape(arrs[0].shape) for col in np.reshape(cols, (-1, dim or 1)).T]
+    # the rows stack to this shape and kind exactly when each passes _fit as scalars
+    if rows and (cols is None or cols.dtype.kind not in "biuf"
+                 or cols.shape != (len(rows),) + ((dim,) if dim else ())):
+        raise _refused(next((row for row in rows if _fit(row, dim, ()) is None), rows[0]), dim)
+    cols = np.reshape(cols.astype(float, copy=False), (-1, dim or 1))
+    return [col.reshape(arrs[0].shape) for col in cols.T]
 
 
 def _flow(rhs, dim, *args):
@@ -218,26 +218,38 @@ def _on_arrays(fn, dim, args, shape):
 
 
 def _fit(out, dim, shape):
-    """The adapter's one rule: dim results (one for None), each of ``shape`` or 0-d.
+    """The adapter's one rule: dim real results (one for None), each of ``shape`` or 0-d.
 
     Returns them as float arrays of ``shape``, a 0-d one broadcast, or None.
     """
     try:
-        outs = [np.asarray(o, dtype=float) for o in ([out] if dim is None else out)]
+        outs = [np.asarray(o) for o in ([out] if dim is None else out)]
     except (TypeError, ValueError):
         return None
-    if len(outs) != (dim or 1) or any(o.shape != shape and o.ndim for o in outs):
+    if len(outs) != (dim or 1) or any(o.dtype.kind not in "biuf" or o.shape != shape
+                                      and o.ndim for o in outs):
         return None
-    return [o if o.shape == shape else np.full(shape, float(o)) for o in outs]
+    return [o.astype(float, copy=False) if o.shape == shape else np.full(shape, float(o))
+            for o in outs]
+
+
+def _refused(out, dim):
+    """The error for a call that gave ``out``, which ``_fit`` refused: its count and types."""
+    out = out if isinstance(out, (tuple, list)) else [out]
+    types = ", ".join(type(o).__name__ for o in out)
+    return ParameterError(f"a call gave {len(out)} component(s) of type(s) ({types}), "
+                          f"not {dim or 1} real number(s)")
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(_Value):
     """Recorded solution samples in both clocks.
 
     ``tau`` is the integration grid, ``t`` the corresponding set points from
     the inverse staircase.  ``z`` is None for first order problems.  ``meta``
-    records solver settings for reproducibility.
+    records solver settings for reproducibility.  The arrays are read-only
+    and 1-d, of one size, and ``at_time`` reads the handles ``_tau``, ``_y``
+    and ``_z``; a solver's records are held uncopied, a caller's copied.
     """
 
     t: np.ndarray
@@ -247,7 +259,12 @@ class Trajectory:
     table: StaircaseTable = field(repr=False)
     meta: dict = field(default_factory=dict)
 
-    __eq__ = _same
+    def _check(self):
+        held = {k: v if k == "_z" and v is None else _reals(k.strip("_"), v) for k, v in
+                (("t", self.t), ("_tau", self.tau), ("_y", self.y), ("_z", self.z))}
+        if held["t"].ndim != 1 or len({v.shape for v in held.values() if v is not None}) > 1:
+            raise ParameterError("t, tau, y and z must be matching 1-d arrays")
+        return held
 
     def __len__(self):
         return int(self.tau.size)
@@ -259,8 +276,8 @@ class Trajectory:
 
     def at_time(self, t):
         """State at time t by interpolation in tau; constant across gaps."""
-        tau = np.clip(eval_staircase(self.table, t), self.tau[0], self.tau[-1])
-        state = [np.interp(tau, self.tau, x) for x in (self.y, self.z) if x is not None]
+        tau = np.clip(eval_staircase(self.table, t), self._tau[0], self._tau[-1])
+        state = [np.interp(tau, self._tau, x) for x in (self._y, self._z) if x is not None]
         return tuple(state if np.ndim(t) else map(float, state))
 
 
@@ -335,11 +352,12 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
     over the arithmetic.  A step that raises any exception or yields
     anything but Python floats is redone from its start on np.float64
     components, and the march stays on them; an error of the flow itself
-    raises again there.  A flow that returns np.float64 scalars thus costs
-    one repeated step.  Results match a march on np.float64 components bit
-    for bit whenever the difference shows in the flow's results, as an
-    exception or a type; a flow that turns a complex back into a float
-    (abs() or .real of a complex root) hides it and may not match.
+    raises again there, and a first stage ``_fit`` refuses is a
+    ParameterError naming it.  A flow of np.float64 scalars thus costs one
+    repeated step and one more call.  Results match a march on np.float64
+    components bit for bit whenever the difference shows in the flow's
+    results, as an exception or a type; a flow that turns a complex back
+    into a float (abs() or .real of a complex root) hides it and may not match.
 
     A (dim,) march raises _BlowupSignal with the records so far at the
     first escape.  A (dim, B) march clips each escaped column to the ball
@@ -404,6 +422,9 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
             if not floats:
                 # np.float64 may differ here: redo the step on it, and stay
                 state = [np.float64(c) for c in state]
+                first = rhs(tau, *state)
+                if _fit(first, len(state), ()) is None:
+                    raise _refused(first, len(state))
                 new = stepper(rhs, tau, state, h)
         else:
             new = stepper(rhs, tau, state, h)
@@ -451,9 +472,9 @@ def _solve(rhs, table, state0, t_end, dtau, method, record_every, blowup_limit):
         # built after _integrate has checked dtau
         meta = {"method": method, "dtau": float(dtau), "tau_end": tau_end,
                 "t_end": t_end, "alpha": table.alpha}
-        z = states[:, 1] if states.shape[1] > 1 else None
-        return Trajectory(t=warp_time(table, taus), tau=taus, y=states[:, 0],
-                          z=z, table=table, meta=meta)
+        y, *z = np.ascontiguousarray(states.T)  # contiguous rows, which np.interp reads uncopied
+        return _built(Trajectory, t=warp_time(table, taus), _tau=taus, _y=y,
+                      _z=z[0] if z else None, table=table, meta=meta)
 
     try:
         taus, states, _ = _integrate(rhs, tau_end, state0, dtau, method,

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .cantor import _locked, _max_samples, _query, _rebuilt, _same
+from .cantor import _max_samples, _query, _Value
 from .errors import ParameterError, PreconditionError, _count, _function, _real, _reals
 from .fde import (FdeConstants, FdeSystem, _apply, _call, _central_diff, _first_order,
                   _flow, _integrate, _second_order, _tau_horizon, warp_time)
@@ -391,7 +391,7 @@ def _default_state():
 
 
 @dataclass(frozen=True, eq=False)
-class AssumptionGrids:
+class AssumptionGrids(_Value):
     """Grids and tolerances the condition checks sweep over.
 
     ``alpha`` is the staircase order the exponents refer to.  ``slack``
@@ -421,28 +421,23 @@ class AssumptionGrids:
     growth_factor: float = 10.0
     forcing_stride: int = 8
 
-    __eq__ = _same
-    __reduce__ = _rebuilt
-
-    def __post_init__(self):
-        for name, interval in (("alpha", "(0, 1]"), ("tail_tol", "[0, inf)"),
-                               ("zero_tol", "[0, inf)"), ("slack", "[0, inf)"),
-                               ("growth_factor", "(0, inf)")):
-            object.__setattr__(self, name, _real(name, getattr(self, name), interval))
-        object.__setattr__(self, "forcing_stride",
-                           _count("forcing_stride", self.forcing_stride, 1))
+    def _check(self):
+        held = {name: _real(name, getattr(self, name), interval) for name, interval in (
+            ("alpha", "(0, 1]"), ("tail_tol", "[0, inf)"), ("zero_tol", "[0, inf)"),
+            ("slack", "[0, inf)"), ("growth_factor", "(0, inf)"))}
+        held["forcing_stride"] = _count("forcing_stride", self.forcing_stride, 1)
         for name in ("tau", "y", "z", "y_growth", "tail_windows"):
-            grid = _reals(name, getattr(self, name), "(-inf, inf)")
-            if grid.size == 0:
+            held[name] = _reals(name, getattr(self, name), "(-inf, inf)")
+            if held[name].size == 0:
                 raise ParameterError(f"{name} must be non-empty")
-            object.__setattr__(self, name, _locked(grid.copy()))
-        w = self.tail_windows
+        w = held["tail_windows"]
         if w.ndim != 1 or w[0] <= 0.0 or np.any(np.diff(w) <= 0.0):
             raise ParameterError("tail_windows must be positive and strictly increasing")
-        if not np.any(self.y != 0.0):
+        if not np.any(held["y"] != 0.0):
             raise ParameterError("y must hold a nonzero point")
-        if self.y_growth.size < 2:
+        if held["y_growth"].size < 2:
             raise ParameterError("y_growth must hold at least two points")
+        return held
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import (CantorSpec, IntervalSet, _breakpoints, _built, _check_resolution,
-                     _in_key_order, _locked, _private, _query, _rebuilt, _same, _search,
-                     contains, generate, max_depth)
+                     _in_key_order, _live_spec, _query, _search, _Value, contains, generate,
+                     max_depth)
 from .errors import EstimationError, ParameterError, ResolutionError, _real, _reals
 
 _RAMP = 2 ** 14  # values per row of the s fill; 2^16 shows in a depth-18 build's peak
@@ -43,7 +43,7 @@ class MassEstimate:
 
 
 @dataclass(frozen=True, eq=False)
-class StaircaseTable:
+class StaircaseTable(_Value):
     """Breakpoint table for the staircase S(t), anchored so S(t0) = 0.
 
     ``t`` holds the 2*2^m interval endpoints in increasing order and ``s``
@@ -51,15 +51,12 @@ class StaircaseTable:
     reproduces S exactly because mass accrues linearly in length^alpha
     within a covering interval and not at all across a gap.
 
-    The table holds copies of the ``t`` and ``s`` passed in, so a caller's
-    later write misses them.  It keeps them as the private writable handles
-    ``_t`` and ``_s``, which queries read, because np.interp copies a
-    read-only breakpoint array on every call; ``t`` and ``s`` are read-only
-    views of them.  ``alpha`` must lie in (0, 1] and ``t0`` be finite, and
-    ``t`` and ``s`` must be non-empty 1-d arrays of one size, finite and
-    nondecreasing.  ``build_staircase`` makes its tables so, and hands its
-    own handles over without these checks and without a copy: ``_t`` is
-    the one the sets and tables of an equal spec share.
+    ``alpha`` must lie in (0, 1] and ``t0`` be finite, and ``t`` and ``s``
+    must be non-empty 1-d arrays of one size, finite and nondecreasing.
+    The table holds copies of them as the handles ``_t`` and ``_s``, which
+    queries read.  ``build_staircase`` hands its own over, unchecked and
+    uncopied: ``_t`` is the one the sets and tables of an equal spec share,
+    also a copy of the table, which ``build_staircase`` rebuilds.
     """
 
     alpha: float
@@ -68,26 +65,19 @@ class StaircaseTable:
     s: np.ndarray
     t0: float
 
-    __eq__ = _same
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _real("alpha", self.alpha, "(0, 1]"))
-        object.__setattr__(self, "t0", _real("t0", self.t0, "(-inf, inf)"))
+    def _check(self):
+        alpha, t0 = _real("alpha", self.alpha, "(0, 1]"), _real("t0", self.t0, "(-inf, inf)")
         t, s = (_reals(name, getattr(self, name), "(-inf, inf)") for name in ("t", "s"))
         if t.ndim != 1 or t.shape != s.shape or t.size == 0:
             raise ParameterError("t and s must be matching non-empty 1-d arrays")
         if np.any(t[1:] < t[:-1]) or np.any(s[1:] < s[:-1]):
             raise ParameterError("t and s must be nondecreasing")
-        object.__setattr__(self, "_t", _private(t.copy()))
-        object.__setattr__(self, "_s", _private(s.copy()))
-        self._keep()
+        return {"alpha": alpha, "t0": t0, "_t": t, "_s": s}
 
-    def _keep(self):
-        """Set ``t`` and ``s`` as read-only views of the handles ``_t`` and ``_s``."""
-        object.__setattr__(self, "t", _locked(self._t[:]))
-        object.__setattr__(self, "s", _locked(self._s[:]))
-
-    __reduce__ = _rebuilt
+    def __reduce__(self):
+        if _live_spec(self._t) is None:
+            return super().__reduce__()
+        return build_staircase, (self.spec, self.alpha, self.t0)
 
     @property
     def span(self):
@@ -205,7 +195,7 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
     anchor = np.interp(t0, t, s)
     if anchor != 0.0:
         s -= anchor
-    return _built(StaircaseTable, alpha=alpha, spec=spec, _t=t, _s=_private(s), t0=t0)
+    return _built(StaircaseTable, alpha=alpha, spec=spec, _t=t, _s=s, t0=t0)
 
 
 def eval_staircase(table: StaircaseTable, t):

@@ -19,12 +19,17 @@ from fractalcalc import (
     GridFunction,
     build_staircase,
     contains,
+    derivative_grid,
     estimate_mass,
     eval_staircase,
+    example3_system,
     generate,
     hausdorff_dimension,
     in_set,
     l_alpha_sum,
+    set_samples,
+    solve_first_order,
+    solve_second_order,
     warp_time,
 )
 from fractalcalc.cli import _write, main
@@ -161,6 +166,42 @@ def test_warp_time_peak_is_a_few_query_arrays(table):
     # over one of them; no sort, no scatter
     taus = np.random.default_rng(9).uniform(*table.s_range, 500_000)
     assert _peak(lambda: warp_time(table, taus)) * TABLE_ARRAY / taus.nbytes <= 7.0
+
+
+def test_derivative_grid_makes_no_copy_of_its_values():
+    # deep_staircase's pairing grid: depth 16 with 3 points inside each
+    # segment, 327,680 samples.  The quotients, the arrays they are formed
+    # from, and the concatenation that holds them; the function takes that
+    # array as it is
+    small = build_staircase(SPEC.with_depth(16), ALPHA)
+    t = set_samples(small, 3)
+    f = GridFunction.from_values(small, t, np.sin(t))
+    tracemalloc.start()
+    try:
+        d = derivative_grid(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(f) == 327_680 and peak / f.values.nbytes <= 2.05
+    assert not d.values.flags.writeable and d.values.base is None
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_at_time_allocates_for_the_query_not_the_records(table, order):
+    # 100 queries against 46,000 records: np.interp reads the handles as
+    # they are, so neither a record array nor a copy of one shows in the peak
+    if order == 1:
+        traj = solve_first_order(lambda y: -y, table, 1.0, 1.0, dtau=2e-5)
+    else:
+        traj = solve_second_order(example3_system(), table, 1.0, 0.0, 1.0, dtau=2e-5)
+    queries = np.linspace(0.0, 1.0, 100)
+    tracemalloc.start()
+    try:
+        traj.at_time(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) > 4 * 10**4 and peak <= 20 * queries.nbytes < traj.y.nbytes / 10
 
 
 def test_public_arrays_stay_read_only(table):

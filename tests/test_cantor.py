@@ -18,6 +18,7 @@ from fractalcalc import (
     ParameterError,
     ResolutionError,
     StaircaseTable,
+    Trajectory,
     build_staircase,
     check_assumptions,
     contains,
@@ -26,12 +27,14 @@ from fractalcalc import (
     dimension_sweep,
     estimate_mass,
     eval_staircase,
+    example3_system,
     fractal_integral,
     generate,
     hausdorff_dimension,
     in_set,
     iter_levels,
     solve_first_order,
+    solve_second_order,
     theorem1_toy,
     warp_time,
 )
@@ -371,7 +374,7 @@ ROUND_TRIPS = {
 
 
 @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
-@pytest.mark.parametrize("name", sorted(set(VALUE_BUILDS) - {"Trajectory"}))
+@pytest.mark.parametrize("name", sorted(VALUE_BUILDS))
 def test_a_copied_value_goes_through_its_constructor(name, how):
     value = VALUE_BUILDS[name](0.3)
     copied = ROUND_TRIPS[how](value)
@@ -385,11 +388,54 @@ def test_a_copied_value_goes_through_its_constructor(name, how):
     if name == "StaircaseTable":
         # queries read the handles, membership the public views: one array each
         assert np.shares_memory(copied._t, copied.t) and np.shares_memory(copied._s, copied.s)
+    if name == "Trajectory":
+        assert np.shares_memory(copied._y, copied.y) and np.shares_memory(copied._tau, copied.tau)
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+@pytest.mark.parametrize("build", [generate, lambda spec: build_staircase(spec, 0.5)],
+                         ids=["set", "table"])
+def test_a_copied_built_value_shares_the_live_endpoints(build, how):
+    spec = CantorSpec(mu=0.35, depth=9, origin=-0.0)
+    value = build(spec)
+    copied = ROUND_TRIPS[how](value)
+    assert copied == value and copied._t is value._t
+    # a copy of a copy too, and a hand-built value keeps its own endpoints
+    assert ROUND_TRIPS[how](copied)._t is value._t
+    if isinstance(value, StaircaseTable):
+        hand_built = dataclasses.replace(copied)
+    else:
+        hand_built = IntervalSet(value.left, value.right)
+    assert ROUND_TRIPS[how](hand_built)._t is not value._t
+    assert ROUND_TRIPS[how](hand_built) == value
+
+
+def test_a_built_table_pickles_as_the_call_that_built_it():
+    # the depth-12 endpoints and staircase take 128 KiB; the call a few hundred bytes
+    spec = CantorSpec(mu=0.23, depth=12, extent=3.0)
+    table = build_staircase(spec, 0.6, t0=0.25)
+    blob = pickle.dumps(table)
+    assert len(blob) < 1024
+    del table
+    assert not _lives(spec)
+    # loaded where no set or table of the spec lives, it is built afresh
+    assert pickle.loads(blob) == build_staircase(spec, 0.6, t0=0.25)
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+def test_a_copied_default_grid_function_holds_its_tables_t(how):
+    f = GridFunction.from_function(build_staircase(_SPEC5, 0.5), np.cos)
+    assert f.t is f.table.t
+    copied = ROUND_TRIPS[how](f)
+    assert copied == f and copied.t is copied.table.t and copied.table._t is f.table._t
+    # a grid the caller hands over, equal to the table's t, is held as the table's t
+    assert GridFunction.from_values(f.table, f.t.copy(), f.values).t is f.table.t
 
 
 _ISET5 = generate(_SPEC5)
 _TABLE5 = build_staircase(_SPEC5, 0.5)
 _POINTS = np.linspace(0.0, 1.0, 41)
+_TRAJECTORY5 = solve_second_order(example3_system(), _TABLE5, 1.0, 0.0, 1.0, dtau=0.05)
 
 
 def _samples(with_s=False):
@@ -427,6 +473,10 @@ OWNED = {
         _samples,
         lambda a: GridFunction.from_function(_TABLE5, lambda t: a["values"], t=a["t"]),
         _sample_answers),
+    "Trajectory": (
+        lambda: {name: getattr(_TRAJECTORY5, name).copy() for name in ("t", "tau", "y", "z")},
+        lambda a: Trajectory(table=_TABLE5, **a),
+        lambda o: (o.t, o.tau, o.y, o.z, o.terminal, o.at_time(_POINTS))),
     "AssumptionGrids": (
         lambda: {"tau": np.linspace(0.0, 20.0, 41), "y": np.linspace(-5.0, 5.0, 21),
                  "z": np.linspace(-5.0, 5.0, 21), "y_growth": np.geomspace(1.0, 1e3, 13),

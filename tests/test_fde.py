@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,43 @@ def test_blowup_raises_with_partial_trajectory(long_table):
     assert traj is not None
     assert len(traj) > 1
     assert np.all(np.isfinite(traj.y))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_trajectorys_arrays_are_read_only(long_table, order):
+    if order == 1:
+        traj = solve_first_order(lambda y: -y, long_table, 1.0, 1.0)
+    else:
+        traj = solve_second_order(example3_system(), long_table, 1.0, 0.0, 1.0)
+    terminal = traj.terminal
+    arrays = [traj.t, traj.tau, traj.y] + ([traj.z] if order == 2 else [])
+    for arr in arrays:
+        assert not arr.flags.writeable
+        assert arr.base is None or not arr.base.flags.writeable
+        with pytest.raises(ValueError):
+            arr[:] = 5.0
+    assert traj.terminal == terminal
+    # at_time reads writable handles, which view the same records
+    assert np.shares_memory(traj._y, traj.y) and traj._y.flags.writeable
+
+
+def test_a_partial_trajectory_is_read_only(long_table):
+    with pytest.raises(NumericalBlowupError) as exc:
+        solve_first_order(lambda y: y * y, long_table, 3.0, 60.0, dtau=1e-3)
+    traj = exc.value.trajectory
+    with pytest.raises(ValueError):
+        traj.y[-1] = 0.0
+    assert not traj.tau.base.flags.writeable
+
+
+@pytest.mark.parametrize("flow,gave", [
+    (lambda y: "x", "(str)"), (lambda y: None, "(NoneType)"),
+    (lambda y: (1.0, 2.0), "(tuple)"), (lambda y: "1.5", "(str)"),
+], ids=["string", "none", "pair", "numeric-string"])
+def test_a_single_state_march_names_a_flow_that_gives_no_number(table, flow, gave):
+    # the float step fails, and the np.float64 retry checks the first stage
+    with pytest.raises(ParameterError, match=re.escape(f"1 component(s) of type(s) {gave}")):
+        solve_first_order(flow, table, 1.0, 1.0)
 
 
 def test_rejects_bad_dtau(table):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -381,6 +382,17 @@ def test_classify_rejects_a_missing_component(long_table, exp):
     with pytest.raises(ParameterError, match="1 component"):
         classify_stability(flow, long_table, equilibrium=(0.0, 0.0),
                            horizon=1.0, dtau=1e-2)
+
+
+@pytest.mark.parametrize("flow,gave", [
+    (lambda tau, y, z: (z, "a"), "2 component(s) of type(s) (float64, str)"),
+    (lambda tau, y, z: (z, None), "2 component(s) of type(s) (float64, NoneType)"),
+    # the factory where the field it makes is meant: one argument, one function back
+    (example3_field, "1 component(s) of type(s) (function)"),
+], ids=["string", "none", "factory"])
+def test_classify_names_the_types_a_field_gave(long_table, flow, gave):
+    with pytest.raises(ParameterError, match=re.escape(f"a call gave {gave}, not")):
+        classify_stability(flow, long_table, horizon=1.0, dtau=1e-2)
 
 
 @pytest.mark.parametrize("horizon", [math.nan, -1.0])
