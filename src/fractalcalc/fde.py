@@ -30,7 +30,9 @@ functions turn this into a NumericalBlowupError carrying the partial
 trajectory), and a block clips each escaped column to the ball and holds
 it there while the other columns keep integrating (the batched probes of
 the lyapunov module).  ``_call`` is the one adapter between a caller's
-function and arrays, and ``_fit`` its one rule for what comes back.
+function and arrays, and the one judge of it: ``_fit`` rules on what comes
+back, a TypeError or ValueError the function raises per element is a
+ParameterError naming it, and the retried step's first stage goes through it.
 """
 
 import math
@@ -41,7 +43,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .cantor import _built, _query, _Value
-from .errors import NumericalBlowupError, ParameterError, _count, _function, _real, _reals
+from .errors import (FractalCalcError, NumericalBlowupError, ParameterError, _count, _function,
+                     _real, _reals)
 from .staircase import StaircaseTable, eval_staircase
 
 BLOWUP_LIMIT = 1e12
@@ -178,9 +181,10 @@ def _call(fn, dim, args, arrays=True):
     results are kept when ``_fit`` accepts them.  Otherwise (a TypeError or
     ValueError, all-scalar arguments, ``arrays`` False) fn runs once per
     element on np.float64 scalars, and each result must pass ``_fit`` as
-    scalars.  Returns dim float arrays (one for None) of the broadcast shape;
-    arguments that do not broadcast, or a result that fails per element,
-    are a ParameterError.
+    scalars.  Returns dim float arrays (one for None) of the broadcast shape.
+    Arguments that do not broadcast, and a TypeError or ValueError raised or
+    a result that fails per element, are a ParameterError naming it; any
+    other exception, a FractalCalcError too, propagates unchanged.
     """
     try:
         arrs = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
@@ -189,7 +193,12 @@ def _call(fn, dim, args, arrays=True):
     out = _on_arrays(fn, dim, arrs, arrs[0].shape) if arrays and arrs[0].ndim else None
     if out is not None:
         return out
-    rows = [fn(*vals) for vals in zip(*(a.flat for a in arrs))]
+    try:
+        rows = [fn(*vals) for vals in zip(*(a.flat for a in arrs))]
+    except FractalCalcError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ParameterError(f"a call raised {type(err).__name__}: {err}") from err
     try:
         cols = np.array(rows)
     except (TypeError, ValueError):
@@ -197,7 +206,11 @@ def _call(fn, dim, args, arrays=True):
     # the rows stack to this shape and kind exactly when each passes _fit as scalars
     if rows and (cols is None or cols.dtype.kind not in "biuf"
                  or cols.shape != (len(rows),) + ((dim,) if dim else ())):
-        raise _refused(next((row for row in rows if _fit(row, dim, ()) is None), rows[0]), dim)
+        out = next((row for row in rows if _fit(row, dim, ()) is None), rows[0])
+        out = out if isinstance(out, (tuple, list)) else [out]
+        types = ", ".join(type(o).__name__ for o in out)
+        raise ParameterError(f"a call gave {len(out)} component(s) of type(s) ({types}), "
+                             f"not {dim or 1} real number(s)")
     cols = np.reshape(cols.astype(float, copy=False), (-1, dim or 1))
     return [col.reshape(arrs[0].shape) for col in cols.T]
 
@@ -231,14 +244,6 @@ def _fit(out, dim, shape):
         return None
     return [o.astype(float, copy=False) if o.shape == shape else np.full(shape, float(o))
             for o in outs]
-
-
-def _refused(out, dim):
-    """The error for a call that gave ``out``, which ``_fit`` refused: its count and types."""
-    out = out if isinstance(out, (tuple, list)) else [out]
-    types = ", ".join(type(o).__name__ for o in out)
-    return ParameterError(f"a call gave {len(out)} component(s) of type(s) ({types}), "
-                          f"not {dim or 1} real number(s)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +280,10 @@ class Trajectory(_Value):
         return tuple(float(x[-1]) for x in (self.y, self.z) if x is not None)
 
     def at_time(self, t):
-        """State at time t by interpolation in tau; constant across gaps."""
+        """State at time t by interpolation in tau; constant across gaps.
+
+        A time before the anchor or after ``t_end`` reads the first or last record.
+        """
         tau = np.clip(eval_staircase(self.table, t), self._tau[0], self._tau[-1])
         state = [np.interp(tau, self._tau, x) for x in (self._y, self._z) if x is not None]
         return tuple(state if np.ndim(t) else map(float, state))
@@ -351,13 +359,13 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
     power) or returns a complex, and where a narrower numpy scalar takes
     over the arithmetic.  A step that raises any exception or yields
     anything but Python floats is redone from its start on np.float64
-    components, and the march stays on them; an error of the flow itself
-    raises again there, and a first stage ``_fit`` refuses is a
-    ParameterError naming it.  A flow of np.float64 scalars thus costs one
-    repeated step and one more call.  Results match a march on np.float64
-    components bit for bit whenever the difference shows in the flow's
-    results, as an exception or a type; a flow that turns a complex back
-    into a float (abs() or .real of a complex root) hides it and may not match.
+    components, and the march stays on them; its first stage goes through
+    ``_call``, so the flow meets the adapter's one rule there.  A flow of
+    np.float64 scalars thus costs one repeated step and one more call.
+    Results match a march on np.float64 components bit for bit whenever the
+    difference shows in the flow's results, as an exception or a type; a
+    flow that turns a complex back into a float (abs() or .real of a
+    complex root) hides it and may not match.
 
     A (dim,) march raises _BlowupSignal with the records so far at the
     first escape.  A (dim, B) march clips each escaped column to the ball
@@ -417,14 +425,12 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
                 new = stepper(rhs, tau, state, h)
                 floats = is_floats(new)
             except Exception:
-                # a real error of the flow raises again on the retry
+                # the retry's first stage judges an error of the flow
                 floats = False
             if not floats:
                 # np.float64 may differ here: redo the step on it, and stay
                 state = [np.float64(c) for c in state]
-                first = rhs(tau, *state)
-                if _fit(first, len(state), ()) is None:
-                    raise _refused(first, len(state))
+                _call(rhs, len(state), (tau, *state))  # the adapter judges the first stage
                 new = stepper(rhs, tau, state, h)
         else:
             new = stepper(rhs, tau, state, h)

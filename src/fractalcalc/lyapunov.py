@@ -31,21 +31,6 @@ from .fde import (FdeConstants, FdeSystem, _apply, _call, _central_diff, _first_
 from .staircase import StaircaseTable
 
 
-def _jsonify(value):
-    """Recursively convert numpy scalars and arrays so json.dumps accepts them."""
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Lyapunov functions and their derivative along a flow
 # ---------------------------------------------------------------------------
@@ -218,7 +203,7 @@ class StabilityReport:
     meta: dict
 
     def to_json(self):
-        return _jsonify({
+        return {
             "classification": self.classification,
             "alpha": self.alpha,
             "equilibrium": list(self.equilibrium),
@@ -227,7 +212,7 @@ class StabilityReport:
             "decay": None if self.decay is None else asdict(self.decay),
             "notes": list(self.notes),
             "meta": self.meta,
-        })
+        }
 
 
 def _fit_line(x, y):
@@ -274,8 +259,9 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=None,
     rhs, dim = as_tau_field(flow)
     eq = np.zeros(dim) if equilibrium is None else np.atleast_1d(
         _reals("equilibrium", equilibrium, "(-inf, inf)"))
-    if eq.size != dim:
-        raise ParameterError(f"equilibrium needs {dim} component(s), got {eq.size}")
+    if eq.shape != (dim,):
+        raise ParameterError(f"equilibrium must be 1-d with {dim} component(s), "
+                             f"got shape {np.shape(equilibrium)}")
     resid = float(np.max(np.abs(_call(rhs, dim, (0.0, *eq)))))
     if not resid < 1e-9:
         raise ParameterError(
@@ -469,13 +455,13 @@ class AssumptionReport:
         return [n for n in names if not self.conditions[n].passed]
 
     def to_json(self):
-        return _jsonify({
+        return {
             "alpha": self.alpha,
             "conditions": [
                 {"condition": c.name, "pass": c.passed,
                  "worst_margin": c.worst_margin, "witness": c.witness}
                 for c in self.conditions.values()],
-        })
+        }
 
 
 def _argmin_point(values, *coords):
@@ -545,7 +531,7 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
 
     # C3: restoring force centered and sign definite, slope >= lambda2,
     # potential unbounded in both directions
-    h0 = abs(float(sys.h(0.0)))
+    h0 = abs(_apply(sys.h, 0.0))
     y_off = y[np.abs(y) > 0.0]
     sign_vals = _apply(sys.h, y_off) * np.sign(y_off)
     dh_vals = _apply(sys.restoring_slope, y)
@@ -701,7 +687,7 @@ class Theorem1Report:
     meta: dict
 
     def to_json(self):
-        return _jsonify({
+        return {
             "passed": self.passed,
             "max_drift": self.max_drift, "drift_tol": self.drift_tol,
             "drift_ok": self.drift_ok,
@@ -709,7 +695,7 @@ class Theorem1Report:
             "bound_ok": self.bound_ok,
             "zero_value": self.zero_value, "zero_ok": self.zero_ok,
             "meta": self.meta,
-            "assumptions": self.assumptions.to_json()})
+            "assumptions": self.assumptions.to_json()}
 
 
 def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
@@ -840,7 +826,7 @@ class Theorem2Report:
     meta: dict
 
     def to_json(self):
-        return _jsonify({
+        return {
             "passed": self.passed,
             "constants": self.constants,
             "lemma1": {"trajectory_margin": self.lemma1_margin,
@@ -855,7 +841,7 @@ class Theorem2Report:
             "terminal_y": self.terminal_y, "terminal_z": self.terminal_z,
             "converged": self.converged, "conv_threshold": self.conv_threshold,
             "meta": self.meta,
-            "assumptions": self.assumptions.to_json()})
+            "assumptions": self.assumptions.to_json()}
 
 
 def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0,

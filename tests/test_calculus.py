@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,12 @@ def test_from_function_falls_back_per_element(table):
     exact = np.array([math.exp(t) for t in table.t.tolist()])
     assert f.values.tobytes() == exact.tobytes()
     assert np.allclose(f.values, np.exp(table.t), rtol=4e-16, atol=0.0)
+
+
+def test_from_function_refuses_values_numpy_cannot_stack(table):
+    # np.asarray refuses the ragged result on the array call and on each element
+    with pytest.raises(ParameterError, match=re.escape("2 component(s) of type(s) (list, list)")):
+        GridFunction.from_function(table, lambda t: [[1.0], [1.0, 2.0]])
 
 
 def test_from_values_requires_set_points(table):

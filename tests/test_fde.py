@@ -19,6 +19,7 @@ from fractalcalc import (
     ParameterError,
     ResolutionError,
     StaircaseTable,
+    Trajectory,
     build_staircase,
     eval_staircase,
     example1_exact,
@@ -260,6 +261,34 @@ def test_a_single_state_march_names_a_flow_that_gives_no_number(table, flow, gav
     # the float step fails, and the np.float64 retry checks the first stage
     with pytest.raises(ParameterError, match=re.escape(f"1 component(s) of type(s) {gave}")):
         solve_first_order(flow, table, 1.0, 1.0)
+
+
+def test_a_damped_system_whose_h_gives_no_number_is_a_parameter_error(table):
+    # the bound flow multiplies h(y) itself, so the float step and the
+    # retry's first stage both raise TypeError, which the adapter names
+    sys = dataclasses.replace(example3_system(), h=lambda y: None)
+    with pytest.raises(ParameterError, match="a call raised TypeError"):
+        solve_second_order(sys, table, 1.0, 0.0, 1.0)
+
+
+def test_a_flow_that_raises_value_error_is_a_parameter_error(table):
+    with pytest.raises(ParameterError, match="ValueError: math domain error") as exc:
+        solve_first_order(lambda y: math.sqrt(y), table, -1.0, 1.0)
+    assert isinstance(exc.value, ValueError)
+
+
+def test_a_flows_own_package_error_propagates_unchanged(table):
+    def g(y):
+        raise ParameterError("the flow's own error")
+
+    with pytest.raises(ParameterError, match="^the flow's own error$"):
+        solve_first_order(g, table, 1.0, 1.0)
+
+
+def test_a_trajectorys_arrays_must_match(table):
+    with pytest.raises(ParameterError, match="must be matching 1-d arrays"):
+        Trajectory(t=[0.0, 0.5], tau=[0.0, 0.5, 1.0], y=[1.0, 0.5, 0.25], z=None,
+                   table=table)
 
 
 def test_rejects_bad_dtau(table):

@@ -29,6 +29,7 @@ from fractalcalc import (
     example2_system,
     example3_field,
     example3_lyapunov,
+    example3_system,
     linear_damped_system,
     lyapunov_derivative,
     stability_certificate,
@@ -433,6 +434,63 @@ def test_classify_report_serializes(long_table):
                              dtau=1e-2)
     text = json.dumps(rep.to_json())
     assert "classification" in text
+
+
+def _plain(value):
+    """True when value holds only JSON's own Python types, exactly, and str keys."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_plain, value))
+    return value is None or type(value) in (str, int, bool, float)
+
+
+def test_reports_hand_over_plain_python(long_table, grids):
+    # to_json returns its dict as built, so every report must build it from
+    # Python values, also from numpy-typed arguments
+    identity = build_staircase(CantorSpec(mu=0.5, depth=0, origin=0.0, extent=60.0), 1.0)
+    fitted = classify_stability(example1_field, identity, equilibrium=np.zeros(1, np.float32),
+                                horizon=np.float64(10.0), dtau=np.float64(1e-2))
+    unfitted = classify_stability(example1_field, long_table, record_every=10**6)
+    assert fitted.decay is not None and unfitted.decay is None
+    unenveloped = check_assumptions(dataclasses.replace(theorem2_toy(), r1=None), grids)
+    assert "envelopes r1/r2 missing" in unenveloped["C5"].witness["note"]
+    reports = [fitted, unfitted, unenveloped,
+               verify_theorem1(theorem1_toy(), long_table, dtau=np.float64(1e-2)),
+               verify_theorem2(theorem2_toy(), long_table, dtau=np.float64(1e-2))]
+    for rep in reports:
+        assert _plain(rep.to_json()), type(rep).__name__
+
+
+@pytest.mark.parametrize("flow,equilibrium", [
+    (example3_field(), [[0.0, 0.0]]), (example1_field, [[0.0]]),
+    (example2_system(), np.zeros((2, 1))),
+], ids=["row", "one-by-one", "column"])
+def test_classify_needs_a_one_d_equilibrium(long_table, flow, equilibrium):
+    with pytest.raises(ParameterError, match="equilibrium must be 1-d"):
+        classify_stability(flow, long_table, equilibrium=equilibrium)
+
+
+def test_a_system_function_that_gives_no_number_is_a_parameter_error(long_table, grids):
+    # the block march's per-column path raises the bound flow's TypeError
+    # inside the adapter, which names it
+    sys = dataclasses.replace(example3_system(), h=lambda y: None)
+    with pytest.raises(ParameterError, match="TypeError"):
+        classify_stability(sys, long_table, horizon=1.0, dtau=1e-2)
+    # the sweep reads h(0) through the adapter before any march
+    toy = dataclasses.replace(theorem1_toy(), h=lambda y: None)
+    with pytest.raises(ParameterError, match="NoneType"):
+        verify_theorem1(toy, long_table, dtau=1e-2)
+    toy = dataclasses.replace(theorem1_toy(),
+                              h=lambda y: np.atleast_1d(np.asarray(y, dtype=float)))
+    with pytest.raises(ParameterError, match="ndarray"):
+        check_assumptions(toy, grids)
+
+
+def test_a_flows_rows_that_do_not_stack_are_a_parameter_error():
+    # numpy cannot stack the rows, so the error names the first one's parts
+    with pytest.raises(ParameterError, match=re.escape("component(s) of type(s) (float, list)")):
+        lyapunov_derivative(example3_lyapunov(), lambda tau, y, z: (1.0, [2.0, 3.0]), (1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,14 @@ def test_gamma_dimension_requires_a_crossing():
     assert exc.value.ratios is not None
 
 
+def test_gamma_dimension_stops_at_adjacent_floats():
+    # no bracket is 1e-300 wide, so the bisection ends where it holds two
+    # adjacent floats and answers between them
+    est = gamma_dimension(CantorSpec(0.2, 12), 1e-3, 1e-5, tol=1e-300)
+    assert abs(est - ALPHA_02) <= 4 * EPS
+    assert abs(est - gamma_dimension(CantorSpec(0.2, 12), 1e-3, 1e-5)) <= 1e-10
+
+
 def test_rejects_equal_resolution_depths():
     spec = CantorSpec(mu=0.2, depth=12)
     with pytest.raises(ParameterError):
