@@ -40,7 +40,6 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cantor import _built, _query, _Value
 from .errors import (FractalCalcError, NumericalBlowupError, ParameterError, _count, _function,
@@ -51,6 +50,12 @@ BLOWUP_LIMIT = 1e12
 # work budget of one march: the largest run in the package takes about 1e5
 # steps, and 1e7 recorded steps of a planar system already fill 240 MB
 _MAX_STEPS = 10**7
+
+
+def quad(fn, a, b, **kw):
+    """scipy.integrate.quad, imported on the first call: no other path needs scipy."""
+    from scipy.integrate import quad
+    return quad(fn, a, b, **kw)
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,11 @@ class FdeSystem:
         return _second_order(self)(tau, y, z)
 
     def restoring_integral(self, y):
-        """Potential H(y), the integral of h from 0 to y."""
+        """Potential H(y), the integral of h from 0 to y.
+
+        Without ``h_integral`` it is scipy's ``quad`` per element; the first
+        such call imports scipy.integrate, which nothing else loads.
+        """
         if self.h_integral is not None:
             return self.h_integral(y)
         # quad takes scalar bounds only, so it goes straight to the per-element path

@@ -16,13 +16,13 @@ routine prints or plots.
 
 from __future__ import annotations
 
+import copy
 import inspect
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .cantor import _max_samples, _query, _Value
 from .errors import ParameterError, PreconditionError, _count, _function, _real, _reals
@@ -203,7 +203,7 @@ class StabilityReport:
     meta: dict
 
     def to_json(self):
-        return {
+        return copy.deepcopy({
             "classification": self.classification,
             "alpha": self.alpha,
             "equilibrium": list(self.equilibrium),
@@ -212,7 +212,7 @@ class StabilityReport:
             "decay": None if self.decay is None else asdict(self.decay),
             "notes": list(self.notes),
             "meta": self.meta,
-        }
+        })
 
 
 def _fit_line(x, y):
@@ -392,7 +392,9 @@ class AssumptionGrids(_Value):
     ``y_growth`` two points, since C3 compares H across it, and
     ``tail_windows`` must be positive and strictly increasing.  The
     tolerances are stored as floats and ``forcing_stride`` as an int, also
-    when they are given as numpy numbers.
+    when they are given as numpy numbers.  The tail grid (0.05 apart over
+    the last window), the y x z mesh and the C5 cube (tau, y and z every
+    ``forcing_stride``) may each hold at most _max_samples() points.
     """
 
     alpha: float
@@ -423,6 +425,13 @@ class AssumptionGrids(_Value):
             raise ParameterError("y must hold a nonzero point")
         if held["y_growth"].size < 2:
             raise ParameterError("y_growth must hold at least two points")
+        stride, cap = held["forcing_stride"], _max_samples()
+        cube = math.prod(-(-held[n].size // stride) for n in ("tau", "y", "z"))
+        for grid, size in (("tail_windows grid", _tail_points(w[-1])),
+                           ("y x z mesh", held["y"].size * held["z"].size),
+                           ("tau x y x z forcing cube", cube)):
+            if size > cap:
+                raise ParameterError(f"the {grid} takes {size} points, more than the cap of {cap}")
         return held
 
 
@@ -455,13 +464,13 @@ class AssumptionReport:
         return [n for n in names if not self.conditions[n].passed]
 
     def to_json(self):
-        return {
+        return copy.deepcopy({
             "alpha": self.alpha,
             "conditions": [
                 {"condition": c.name, "pass": c.passed,
                  "worst_margin": c.worst_margin, "witness": c.witness}
                 for c in self.conditions.values()],
-        }
+        })
 
 
 def _argmin_point(values, *coords):
@@ -478,10 +487,20 @@ def _worst(*values):
     return float(np.min([np.min(v) for v in values]))
 
 
+def _cumulative_trapezoid(y, x):
+    """scipy's cumulative_trapezoid(y, x, initial=0.0), in its float order."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
+def _tail_points(end):
+    """Points of the tail grid over [0, end]: steps of 0.05, at least 200."""
+    return max(int(end / 0.05), 200) + 1
+
+
 def _tail_integral(fn, windows):
     """Integrals over expanding windows and the increment of the last one."""
-    grid = np.linspace(0.0, windows[-1], max(int(windows[-1] / 0.05), 200) + 1)
-    cum = cumulative_trapezoid(_apply(fn, grid), grid, initial=0.0)
+    grid = np.linspace(0.0, windows[-1], _tail_points(windows[-1]))
+    cum = _cumulative_trapezoid(_apply(fn, grid), grid)
     totals = [float(np.interp(x, grid, cum)) for x in windows]
     increments = np.diff([0.0] + totals)
     return totals, float(increments[-1])
@@ -687,7 +706,7 @@ class Theorem1Report:
     meta: dict
 
     def to_json(self):
-        return {
+        return copy.deepcopy({
             "passed": self.passed,
             "max_drift": self.max_drift, "drift_tol": self.drift_tol,
             "drift_ok": self.drift_ok,
@@ -695,7 +714,7 @@ class Theorem1Report:
             "bound_ok": self.bound_ok,
             "zero_value": self.zero_value, "zero_ok": self.zero_ok,
             "meta": self.meta,
-            "assumptions": self.assumptions.to_json()}
+            "assumptions": self.assumptions.to_json()})
 
 
 def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
@@ -826,7 +845,7 @@ class Theorem2Report:
     meta: dict
 
     def to_json(self):
-        return {
+        return copy.deepcopy({
             "passed": self.passed,
             "constants": self.constants,
             "lemma1": {"trajectory_margin": self.lemma1_margin,
@@ -841,7 +860,7 @@ class Theorem2Report:
             "terminal_y": self.terminal_y, "terminal_z": self.terminal_z,
             "converged": self.converged, "conv_threshold": self.conv_threshold,
             "meta": self.meta,
-            "assumptions": self.assumptions.to_json()}
+            "assumptions": self.assumptions.to_json()})
 
 
 def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0,
@@ -888,7 +907,7 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
     forcing = 0.0 if sys.q is None else _apply(sys.r1, taus) + _apply(sys.r2, taus)
     zeta_line = (consts["E4_alpha"] * np.maximum(_apply(sys.coefficient_slope, taus), 0.0)
                  + (4.0 / consts["E1_alpha"]) * forcing)
-    W = cumulative_trapezoid(zeta_line, taus, initial=0.0)
+    W = _cumulative_trapezoid(zeta_line, taus)
     e5a = consts["E3_alpha"] * math.exp(-float(W[-1]))
     dLw = np.exp(-W)[:, None] * (dL0 - zeta_line[:, None] * L0)
     weighted_margin = _worst(-e5a * Zb ** 2 - dLw)

@@ -286,6 +286,14 @@ HOLES = {
     "grids-tail-windows-repeated": lambda: AssumptionGrids(alpha=0.5,
                                                            tail_windows=(40.0, 40.0)),
     "grids-tail-windows-scalar": lambda: AssumptionGrids(alpha=0.5, tail_windows=40.0),
+    # a 149 GiB tail grid, a 7.28 TiB y x z mesh and a 477 GiB forcing cube,
+    # each a raw MemoryError of check_assumptions before the sweep's caps
+    "grids-tail-grid-oversized": lambda: AssumptionGrids(alpha=0.5, tail_windows=(5.0, 1e9)),
+    "grids-mesh-oversized": lambda: AssumptionGrids(
+        alpha=0.5, y=np.linspace(-5.0, 5.0, 1_000_001), z=np.linspace(-5.0, 5.0, 1_000_001)),
+    "grids-cube-oversized": lambda: AssumptionGrids(
+        alpha=0.5, tau=np.linspace(0.0, 20.0, 4001), y=np.linspace(-5.0, 5.0, 4001),
+        z=np.linspace(-5.0, 5.0, 4001), forcing_stride=1),
     "set-samples-oversized": lambda: set_samples(TABLE, 2**40),
     "theorem1-grid-points-oversized": lambda: _verify1(grid_points=2**40),
     "theorem2-n-random-oversized": lambda: _verify2(n_random=2**40),
@@ -543,6 +551,23 @@ def test_sample_counts_stop_at_a_table_at_the_depth_cap(monkeypatch):
             contextlib.redirect_stderr(io.StringIO()):
         assert main(["staircase", "--samples", "513", "--depth", "4"]) == 2
         assert main(["staircase", "--samples", "512", "--depth", "4"]) == 0
+
+
+def test_sweep_grids_stop_at_a_table_at_the_depth_cap(monkeypatch):
+    # a cap of 8 allows 512 points in the tail grid, the y x z mesh and the
+    # forcing cube; each grid below sits at the cap, one point more is refused
+    monkeypatch.setenv("FRACTAL_CALC_MAX_DEPTH", "8")
+    def line(n):
+        return np.linspace(-1.0, 1.0, n)
+    base = {"alpha": 0.5, "tail_windows": (5.0, 10.0), "y": line(16), "z": line(32)}
+    cube = {**base, "tau": line(8) + 1.0, "y": line(8), "z": line(8), "forcing_stride": 1}
+    for fits, over in ((base, {**base, "z": line(33)}),
+                       ({**base, "tail_windows": (5.0, 25.55)},
+                        {**base, "tail_windows": (5.0, 25.6)}),
+                       (cube, {**cube, "tau": line(9) + 1.0})):
+        AssumptionGrids(**fits)
+        with pytest.raises(ParameterError, match="more than the cap of 512"):
+            AssumptionGrids(**over)
 
 
 def test_bisection_stops_at_float_resolution():

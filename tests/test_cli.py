@@ -423,6 +423,34 @@ def test_default_output_is_pinned(argv, code, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+_WITHOUT_SCIPY = """
+import contextlib, dataclasses, io, json, sys
+import fractalcalc
+from fractalcalc import cli
+for argv, code in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == code, argv
+assert "scipy.integrate" not in sys.modules, "a default run imported scipy.integrate"
+bare = dataclasses.replace(fractalcalc.linear_damped_system(), h_integral=None)
+ys = [-3.0, 0.5, 2.0]
+got = bare.restoring_integral(ys).tolist()
+assert "scipy.integrate" in sys.modules
+from scipy.integrate import quad
+assert got == [quad(bare.h, 0.0, y, limit=200)[0] for y in ys], got
+"""
+
+
+def test_default_runs_leave_scipy_integrate_unimported():
+    # a fresh interpreter runs every pinned default; only a system without
+    # h_integral, whose potential H needs quad, imports scipy.integrate
+    src = os.path.dirname(os.path.dirname(fractalcalc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    runs = json.dumps([(argv, code) for argv, code, _ in GOLDEN])
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, runs], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("fmt,digest", [
     ("csv", "987c6552938a8c6d35c0be274acabe870935be9c0fe41a57063d508325f9cab7"),

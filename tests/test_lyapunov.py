@@ -462,6 +462,48 @@ def test_reports_hand_over_plain_python(long_table, grids):
         assert _plain(rep.to_json()), type(rep).__name__
 
 
+def _scribble(value):
+    """Write into every dict and list of a payload, innermost first."""
+    keys = list(value) if isinstance(value, dict) else range(len(value))
+    for key in keys:
+        if isinstance(value[key], (dict, list)):
+            _scribble(value[key])
+        value[key] = "scribbled"
+    if isinstance(value, dict):
+        value["scribbled"] = 1
+    else:
+        value.append("scribbled")
+
+
+def test_a_write_to_a_payload_misses_its_report(long_table, grids):
+    identity = build_staircase(CantorSpec(mu=0.5, depth=0, origin=0.0, extent=60.0), 1.0)
+    reports = [classify_stability(example1_field, identity, horizon=10.0, dtau=1e-2),
+               check_assumptions(theorem2_toy(), grids),
+               verify_theorem1(theorem1_toy(), long_table, dtau=1e-2),
+               verify_theorem2(theorem2_toy(), long_table, dtau=1e-2)]
+    assert reports[0].decay is not None
+    for rep in reports:
+        before = json.dumps(rep.to_json())
+        _scribble(rep.to_json())
+        assert json.dumps(rep.to_json()) == before, type(rep).__name__
+
+
+def test_cumulative_trapezoid_is_scipys_bit_for_bit(long_table, monkeypatch):
+    # the in-package running trapezoid keeps scipy's float order, on the
+    # weight W of theorem2_toy, on the tail grids of C4 and C5 and on one point
+    from scipy.integrate import cumulative_trapezoid
+
+    own, seen = fractalcalc.lyapunov._cumulative_trapezoid, []
+    monkeypatch.setattr(fractalcalc.lyapunov, "_cumulative_trapezoid",
+                        lambda y, x: seen.append((y, x)) or own(y, x))
+    verify_theorem2(theorem2_toy(), long_table, dtau=1e-2)
+    assert len(seen) == 4    # C4's and C5's two tail grids, then W
+    for y, x in seen + [(np.array([-0.0]), np.array([3.0]))]:
+        got, want = own(y, x), cumulative_trapezoid(y, x, initial=0.0)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("flow,equilibrium", [
     (example3_field(), [[0.0, 0.0]]), (example1_field, [[0.0]]),
     (example2_system(), np.zeros((2, 1))),
@@ -556,7 +598,10 @@ def test_coefficient_slope_never_evaluates_v_before_the_clock(grids, long_table)
 @pytest.mark.parametrize("name,hole", [
     ("C1", {"u": lambda tau: np.where(np.asarray(tau) > 10.0, np.nan, 1.0)}),
     ("C3", {"h": lambda y: np.where(np.asarray(y) < 0.0, np.nan, y)}),
-], ids=["u-nan-after-10", "h-nan-below-0"])
+    # inside the tail grid only, past none of C4's probes of v' near the end
+    ("C4", {"v_derivative": lambda tau: np.where(
+        (np.asarray(tau) > 20.0) & (np.asarray(tau) < 25.0), np.nan, 0.0)}),
+], ids=["u-nan-after-10", "h-nan-below-0", "v-slope-nan-in-the-tail"])
 def test_nan_evidence_fails_its_condition(grids, name, hole):
     # Python's min() skipped these NaNs and passed both with margin 0.0
     rep = check_assumptions(dataclasses.replace(linear_damped_system(), **hole),
