@@ -20,19 +20,22 @@ each a scalar or an array that broadcasts to the rows, so no step packs the
 components into a container.  ``_first_order`` and ``_second_order`` make
 the flows of the two families; an FdeSystem checks each field when it is
 set, and the latter binds its functions once per march, so no stage looks
-them up.
-A step on Python floats that raises (1/0, an overflowing power) or yields
-anything but floats (a complex root, a narrower numpy scalar) is redone on
-np.float64, so 1/0 and a negative base to a fractional power give inf/nan
-(and a blow-up) instead of raising.  The state's shape decides what
-leaving the blow-up ball does: one state stops the march (the solve_*
-functions turn this into a NumericalBlowupError carrying the partial
-trajectory), and a block clips each escaped column to the ball and holds
-it there while the other columns keep integrating (the batched probes of
-the lyapunov module).  ``_call`` is the one adapter between a caller's
-function and arrays, and the one judge of it: ``_fit`` rules on what comes
-back, a TypeError or ValueError the function raises per element is a
-ParameterError naming it, and the retried step's first stage goes through it.
+them up.  One stepper per method and component count, made once per step
+size, takes and returns the components positionally.  One state marches
+with its components as locals and its per-step tests inline; a step on
+Python floats that raises (1/0, an overflowing power) or yields anything
+but floats (a complex root, a narrower numpy scalar) hands it over, from
+that step's start, to the blocks' loop on np.float64, so 1/0 and a
+negative base to a fractional power give inf/nan (and a blow-up) instead
+of raising.  The state's shape decides what leaving the blow-up ball
+does: one state stops the march (the solve_* functions turn this into a
+NumericalBlowupError carrying the partial trajectory), and a block clips
+each escaped column to the ball and holds it there while the other
+columns keep integrating (the batched probes of the lyapunov module).
+``_call`` is the one adapter between a caller's function and arrays, and
+the one judge of it: ``_fit`` rules on what comes back, a TypeError or
+ValueError the function raises per element is a ParameterError naming
+it, and the retried step's first stage goes through it.
 """
 
 import math
@@ -305,50 +308,91 @@ class _BlowupSignal(Exception):
         self.offender = offender
 
 
-def _rk4_step1(rhs, tau, x, h):
-    # classical RK4 on one component; the groupings (0.5*h)*k and
-    # (h/6)*(k1 + 2*(k2 + k3) + k4) are fixed, since default outputs are
-    # pinned bit for bit
-    y, = x
-    half = 0.5 * h
-    a, = rhs(tau, y)
-    b, = rhs(tau + half, y + half * a)
-    c, = rhs(tau + half, y + half * b)
-    d, = rhs(tau + h, y + h * c)
-    sixth = h / 6.0
-    return [y + sixth * (a + 2.0 * (b + c) + d)]
+def _rk4_1(rhs, h):
+    # classical RK4 on one component, in and out positionally, its constants
+    # made once per step size; the groupings (0.5*h)*k and (h/6)*(k1 +
+    # 2*(k2 + k3) + k4) are fixed, since default outputs are pinned bit for bit
+    half, sixth = 0.5 * h, h / 6.0
+    def step(tau, y):
+        a, = rhs(tau, y)
+        b, = rhs(tau + half, y + half * a)
+        c, = rhs(tau + half, y + half * b)
+        d, = rhs(tau + h, y + h * c)
+        return (y + sixth * (a + 2.0 * (b + c) + d),)
+    return step
 
 
-def _rk4_step2(rhs, tau, x, h):
-    # classical RK4 on two components, with the groupings of _rk4_step1
-    y, z = x
-    half = 0.5 * h
-    a, p = rhs(tau, y, z)
-    b, q = rhs(tau + half, y + half * a, z + half * p)
-    c, r = rhs(tau + half, y + half * b, z + half * q)
-    d, s = rhs(tau + h, y + h * c, z + h * r)
-    sixth = h / 6.0
-    return [y + sixth * (a + 2.0 * (b + c) + d),
-            z + sixth * (p + 2.0 * (q + r) + s)]
+def _rk4_2(rhs, h):
+    # classical RK4 on two components, as _rk4_1
+    half, sixth = 0.5 * h, h / 6.0
+    def step(tau, y, z):
+        a, p = rhs(tau, y, z)
+        b, q = rhs(tau + half, y + half * a, z + half * p)
+        c, r = rhs(tau + half, y + half * b, z + half * q)
+        d, s = rhs(tau + h, y + h * c, z + h * r)
+        return (y + sixth * (a + 2.0 * (b + c) + d),
+                z + sixth * (p + 2.0 * (q + r) + s))
+    return step
 
 
-def _euler_step(rhs, tau, x, h):
-    return [xi + h * ki for xi, ki in zip(x, rhs(tau, *x))]
+def _euler_1(rhs, h):
+    def step(tau, y):
+        a, = rhs(tau, y)
+        return (y + h * a,)
+    return step
+
+
+def _euler_2(rhs, h):
+    def step(tau, y, z):
+        a, p = rhs(tau, y, z)
+        return (y + h * a, z + h * p)
+    return step
 
 
 # by method, then by component count: every flow of the package has one or
-# two components
-_STEPPERS = {"rk4": {1: _rk4_step1, 2: _rk4_step2},
-             "euler": {1: _euler_step, 2: _euler_step}}
+# two components, and each entry makes the stepper of one step size
+_STEPPERS = {"rk4": {1: _rk4_1, 2: _rk4_2}, "euler": {1: _euler_1, 2: _euler_2}}
 
 
-# the per-step tests of a one-state march, by component count: the step
-# stayed on Python floats, and it stayed in the ball (NaN fails the
-# comparison, so this catches non-finite values too)
-_FLOATS = {1: lambda x: type(x[0]) is float,
-           2: lambda x: type(x[0]) is float and type(x[1]) is float}
-_INSIDE = {1: lambda x, limit: abs(x[0]) <= limit,
-           2: lambda x, limit: abs(x[0]) <= limit and abs(x[1]) <= limit}
+def _floats_1(step, ks, dtau, limit, every, states, blowup, y):
+    # steps ks of a one-component march on Python floats, recording after
+    # each every-th step count and raising blowup(k) at an escape (NaN fails
+    # the comparison); returns the first step that raises or gives a
+    # non-float, else ks.stop, and the state before it
+    ys, at = states[:, 0], ks.start - ks.start % every + every - 1
+    for k in ks:
+        try:
+            y1, = step(k * dtau, y)
+        except Exception:
+            return k, (y,)
+        if type(y1) is not float:
+            return k, (y,)
+        if not abs(y1) <= limit:
+            raise blowup(k)
+        y = y1
+        if k == at:
+            ys[at // every + 1] = y
+            at += every
+    return ks.stop, (y,)
+
+
+def _floats_2(step, ks, dtau, limit, every, states, blowup, y, z):
+    # _floats_1 on two components
+    ys, zs, at = states[:, 0], states[:, 1], ks.start - ks.start % every + every - 1
+    for k in ks:
+        try:
+            y1, z1 = step(k * dtau, y, z)
+        except Exception:
+            return k, (y, z)
+        if type(y1) is not float or type(z1) is not float:
+            return k, (y, z)
+        if not (abs(y1) <= limit and abs(z1) <= limit):
+            raise blowup(k)
+        y, z = y1, z1
+        if k == at:
+            ys[at // every + 1], zs[at // every + 1] = y, z
+            at += every
+    return ks.stop, (y, z)
 
 
 def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LIMIT):
@@ -366,23 +410,24 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
     A (dim,) march carries Python floats, which round + - * / ** exactly as
     np.float64 does.  They differ where Python raises (1/0, an overflowing
     power) or returns a complex, and where a narrower numpy scalar takes
-    over the arithmetic.  A step that raises any exception or yields
-    anything but Python floats is redone from its start on np.float64
-    components, and the march stays on them; its first stage goes through
-    ``_call``, so the flow meets the adapter's one rule there.  A flow of
-    np.float64 scalars thus costs one repeated step and one more call.
-    Results match a march on np.float64 components bit for bit whenever the
-    difference shows in the flow's results, as an exception or a type; a
-    flow that turns a complex back into a float (abs() or .real of a
-    complex root) hides it and may not match.
+    over the arithmetic.  A loop per component count runs the full steps,
+    then the shortened last one, testing each inline.  The first step that
+    raises any exception or yields anything but Python floats is redone
+    from its start, and the march goes on, in the blocks' loop on
+    np.float64 components; its first stage goes through ``_call``, so the
+    flow meets the adapter's one rule there.  A flow of np.float64 scalars
+    thus costs one repeated step and one more call.  Results match a march
+    on np.float64 components bit for bit whenever the difference shows in
+    the flow's results, as an exception or a type; a flow that turns a
+    complex back into a float (abs() or .real of a complex root) hides it
+    and may not match.
 
     A (dim,) march raises _BlowupSignal with the records so far at the
     first escape.  A (dim, B) march clips each escaped column to the ball
     and holds it at that value from then on, whatever its later steps
-    give; the other columns integrate undisturbed.  Each step tests the
-    whole state once, through tests chosen before the loop for the state's
-    shape; the per-column bookkeeping runs only once some column has
-    escaped.
+    give; the other columns integrate undisturbed.  Each step of a block
+    tests it once, with one reduction over the stacked rows; the
+    per-column bookkeeping runs only once some column has escaped.
 
     dtau and limit must be finite and positive, tau_end finite and >= 0,
     record_every an integer >= 1, the state 1 or 2 components and the march
@@ -404,49 +449,41 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
             f"steps, more than the {_MAX_STEPS:.0e} allowed; increase dtau")
     n_steps = max(int(math.ceil(steps)), 0)
     block = np.array(state0, dtype=float)
-    stepper = by_dim.get(len(block)) if block.ndim in (1, 2) else None
-    if stepper is None:
+    make = by_dim.get(len(block)) if block.ndim in (1, 2) else None
+    if make is None:
         raise ParameterError(
             f"state must have 1 or 2 components, got shape {block.shape}")
-    n_records = 1 + -(-n_steps // record_every)
-    taus = np.empty(n_records)
-    states = np.empty((n_records,) + block.shape)
-    taus[0] = 0.0
+    # records at each record_every-th step count k (exact as a float), at
+    # k*dtau, and at tau_end; in place, as temporaries fragment the heap
+    taus = np.arange(1 + -(-n_steps // record_every), dtype=float)
+    taus *= record_every
+    taus *= dtau
+    taus[-1] = tau_end if n_steps else 0.0
+    states = np.empty((taus.size,) + block.shape)
     states[0] = block
     escaped = np.zeros(block.shape[1:], dtype=bool)
-    floats = block.ndim == 1
-    if floats:
-        is_floats, inside = _FLOATS[len(block)], _INSIDE[len(block)]
-        state = block.tolist()
-    else:
-        # one reduction over the stacked rows is cheaper than one per row
-        def inside(x, limit):
-            return np.abs(x).max() <= limit
-        state = list(block)
-    frozen = False
-    tau = 0.0
-    r = 1
-    for k in range(n_steps):
-        last = k == n_steps - 1
-        h = (tau_end - tau) if last else dtau
-        if floats:
-            try:
-                new = stepper(rhs, tau, state, h)
-                floats = is_floats(new)
-            except Exception:
-                # the retry's first stage judges an error of the flow
-                floats = False
-            if not floats:
+    n_full = max(n_steps - 1, 0)
+    full, last = make(rhs, dtau), make(rhs, tau_end - n_full * dtau)
+    def blowup(k):
+        r = 1 + k // record_every
+        return _BlowupSignal(taus[:r], states[:r], tau_end if k == n_steps - 1 else (k + 1) * dtau)
+    k, state = 0, block.tolist() if block.ndim == 1 else list(block)
+    if block.ndim == 1:
+        floats = _floats_1 if len(block) == 1 else _floats_2
+        for step, ks in ((full, range(n_full)), (last, range(n_full, n_steps))):
+            k, state = floats(step, ks, dtau, limit, record_every, states, blowup, *state)
+            if k < ks.stop:
                 # np.float64 may differ here: redo the step on it, and stay
                 state = [np.float64(c) for c in state]
-                _call(rhs, len(state), (tau, *state))  # the adapter judges the first stage
-                new = stepper(rhs, tau, state, h)
-        else:
-            new = stepper(rhs, tau, state, h)
-        tau = tau_end if last else (k + 1) * dtau
-        if frozen or not inside(new, limit):
+                _call(rhs, len(state), (k * dtau, *state))  # the adapter judges the first stage
+                break
+    frozen = False
+    for k in range(k, n_steps):
+        new = (last if k == n_steps - 1 else full)(k * dtau, *state)
+        # one reduction over the stacked rows is cheaper than one per row
+        if frozen or not np.abs(new).max() <= limit:
             if block.ndim == 1:
-                raise _BlowupSignal(taus[:r], states[:r], tau)
+                raise blowup(k)
             # the escaped columns hold their clipped value; test the others
             new = np.array(new)
             new[:, escaped] = np.array(state)[:, escaped]
@@ -458,11 +495,10 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
             frozen = True
             new = list(new)
         state = new
-        if last or (k + 1) % record_every == 0:
-            taus[r] = tau
-            states[r] = state
-            r += 1
-    return taus[:r], states[:r], escaped
+        if (k + 1) % record_every == 0:
+            states[(k + 1) // record_every] = state
+    states[-1] = state
+    return taus, states, escaped
 
 
 def _tau_horizon(table, t_end):

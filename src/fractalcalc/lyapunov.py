@@ -386,11 +386,11 @@ class AssumptionGrids(_Value):
     increment over the last of the expanding ``tail_windows``, which must
     fall below ``tail_tol``; unboundedness of the potential is judged by a
     growth factor across ``y_growth``.  A pass is therefore grid-supported
-    evidence, not a proof.  Every grid must be non-empty and finite, and is
-    stored as a read-only float copy, so a caller's later write misses it;
-    ``y`` must hold a nonzero point, since C3 tests the sign of h off zero,
-    ``y_growth`` two points, since C3 compares H across it, and
-    ``tail_windows`` must be positive and strictly increasing.  The
+    evidence, not a proof.  Every grid must be a non-empty, finite 1-d
+    array, and is stored as a read-only float copy, so a caller's later
+    write misses it; ``y`` must hold a nonzero point, since C3 tests the
+    sign of h off zero, ``y_growth`` two points, since C3 compares H across
+    it, and ``tail_windows`` must be positive and strictly increasing.  The
     tolerances are stored as floats and ``forcing_stride`` as an int, also
     when they are given as numpy numbers.  The tail grid (0.05 apart over
     the last window), the y x z mesh and the C5 cube (tau, y and z every
@@ -416,10 +416,10 @@ class AssumptionGrids(_Value):
         held["forcing_stride"] = _count("forcing_stride", self.forcing_stride, 1)
         for name in ("tau", "y", "z", "y_growth", "tail_windows"):
             held[name] = _reals(name, getattr(self, name), "(-inf, inf)")
-            if held[name].size == 0:
-                raise ParameterError(f"{name} must be non-empty")
+            if held[name].ndim != 1 or held[name].size == 0:
+                raise ParameterError(f"{name} must be a non-empty 1-d array")
         w = held["tail_windows"]
-        if w.ndim != 1 or w[0] <= 0.0 or np.any(np.diff(w) <= 0.0):
+        if w[0] <= 0.0 or np.any(np.diff(w) <= 0.0):
             raise ParameterError("tail_windows must be positive and strictly increasing")
         if not np.any(held["y"] != 0.0):
             raise ParameterError("y must hold a nonzero point")

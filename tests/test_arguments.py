@@ -570,6 +570,16 @@ def test_sweep_grids_stop_at_a_table_at_the_depth_cap(monkeypatch):
             AssumptionGrids(**over)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("tau", 5.0), ("z", 0.5), ("y", np.linspace(-5.0, 5.0, 200).reshape(20, 10)),
+    ("y_growth", np.geomspace(1.0, 1e3, 12).reshape(2, 6)), ("tail_windows", 40.0)])
+def test_sweep_grids_must_be_1d(name, value):
+    # a 0-d tau or z ended in a raw IndexError at C5, a 2-d y in the
+    # adapter's message that the arguments do not broadcast
+    with pytest.raises(ParameterError, match=f"^{name} must be a non-empty 1-d array$"):
+        AssumptionGrids(alpha=0.75, **{name: value})
+
+
 def test_bisection_stops_at_float_resolution():
     # a tolerance below the spacing of floats near the answer used to hang
     coarse = gamma_dimension(SPEC, 0.1, 1e-3)

@@ -38,8 +38,8 @@ from fractalcalc import (
 from fractalcalc.expressions import compile_expression
 from fractalcalc.fde import (
     BLOWUP_LIMIT,
+    _STEPPERS,
     _BlowupSignal,
-    _euler_step,
     _integrate,
 )
 
@@ -418,7 +418,8 @@ def _reference_march(rhs, tau_end, state0, dtau, method, record_every, limit):
     # the march on np.float64 components (rows for a block) through the
     # generic steppers: one state raises at its first escape, and a block
     # clips each column that escapes to the ball and holds it there
-    step = {"rk4": _rk4_step, "euler": _euler_step}[method]
+    step = {"rk4": _rk4_step,
+            "euler": lambda rhs, tau, x, h: _STEPPERS["euler"][len(x)](rhs, h)(tau, *x)}[method]
     state = list(np.array(state0, dtype=float))
     n_steps = max(math.ceil(tau_end / dtau - 1e-12), 0)
     taus, states = [0.0], [np.array(state)]
@@ -582,6 +583,100 @@ def test_a_complex_root_turned_real_keeps_the_float_march():
     outcome = _outcome(_reference_march, rhs, traj.meta["tau_end"], [0.5], 1e-3,
                        "rk4", 1, BLOWUP_LIMIT)
     assert outcome[0] == "escape" and outcome[3] < traj.tau[-1]
+
+
+def _edge_flow(dim):
+    # a damped linear flow with a tau drive, the same on floats and np.float64
+    if dim == 1:
+        return lambda tau, y: (-0.5 * y + 0.25 * tau,)
+    return lambda tau, y, z: (z, -y - 0.1 * z + 0.25 * tau)
+
+
+# dtau = 0.125 is exact, so tau_end = (n - 1 + last) dtau takes n steps, the
+# last of them a full step (last = 1) or a half step
+@pytest.mark.parametrize("last", [1.0, 0.5], ids=["full-last", "half-last"])
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_steps,every", [
+    (0, 1), (1, 1), (1, 3), (4, 1), (5, 7), (6, 3), (7, 3),
+], ids=["0-steps", "1-step", "1-step-every-3", "4-steps", "every-above-steps",
+        "multiple-of-every", "multiple-plus-one"])
+def test_one_state_march_edges_match_the_reference(n_steps, every, dim, method, last):
+    args = (_edge_flow(dim), max(n_steps - 1 + last, 0.0) * 0.125, [0.8, -0.4][:dim], 0.125,
+            method, every, BLOWUP_LIMIT)
+    got = _integrate(*args)
+    assert len(got[0]) == 1 + -(-n_steps // every)
+    _assert_same_outcome(got, _reference_march(*args))
+
+
+@pytest.mark.parametrize("at", [0, 3, 6], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("kind", ["raise", "float32"])
+@pytest.mark.parametrize("method,per_step", [("rk4", 4), ("euler", 1)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_retry_hands_over_from_the_start_of_its_step(dim, method, per_step, kind, at):
+    # the first stage of step `at` of 7 (the last a half step) raises or
+    # turns np.float32 on Python floats; on np.float64 the flow is plain
+    flow, floats, wide = _edge_flow(dim), [], []
+
+    def rhs(tau, *x):
+        out = list(flow(tau, *x))
+        if all(type(c) is float for c in x):
+            floats.append(tau)
+            if len(floats) == at * per_step + 1:
+                if kind == "raise":
+                    raise ZeroDivisionError("tripped")
+                out[-1] = np.float32(out[-1])
+        elif all(type(c) is np.float64 for c in x):
+            wide.append(tau)
+        return out
+
+    args = (rhs, 6.5 * 0.125, [0.8, -0.4][:dim], 0.125, method, 3, BLOWUP_LIMIT)
+    got = _integrate(*args)
+    # the adapter's call at the step's start, then the redone step and the rest
+    assert wide[0] == at * 0.125 and len(wide) == 1 + per_step * (7 - at)
+    _assert_same_outcome(got, _reference_march(*args))
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_an_escape_on_the_last_step_matches_the_reference(dim, method):
+    # the last component rises at rate 1: 0.75 after the 6 full steps, 0.8125
+    # after the half step that ends the march, past the ball's edge 0.78
+    def rhs(tau, *x):
+        return [0.0] * (dim - 1) + [1.0]
+
+    args = (rhs, 6.5 * 0.125, [0.0] * dim, 0.125, method, 3, 0.78)
+    got = _outcome(_integrate, *args)
+    assert got[0] == "escape" and got[3] == 6.5 * 0.125 and len(got[1]) == 3
+    _assert_same_outcome(got, _outcome(_reference_march, *args))
+
+
+def test_a_long_energy_run_matches_the_reference(long_table):
+    # the benchmark's energy run in small: 20,379 steps of example3,
+    # recording every 10th
+    sys = example3_system(1.0)
+    traj = solve_second_order(sys, long_table, 0.3, -0.2, 60.0, dtau=1e-3, record_every=10)
+    want = _reference_march(_method_rhs(sys), traj.meta["tau_end"], [0.3, -0.2], 1e-3, "rk4",
+                            10, BLOWUP_LIMIT)
+    assert len(traj) == 2039
+    _assert_same_outcome((traj.tau, traj.y, traj.z), (want[0], want[1][:, 0], want[1][:, 1]))
+
+
+@pytest.mark.parametrize("method,per_step", [("rk4", 4), ("euler", 1)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_state_flow_calls_per_step(dim, method, per_step):
+    # what the benchmark's fde.rhs_calls_per_step reads: per_step calls a
+    # step on floats; a flow of np.float64 scalars repeats its first step
+    # and meets the adapter once, 4n + 5 calls over n RK4 steps
+    for wide, extra in ((False, 0), (True, per_step + 1)):
+        calls = []
+
+        def rhs(tau, *x):
+            calls.append(tau)
+            return [np.float64(-c) if wide else -c for c in x]
+
+        _integrate(rhs, 6.5 * 0.125, [1.0] * dim, 0.125, method, 1)
+        assert len(calls) == per_step * 7 + extra
 
 
 def _counting_system(calls):
