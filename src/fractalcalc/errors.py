@@ -107,6 +107,14 @@ def _reals(name, x, interval=None):
     return arr.astype(float, copy=False)
 
 
+def _grid(name, x, interval):
+    """Return ``x`` through ``_reals`` if it is a non-empty 1-d array."""
+    arr = _reals(name, x, interval)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ParameterError(f"{name} must be a non-empty 1-d array")
+    return arr
+
+
 def _count(name, value, minimum, maximum=None):
     """Return ``value`` as an int if it is an integer in [minimum, maximum].
 

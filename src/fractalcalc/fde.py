@@ -7,30 +7,31 @@ Equations of the form D y = g(y) or the damped second order family
 are integrated in the staircase variable tau = S(t), where D denotes the
 derivative with respect to S.  In tau the systems are ordinary ODEs, so a
 fixed-step classical Runge-Kutta scheme (or explicit Euler) applies; the
-results are mapped back to t through the inverse staircase ``warp_time``.
+results are mapped back to t through ``warp_time``, the inverse staircase,
+which lives with the other clock map ``_tau_horizon`` in staircase.py.
 Because S is flat across gaps, a solution in t is constant there, which the
 piecewise-linear interpolation of Trajectory.at_time reproduces.
 
 ``_integrate`` is the one fixed-step loop of the package.  It marches a
 state of shape (dim,) or a block of shape (dim, B), one column per initial
 state, as a sequence of dim components, 1 or 2: Python floats for one
-state, rows of shape (B,) for a block.  The right-hand side takes them
-positionally, rhs(tau, y) or rhs(tau, y, z), and returns dim derivatives,
-each a scalar or an array that broadcasts to the rows, so no step packs the
-components into a container.  ``_first_order`` and ``_second_order`` make
-the flows of the two families; an FdeSystem checks each field when it is
-set, and the latter binds its functions once per march, so no stage looks
-them up.  One stepper per method and component count, made once per step
-size, takes and returns the components positionally.  One state marches
-with its components as locals and its per-step tests inline; a step on
-Python floats that raises (1/0, an overflowing power) or yields anything
-but floats (a complex root, a narrower numpy scalar) hands it over, from
-that step's start, to the blocks' loop on np.float64, so 1/0 and a
-negative base to a fractional power give inf/nan (and a blow-up) instead
-of raising.  The state's shape decides what leaving the blow-up ball
-does: one state stops the march (the solve_* functions turn this into a
-NumericalBlowupError carrying the partial trajectory), and a block clips
-each escaped column to the ball and holds it there while the other
+state, rows of shape (B,) for a block.  Its records keep that layout, a
+row per component.  The right-hand side and the steppers, one per method
+and component count, take and return the components positionally, so no
+step packs them into a container: rhs(tau, y) or rhs(tau, y, z) returns
+dim derivatives, each a scalar or an array that broadcasts to the rows.
+``_first_order`` and ``_second_order`` make the flows of the two
+families; an FdeSystem checks each field when it is set, and the latter
+binds its functions once per march, so no stage looks them up.  One state
+marches with its components as locals and its per-step tests inline; a
+step on Python floats that raises (1/0, an overflowing power) or yields
+anything but floats (a complex root, a narrower numpy scalar) hands it
+over, from that step's start, to the blocks' loop on np.float64, so 1/0
+and a negative base to a fractional power give inf/nan (and a blow-up)
+instead of raising.  The state's shape decides what leaving the blow-up
+ball does: one state stops the march (the solve_* functions turn this
+into a NumericalBlowupError carrying the partial trajectory), and a block
+clips each escaped column to the ball and holds it there while the other
 columns keep integrating (the batched probes of the lyapunov module).
 ``_call`` is the one adapter between a caller's function and arrays, and
 the one judge of it: ``_fit`` rules on what comes back, a TypeError or
@@ -44,10 +45,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cantor import _built, _query, _Value
+from .cantor import _built, _Value
 from .errors import (FractalCalcError, NumericalBlowupError, ParameterError, _count, _function,
                      _real, _reals)
-from .staircase import StaircaseTable, eval_staircase
+from .staircase import StaircaseTable, _tau_horizon, eval_staircase, warp_time
 
 BLOWUP_LIMIT = 1e12
 # work budget of one march: the largest run in the package takes about 1e5
@@ -359,7 +360,7 @@ def _floats_1(step, ks, dtau, limit, every, states, blowup, y):
     # each every-th step count and raising blowup(k) at an escape (NaN fails
     # the comparison); returns the first step that raises or gives a
     # non-float, else ks.stop, and the state before it
-    ys, at = states[:, 0], ks.start - ks.start % every + every - 1
+    ys, at = states[0], ks.start - ks.start % every + every - 1
     for k in ks:
         try:
             y1, = step(k * dtau, y)
@@ -378,7 +379,7 @@ def _floats_1(step, ks, dtau, limit, every, states, blowup, y):
 
 def _floats_2(step, ks, dtau, limit, every, states, blowup, y, z):
     # _floats_1 on two components
-    ys, zs, at = states[:, 0], states[:, 1], ks.start - ks.start % every + every - 1
+    (ys, zs), at = states, ks.start - ks.start % every + every - 1
     for k in ks:
         try:
             y1, z1 = step(k * dtau, y, z)
@@ -403,9 +404,9 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
     (B,)) and returns dim component derivatives.  The last step is
     shortened so the grid lands exactly on tau_end.  The initial state and
     the final state are always recorded.  Returns (taus, states, escaped):
-    states has shape (n_records,) + state0.shape and escaped marks the
-    columns (axis 1 of a (dim, B) block) that left the ball |x| <= limit or
-    went non-finite.
+    states is in the state's layout with the records on axis 1, (dim,
+    n_records) or (dim, n_records, B), and escaped marks the columns (axis 1
+    of a (dim, B) block) that left the ball |x| <= limit or went non-finite.
 
     A (dim,) march carries Python floats, which round + - * / ** exactly as
     np.float64 does.  They differ where Python raises (1/0, an overflowing
@@ -422,9 +423,9 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
     complex back into a float (abs() or .real of a complex root) hides it
     and may not match.
 
-    A (dim,) march raises _BlowupSignal with the records so far at the
-    first escape.  A (dim, B) march clips each escaped column to the ball
-    and holds it at that value from then on, whatever its later steps
+    A (dim,) march raises _BlowupSignal with copies of the records so far
+    at the first escape.  A (dim, B) march clips each escaped column to the
+    ball and holds it at that value from then on, whatever its later steps
     give; the other columns integrate undisturbed.  Each step of a block
     tests it once, with one reduction over the stacked rows; the
     per-column bookkeeping runs only once some column has escaped.
@@ -433,11 +434,9 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
     record_every an integer >= 1, the state 1 or 2 components and the march
     at most _MAX_STEPS steps, or a ParameterError is raised before any work.
     """
-    try:
-        by_dim = _STEPPERS[method]
-    except KeyError:
-        raise ParameterError(
-            f"unknown method {method!r}, expected one of {sorted(_STEPPERS)}") from None
+    by_dim = _STEPPERS.get(method) if isinstance(method, str) else None
+    if by_dim is None:
+        raise ParameterError(f"unknown method {method!r}, expected one of {sorted(_STEPPERS)}")
     dtau = _real("dtau", dtau, "(0, inf)")
     tau_end = _real("tau_end", tau_end, "[0, inf)")
     record_every = _count("record_every", record_every, 1)
@@ -459,14 +458,15 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
     taus *= record_every
     taus *= dtau
     taus[-1] = tau_end if n_steps else 0.0
-    states = np.empty((taus.size,) + block.shape)
-    states[0] = block
+    states = np.empty(block.shape[:1] + taus.shape + block.shape[1:])
+    states[:, 0] = block
     escaped = np.zeros(block.shape[1:], dtype=bool)
     n_full = max(n_steps - 1, 0)
     full, last = make(rhs, dtau), make(rhs, tau_end - n_full * dtau)
     def blowup(k):
         r = 1 + k // record_every
-        return _BlowupSignal(taus[:r], states[:r], tau_end if k == n_steps - 1 else (k + 1) * dtau)
+        return _BlowupSignal(taus[:r].copy(), states[:, :r].copy(),
+                             tau_end if k == n_steps - 1 else (k + 1) * dtau)
     k, state = 0, block.tolist() if block.ndim == 1 else list(block)
     if block.ndim == 1:
         floats = _floats_1 if len(block) == 1 else _floats_2
@@ -496,19 +496,9 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
             new = list(new)
         state = new
         if (k + 1) % record_every == 0:
-            states[(k + 1) // record_every] = state
-    states[-1] = state
+            states[:, (k + 1) // record_every] = state
+    states[:, -1] = state
     return taus, states, escaped
-
-
-def _tau_horizon(table, t_end):
-    """Return t_end and S(t_end) as floats, refusing a t_end before the anchor."""
-    t_end = _real("t_end", t_end, "[-inf, inf]")
-    tau_end = eval_staircase(table, t_end)
-    if tau_end < 0.0:
-        raise ParameterError(
-            f"t_end={t_end!r} precedes the staircase anchor t0={table.t0!r}")
-    return t_end, tau_end
 
 
 def _solve(rhs, table, state0, t_end, dtau, method, record_every, blowup_limit):
@@ -523,7 +513,7 @@ def _solve(rhs, table, state0, t_end, dtau, method, record_every, blowup_limit):
         # built after _integrate has checked dtau
         meta = {"method": method, "dtau": float(dtau), "tau_end": tau_end,
                 "t_end": t_end, "alpha": table.alpha}
-        y, *z = np.ascontiguousarray(states.T)  # contiguous rows, which np.interp reads uncopied
+        y, *z = states  # contiguous rows, which np.interp reads uncopied
         return _built(Trajectory, t=warp_time(table, taus), _tau=taus, _y=y,
                       _z=z[0] if z else None, table=table, meta=meta)
 
@@ -584,67 +574,3 @@ def solve_second_order(sys: FdeSystem, table: StaircaseTable, y0: float,
     state0 = [_real("y0", y0, "[-inf, inf]"), _real("z0", z0, "[-inf, inf]")]
     return _solve(_second_order(sys), table, state0, t_end, dtau, method,
                   record_every, blowup_limit)
-
-
-def warp_time(table: StaircaseTable, tau):
-    """Smallest set point t with S(t) >= tau (the inverse staircase).
-
-    Values inside a plateau's range return the plateau's left breakpoint, so
-    warp_time(S(t)) is the gap's left end for t in a gap, and on the rising
-    segments t up to rounding (a few ulps, on either side of t).
-
-    The index j = searchsorted(s, tau, "left") comes from one interpolation
-    step.  A built table's s[j] = (j + j%2) c/2, less the anchor, is linear
-    in j, so with n = s.size and h = ceil((tau - s[0]) n / (s[-1] - s[0]))
-    the guess is j = h - 1 for even h and h for odd.  On any nondecreasing
-    s the search's answer is the one j with s[j-1] < tau <= s[j].  Only the
-    taus whose guess fails that check are searched for, and a guess of
-    j = 0 always fails it.  So on every nondecreasing s, hand-built ones
-    too, the answers are those of a binary search, bit for bit.
-    """
-    s, t = table.s, table.t
-    lo, hi = table.s_range
-    n = s.size
-    step = n / (hi - lo) if hi > lo else 0.0
-
-    def search(keys):
-        x = keys.reshape(-1)
-        if 0.0 < step < math.inf:
-            guess = x - lo
-            guess *= step
-            # h = ceil(guess), and (h - 1) | 1 is h - 1 for even h, h for odd
-            j = np.ceil(guess, out=guess).astype(np.intp)
-            del guess
-            j -= 1
-            j |= 1
-            np.clip(j, 0, n - 1, out=j)
-        else:
-            j = np.zeros(x.size, np.intp)
-        s_hi, t_hi = s[j], t[j]
-        j -= 1
-        np.maximum(j, 0, out=j)
-        s_lo, t_lo = s[j], t[j]
-        del j
-        hit = s_hi >= x
-        hit &= s_lo < x
-        miss = np.flatnonzero(~hit)
-        if miss.size:
-            j = np.searchsorted(s, x[miss], side="left")
-            s_hi[miss], t_hi[miss] = s[j], t[j]
-            j = np.maximum(j - 1, 0)
-            s_lo[miss], t_lo[miss] = s[j], t[j]
-        # t_lo + frac * (t_hi - t_lo) with frac = (x - s_lo) / (s_hi - s_lo)
-        # on a rising step and 0 on a flat one, t_hi where tau hits s_hi
-        exact = s_hi == x
-        ds = np.subtract(s_hi, s_lo, out=s_hi)
-        frac = np.subtract(x, s_lo, out=s_lo)
-        rising = ds > 0.0
-        np.divide(frac, ds, out=frac, where=rising)
-        np.logical_not(rising, out=rising)
-        frac[rising] = 0.0
-        frac *= np.subtract(t_hi, t_lo, out=ds)
-        frac += t_lo
-        np.copyto(frac, t_hi, where=exact)
-        return frac.reshape(keys.shape)
-
-    return _query("tau", tau, search, lo, hi)

@@ -25,10 +25,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cantor import _max_samples, _query, _Value
-from .errors import ParameterError, PreconditionError, _count, _function, _real, _reals
+from .errors import ParameterError, PreconditionError, _count, _function, _grid, _real, _reals
 from .fde import (FdeConstants, FdeSystem, _apply, _call, _central_diff, _first_order,
-                  _flow, _integrate, _second_order, _tau_horizon, warp_time)
-from .staircase import StaircaseTable
+                  _flow, _integrate, _second_order)
+from .staircase import StaircaseTable, _tau_horizon, warp_time
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +166,8 @@ def _batch_integrate(rhs, dim, Y0, tau_end, dtau, record_every):
     rows, one array of shape (B,) per component, or once per column on
     np.float64 scalars.
 
-    Returns (taus, blocks, escaped): blocks has shape (n_records, dim, B) and
-    escaped marks columns that left the blow-up ball or went non-finite.
+    Returns (taus, blocks, escaped): blocks of shape (dim, n_records, B), and
+    escaped marks the columns that left the blow-up ball or went non-finite.
     """
     Y = np.array(Y0, dtype=float)
     return _integrate(_flow(rhs, dim, 0.0, *Y), tau_end, Y, dtau, "rk4", record_every)
@@ -266,10 +266,8 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=None,
     if not resid < 1e-9:
         raise ParameterError(
             f"not an equilibrium: field magnitude {resid:.3g} at the given state")
-    eps_list = sorted(_real("eps", e, "(0, inf)") for e in eps_grid)
-    delta_list = sorted(_real("delta", d, "(0, inf)") for d in delta_grid)[::-1]
-    if not eps_list or not delta_list:
-        raise ParameterError("eps_grid and delta_grid must be non-empty")
+    eps_list = sorted(_grid("eps_grid", eps_grid, "(0, inf)").tolist())
+    delta_list = sorted(_grid("delta_grid", delta_grid, "(0, inf)").tolist())[::-1]
     horizon = _real("horizon", horizon, "(0, inf]")
     settle_rtol = _real("settle_rtol", settle_rtol, "[0, inf)")
     fit_min_r2 = _real("fit_min_r2", fit_min_r2, "[0, 1]")
@@ -286,11 +284,9 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=None,
     dirs = np.repeat(np.eye(dim), 2, axis=0)
     dirs[1::2] *= -1.0
     n_dirs = dirs.shape[0]
-    cols = [eq + (d ** alpha) * u for d in delta_list for u in dirs]
-    Y0 = np.array(cols).T
-    taus, blocks, escaped = _batch_integrate(rhs, dim, Y0, tau_end, dtau,
-                                             record_every)
-    devs = np.linalg.norm(blocks - eq.reshape(1, dim, 1), axis=1)
+    Y0 = np.array([eq + (d ** alpha) * u for d in delta_list for u in dirs]).T
+    taus, blocks, escaped = _batch_integrate(rhs, dim, Y0, tau_end, dtau, record_every)
+    devs = np.linalg.norm(blocks - eq.reshape(dim, 1, 1), axis=0)
 
     delta_results = []
     sup_by_delta = []
@@ -415,9 +411,7 @@ class AssumptionGrids(_Value):
             ("slack", "[0, inf)"), ("growth_factor", "(0, inf)"))}
         held["forcing_stride"] = _count("forcing_stride", self.forcing_stride, 1)
         for name in ("tau", "y", "z", "y_growth", "tail_windows"):
-            held[name] = _reals(name, getattr(self, name), "(-inf, inf)")
-            if held[name].ndim != 1 or held[name].size == 0:
-                raise ParameterError(f"{name} must be a non-empty 1-d array")
+            held[name] = _grid(name, getattr(self, name), "(-inf, inf)")
         w = held["tail_windows"]
         if w[0] <= 0.0 or np.any(np.diff(w) <= 0.0):
             raise ParameterError("tail_windows must be positive and strictly increasing")
@@ -660,7 +654,7 @@ def _march_fan(sys, table, conditions, grids, initial_states, t_end, dtau,
     The fan defaults to eight compass states at radii 1 and 2, t_end to the
     end of the span, and the grids to the table's alpha; grids at another
     alpha are a ParameterError.  Returns (report, t_end, tau_end, taus,
-    blocks, escaped) with blocks of shape (n_records, 2, n_states).
+    blocks, escaped) with blocks of shape (2, n_records, n_states).
     """
     t_end, tau_end = _tau_horizon(table, table.span[1] if t_end is None else t_end)
     if tau_end <= 0.0:
@@ -743,11 +737,10 @@ def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
     grid_points = _count("grid_points", grid_points, 2, math.isqrt(_max_samples()))
     grid_halfwidth = _real("grid_halfwidth", grid_halfwidth, "(0, inf)")
     drift_tol = _real("drift_tol", drift_tol, "[-inf, inf]")
-    report, t_end, tau_end, taus, blocks, escaped = _march_fan(
+    report, t_end, tau_end, taus, (Yb, Zb), escaped = _march_fan(
         sys, table, ("C1", "C2", "C3", "C4"), grids, initial_states, t_end,
         dtau, record_every)
     alpha = table.alpha
-    Yb, Zb = blocks[:, 0, :], blocks[:, 1, :]
     u_v = _apply(sys.u, taus)[:, None]
     v_v = _apply(sys.v, taus)[:, None]
     dv_v = _apply(sys.coefficient_slope, taus)[:, None]
@@ -769,7 +762,7 @@ def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
 
     passed = drift_ok and bound_ok and zero_ok
     meta = {"tau_end": tau_end, "t_end": t_end, "dtau": float(dtau),
-            "n_states": blocks.shape[2], "record_every": int(record_every),
+            "n_states": Yb.shape[1], "record_every": int(record_every),
             "escaped": bool(np.any(escaped)), "alpha": alpha,
             "recorded_steps": int(taus.size),
             "grid": [float(gp[0]), float(gp[-1]), grid_points]}
@@ -890,11 +883,10 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
     seed = _count("seed", seed, 0)
     conv_tau = _real("conv_tau", conv_tau, "[0, inf]")
     conv_threshold = _real("conv_threshold", conv_threshold, "[0, inf]")
-    report, t_end, tau_end, taus, blocks, escaped = _march_fan(
+    report, t_end, tau_end, taus, (Yb, Zb), escaped = _march_fan(
         sys, table, ("C1", "C2", "C3", "C4", "C5", "C6", "C7"), grids,
         initial_states, t_end, dtau, record_every)
     alpha = table.alpha
-    Yb, Zb = blocks[:, 0, :], blocks[:, 1, :]
     bounded = not bool(np.any(escaped))
     sup_norm = float(np.max(np.hypot(Yb, Zb)))
 
@@ -933,8 +925,8 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
 
     constants = {**consts, "E5_alpha": e5a, "weight_integral_end": float(W[-1])}
     meta = {"tau_end": tau_end, "t_end": t_end, "dtau": float(dtau),
-            "conv_tau": conv_at, "n_states": blocks.shape[2],
-            "max_initial_norm": max(map(math.hypot, *blocks[0].tolist())),
+            "conv_tau": conv_at, "n_states": Yb.shape[1],
+            "max_initial_norm": max(map(math.hypot, Yb[0].tolist(), Zb[0].tolist())),
             "n_random": n_random, "seed": seed,
             "record_every": int(record_every),
             "alpha": alpha, "recorded_steps": int(taus.size),

@@ -17,6 +17,7 @@ whole ones at the closed-form mass c and clipped ones at their overlap.
 The staircase S(t) is the running mass from an anchor t0: piecewise linear
 across covering intervals, flat across gaps, and represented as a breakpoint
 table that downstream modules (fractal derivatives, ODE time warps) share.
+The integrators' clock maps, ``_tau_horizon`` and ``warp_time``, live here too.
 """
 
 import math
@@ -202,6 +203,78 @@ def eval_staircase(table: StaircaseTable, t):
     """Evaluate S(t); vectorized, exact at breakpoints and constant on gaps."""
     return _query("t", t, _in_key_order(lambda x: np.interp(x, table._t, table._s)),
                   *table.span)
+
+
+def _tau_horizon(table, t_end):
+    """Return t_end and S(t_end) as floats, refusing a t_end before the anchor."""
+    t_end = _real("t_end", t_end, "[-inf, inf]")
+    tau_end = eval_staircase(table, t_end)
+    if tau_end < 0.0:
+        raise ParameterError(f"t_end={t_end!r} precedes the staircase anchor t0={table.t0!r}")
+    return t_end, tau_end
+
+
+def warp_time(table: StaircaseTable, tau):
+    """Smallest set point t with S(t) >= tau (the inverse staircase).
+
+    Values inside a plateau's range return the plateau's left breakpoint, so
+    warp_time(S(t)) is the gap's left end for t in a gap, and on the rising
+    segments t up to rounding (a few ulps, on either side of t).
+
+    The index j = searchsorted(s, tau, "left") is guessed by one
+    interpolation step on the fill rule of ``build_staircase``: with n =
+    s.size and h = ceil((tau - s[0]) n / (s[-1] - s[0])), j = h - 1 for
+    even h and h for odd.  Only the taus whose guess fails the check
+    s[j-1] < tau <= s[j], which pins j on any nondecreasing s and which
+    j = 0 always fails, are searched for; so on every nondecreasing s,
+    hand-built ones too, the answers are a binary search's, bit for bit.
+    """
+    s, t = table.s, table.t
+    lo, hi = table.s_range
+    n = s.size
+    step = n / (hi - lo) if hi > lo else 0.0
+
+    def search(keys):
+        x = keys.reshape(-1)
+        if 0.0 < step < math.inf:
+            guess = x - lo
+            guess *= step
+            # h = ceil(guess), and (h - 1) | 1 is h - 1 for even h, h for odd
+            j = np.ceil(guess, out=guess).astype(np.intp)
+            del guess
+            j -= 1
+            j |= 1
+            np.clip(j, 0, n - 1, out=j)
+        else:
+            j = np.zeros(x.size, np.intp)
+        s_hi, t_hi = s[j], t[j]
+        j -= 1
+        np.maximum(j, 0, out=j)
+        s_lo, t_lo = s[j], t[j]
+        del j
+        hit = s_hi >= x
+        hit &= s_lo < x
+        miss = np.flatnonzero(~hit)
+        if miss.size:
+            j = np.searchsorted(s, x[miss], side="left")
+            s_hi[miss], t_hi[miss] = s[j], t[j]
+            j = np.maximum(j - 1, 0)
+            s_lo[miss], t_lo[miss] = s[j], t[j]
+        # t_lo + frac * (t_hi - t_lo) with frac = (x - s_lo) / (s_hi - s_lo)
+        # on a rising step and 0 on a flat one, t_hi where tau hits s_hi
+        exact = s_hi == x
+        ds = np.subtract(s_hi, s_lo, out=s_hi)
+        frac = np.subtract(x, s_lo, out=s_lo)
+        rising = ds > 0.0
+        np.divide(frac, ds, out=frac, where=rising)
+        np.logical_not(rising, out=rising)
+        frac[rising] = 0.0
+        frac *= np.subtract(t_hi, t_lo, out=ds)
+        frac += t_lo
+        np.copyto(frac, t_hi, where=exact)
+        return frac.reshape(keys.shape)
+
+    return _query("tau", tau, search, lo, hi)
 
 
 def characteristic(spec: CantorSpec, alpha: float, t):

@@ -2,7 +2,10 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fractalcalc
 from fractalcalc import (
     AssumptionGrids,
     CantorSpec,
@@ -420,6 +424,56 @@ def test_a_built_table_pickles_as_the_call_that_built_it():
     assert not _lives(spec)
     # loaded where no set or table of the spec lives, it is built afresh
     assert pickle.loads(blob) == build_staircase(spec, 0.6, t0=0.25)
+
+
+_VALUES_ACROSS_PROCESSES = """
+import dataclasses, os, pickle, sys
+import numpy as np
+import fractalcalc as fc
+from fractalcalc import cantor
+
+def build():
+    table = fc.build_staircase(fc.CantorSpec(mu=0.2, depth=16), fc.hausdorff_dimension(0.2))
+    return {"table": table, "grid": fc.GridFunction.from_function(table, np.cos),
+            "trajectory": fc.solve_first_order(lambda y: -y, table, 1.0, 1.0)}
+
+mode, folder = sys.argv[1:]
+if mode == "dump":
+    for name, value in build().items():
+        with open(os.path.join(folder, name + ".pkl"), "wb") as out:
+            pickle.dump(value, out)
+else:
+    assert not cantor._LIVE, "a spec is alive before the load"
+    loaded = {}
+    for name in ("table", "grid", "trajectory"):
+        with open(os.path.join(folder, name + ".pkl"), "rb") as src:
+            loaded[name] = pickle.load(src)
+    fresh = build()
+    for name, value in loaded.items():
+        assert value == fresh[name], name
+        for f in dataclasses.fields(value):
+            arr = getattr(value, f.name)
+            if isinstance(arr, np.ndarray):
+                assert not arr.flags.writeable, (name, f.name)
+                assert arr.base is None or not arr.base.flags.writeable, (name, f.name)
+    assert loaded["grid"].t is loaded["grid"].table.t
+    size = os.path.getsize(os.path.join(folder, "table.pkl"))
+    assert size < 4096, f"the table pickled to {size} bytes"
+"""
+
+
+def test_built_values_pickle_across_processes(tmp_path):
+    # one fresh interpreter dumps a depth-16 table, a GridFunction on its
+    # default grid and a Trajectory; another, where no spec is alive, loads
+    # them and checks each equals a fresh build and holds read-only arrays,
+    # and that the table pickled as the call that built it
+    src = os.path.dirname(os.path.dirname(fractalcalc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for mode in ("dump", "load"):
+        proc = subprocess.run([sys.executable, "-c", _VALUES_ACROSS_PROCESSES, mode,
+                               str(tmp_path)], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))

@@ -38,7 +38,6 @@ from fractalcalc import (
 from fractalcalc.expressions import compile_expression
 from fractalcalc.fde import (
     BLOWUP_LIMIT,
-    _STEPPERS,
     _BlowupSignal,
     _integrate,
 )
@@ -294,9 +293,9 @@ def test_a_trajectorys_arrays_must_match(table):
 def test_rejects_bad_dtau(table):
     with pytest.raises(ParameterError):
         solve_first_order(lambda y: -y, table, 1.0, 1.0, dtau=0.0)
-    with pytest.raises(ParameterError):
-        solve_first_order(lambda y: -y, table, 1.0, 1.0, dtau=1e-3,
-                          method="leapfrog")
+    for method in ("leapfrog", []):
+        with pytest.raises(ParameterError):
+            solve_first_order(lambda y: -y, table, 1.0, 1.0, dtau=1e-3, method=method)
 
 
 @pytest.mark.parametrize("t_end,dtau", [
@@ -319,6 +318,29 @@ def test_scalar_state_gives_ieee_blowup(table, g):
         solve_first_order(g, table, 0.0, 1.0, dtau=1e-3)
 
 
+def _owner(arr):
+    # the array that owns the memory arr views
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_partial_trajectory_holds_only_its_records(long_table, dim):
+    # the flows leave the ball |x| <= 10 near tau = 2.3 and 4.2, in the
+    # first quarter of the march, so its buffers are far longer
+    with pytest.raises(NumericalBlowupError) as info:
+        if dim == 1:
+            solve_first_order(lambda y: y, long_table, 1.0, 60.0, blowup_limit=10.0)
+        else:
+            unstable = dataclasses.replace(linear_damped_system(), h=lambda y: -y)
+            solve_second_order(unstable, long_table, 1.0, 0.0, 60.0, blowup_limit=10.0)
+    traj = info.value.trajectory
+    assert 0 < traj.tau[-1] < traj.meta["tau_end"] / 4
+    for name, per_record in (("t", 1), ("tau", 1), ("y", dim), ("z", dim))[:2 + dim]:
+        assert _owner(getattr(traj, name)).size <= per_record * len(traj), name
+
+
 def test_one_column_batch_matches_the_solve_bit_for_bit(long_table):
     from fractalcalc.lyapunov import _batch_integrate, as_tau_field
 
@@ -329,8 +351,8 @@ def test_one_column_batch_matches_the_solve_bit_for_bit(long_table):
         rhs, dim, [[0.7], [-0.3]], traj.meta["tau_end"], 1e-2, 1)
     assert not escaped.any()
     assert np.array_equal(taus, traj.tau)
-    assert np.array_equal(blocks[:, 0, 0], traj.y)
-    assert np.array_equal(blocks[:, 1, 0], traj.z)
+    assert np.array_equal(blocks[0, :, 0], traj.y)
+    assert np.array_equal(blocks[1, :, 0], traj.z)
 
 
 def test_an_escaped_column_holds_its_clipped_value():
@@ -341,9 +363,9 @@ def test_an_escaped_column_holds_its_clipped_value():
     taus, blocks, escaped = _batch_integrate(lambda tau, y, z: (y + z, -y + z), 2,
                                              [[1.0, 0.0], [0.0, 0.0]], 40.0, 1e-2, 1)
     assert escaped.tolist() == [True, False]
-    edge = int(np.argmax(np.abs(blocks[:, :, 0]).max(axis=1) == BLOWUP_LIMIT))
+    edge = int(np.argmax(np.abs(blocks[:, :, 0]).max(axis=0) == BLOWUP_LIMIT))
     assert 0 < edge < len(taus) - 1
-    assert np.all(blocks[edge:, :, 0] == blocks[edge, :, 0])
+    assert np.all(blocks[:, edge:, 0] == blocks[:, edge, 0, None])
     assert not blocks[:, :, 1].any()
 
 
@@ -369,8 +391,7 @@ def test_bound_flow_matches_the_method_formula_bit_for_bit(long_table, build):
     traj = solve_second_order(sys, long_table, 0.7, -0.3, 5.0, dtau=1e-2)
     want = _reference_march(ref, traj.meta["tau_end"], [0.7, -0.3], 1e-2, "rk4", 1,
                             BLOWUP_LIMIT)
-    _assert_same_outcome((traj.tau, traj.y, traj.z),
-                         (want[0], want[1][:, 0], want[1][:, 1]))
+    _assert_same_outcome((traj.tau, traj.y, traj.z), (want[0], *want[1]))
     Y0 = [[0.7, 1.0, -2.0], [-0.3, 0.0, 0.5]]
     rhs, dim = as_tau_field(sys)
     _assert_same_outcome(_batch_integrate(rhs, dim, Y0, 5.0, 1e-2, 3),
@@ -414,12 +435,17 @@ def _rk4_step(rhs, tau, x, h):
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
 
 
+def _euler_step(rhs, tau, x, h):
+    # explicit Euler for any number of components, with the package's grouping
+    return [xi + h * ki for xi, ki in zip(x, rhs(tau, *x))]
+
+
 def _reference_march(rhs, tau_end, state0, dtau, method, record_every, limit):
     # the march on np.float64 components (rows for a block) through the
     # generic steppers: one state raises at its first escape, and a block
-    # clips each column that escapes to the ball and holds it there
-    step = {"rk4": _rk4_step,
-            "euler": lambda rhs, tau, x, h: _STEPPERS["euler"][len(x)](rhs, h)(tau, *x)}[method]
+    # clips each column that escapes to the ball and holds it there; the
+    # records are stacked on axis 1, after the components
+    step = {"rk4": _rk4_step, "euler": _euler_step}[method]
     state = list(np.array(state0, dtype=float))
     n_steps = max(math.ceil(tau_end / dtau - 1e-12), 0)
     taus, states = [0.0], [np.array(state)]
@@ -432,7 +458,7 @@ def _reference_march(rhs, tau_end, state0, dtau, method, record_every, limit):
         tau = tau_end if last else (k + 1) * dtau
         if held.ndim == 0:
             if not np.abs(np.array(new)).max() <= limit:
-                raise _BlowupSignal(np.array(taus), np.array(states), tau)
+                raise _BlowupSignal(np.array(taus), np.stack(states, axis=1), tau)
         else:
             new = np.array(new)
             for col in range(new.shape[1]):
@@ -447,7 +473,7 @@ def _reference_march(rhs, tau_end, state0, dtau, method, record_every, limit):
         if last or (k + 1) % record_every == 0:
             taus.append(tau)
             states.append(np.array(state))
-    return np.array(taus), np.array(states), held
+    return np.array(taus), np.stack(states, axis=1), held
 
 
 def _outcome(march, *args):
@@ -659,7 +685,7 @@ def test_a_long_energy_run_matches_the_reference(long_table):
     want = _reference_march(_method_rhs(sys), traj.meta["tau_end"], [0.3, -0.2], 1e-3, "rk4",
                             10, BLOWUP_LIMIT)
     assert len(traj) == 2039
-    _assert_same_outcome((traj.tau, traj.y, traj.z), (want[0], want[1][:, 0], want[1][:, 1]))
+    _assert_same_outcome((traj.tau, traj.y, traj.z), (want[0], *want[1]))
 
 
 @pytest.mark.parametrize("method,per_step", [("rk4", 4), ("euler", 1)])

@@ -158,7 +158,7 @@ def test_published_certificates_agree_with_the_verifiers_closed_forms(long_table
     *_, taus, blocks, escaped = _march_fan(sys, long_table, ("C1", "C2", "C3", "C4"), None,
                                            None, None, 1e-2, 10)
     assert not escaped.any() and blocks.shape[2] == 16
-    tau, Y, Z = taus[:, None], blocks[:, 0, :], blocks[:, 1, :]
+    tau, (Y, Z) = taus[:, None], blocks
     state = (Y, Z)
 
     def agree(got, want):
@@ -333,7 +333,7 @@ def test_classify_freezes_escaped_columns(long_table, monkeypatch):
     # -delta columns decay like y0 / (1 - y0 tau)
     assert np.array_equal(escaped, Y0[0] > 0.0)
     for b in np.flatnonzero(escaped):
-        col = blocks[:, 0, b]
+        col = blocks[0, :, b]
         first = int(np.argmax(col == BLOWUP_LIMIT))
         assert col[first] == BLOWUP_LIMIT
         assert np.all(col[first:] == BLOWUP_LIMIT)
@@ -406,8 +406,10 @@ def test_classify_rejects_bad_horizons(long_table, horizon):
     {"eps_grid": (math.nan,)}, {"delta_grid": (math.inf,)},
     {"eps_grid": (0.5, -0.1)}, {"delta_grid": (0.5, 0.0)},
     {"delta_grid": (0.1, math.nan)}, {"eps_grid": ()},
+    {"eps_grid": 0.5}, {"delta_grid": 0.5}, {"eps_grid": np.array(0.5)},
+    {"delta_grid": [[0.5, 0.25]]},
 ], ids=["eps-nan", "delta-inf", "eps-negative", "delta-zero", "delta-nan",
-        "eps-empty"])
+        "eps-empty", "eps-scalar", "delta-scalar", "eps-0d", "delta-2d"])
 def test_classify_rejects_bad_grids(long_table, grid):
     with pytest.raises(ParameterError):
         classify_stability(example1_field, long_table, horizon=1.0, dtau=1e-2,
@@ -450,6 +452,8 @@ def test_reports_hand_over_plain_python(long_table, grids):
     # Python values, also from numpy-typed arguments
     identity = build_staircase(CantorSpec(mu=0.5, depth=0, origin=0.0, extent=60.0), 1.0)
     fitted = classify_stability(example1_field, identity, equilibrium=np.zeros(1, np.float32),
+                                eps_grid=np.array([0.5, 0.25, 0.1]),
+                                delta_grid=np.array([0.5, 0.25, 0.1, 0.05, 0.02]),
                                 horizon=np.float64(10.0), dtau=np.float64(1e-2))
     unfitted = classify_stability(example1_field, long_table, record_every=10**6)
     assert fitted.decay is not None and unfitted.decay is None
