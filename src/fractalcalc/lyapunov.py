@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import inspect
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -288,21 +288,15 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=None,
     taus, blocks, escaped = _batch_integrate(rhs, dim, Y0, tau_end, dtau, record_every)
     devs = np.linalg.norm(blocks - eq.reshape(dim, 1, 1), axis=0)
 
-    delta_results = []
-    sup_by_delta = []
-    settled = []
-    for i, d in enumerate(delta_list):
-        sl = slice(i * n_dirs, (i + 1) * n_dirs)
-        sup = float(np.max(devs[:, sl]))
-        term = float(np.max(devs[-1, sl]))
-        d_alpha = d ** alpha
-        ok = term <= settle_rtol * d_alpha
-        sup_by_delta.append(sup)
-        settled.append(ok)
-        delta_results.append({"delta": d, "delta_alpha": d_alpha,
-                              "sup_dev": sup, "terminal_dev": term,
-                              "escaped": bool(np.any(escaped[sl])),
-                              "settled": ok})
+    # the probe columns grouped by delta, (n_records, n_delta, n_dirs)
+    grouped = devs.reshape(devs.shape[0], len(delta_list), n_dirs)
+    sup_by_delta = np.max(grouped, axis=(0, 2)).tolist()
+    terminal = np.max(grouped[-1], axis=1).tolist()
+    gone = np.any(escaped.reshape(grouped.shape[1:]), axis=1).tolist()
+    delta_results = [{"delta": d, "delta_alpha": d ** alpha, "sup_dev": sup,
+                      "terminal_dev": term, "escaped": esc,
+                      "settled": term <= settle_rtol * d ** alpha}
+                     for d, sup, term, esc in zip(delta_list, sup_by_delta, terminal, gone)]
 
     eps_results = []
     for e in eps_list:
@@ -313,7 +307,7 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=None,
                             "delta": max(good) if good else None})
     n_good = sum(r["satisfied"] for r in eps_results)
     stable = n_good == len(eps_results)
-    asymptotic = stable and all(settled)
+    asymptotic = stable and all(r["settled"] for r in delta_results)
 
     decay = None
     if asymptotic:
@@ -454,8 +448,12 @@ class AssumptionReport:
         return not self.failing(names)
 
     def failing(self, names=None):
-        names = list(names) if names else list(self.conditions)
-        return [n for n in names if not self.conditions[n].passed]
+        known = list(self.conditions)
+        listed = names is None or np.iterable(names) and not isinstance(names, str)
+        names = list(() if names is None else names) if listed else []
+        if not listed or not all(isinstance(n, str) and n in known for n in names):
+            raise ParameterError(f"names must list conditions out of {', '.join(known)}")
+        return [n for n in names or known if not self.conditions[n].passed]
 
     def to_json(self):
         return copy.deepcopy({
@@ -467,18 +465,17 @@ class AssumptionReport:
         })
 
 
-def _argmin_point(values, *coords):
-    idx = int(np.argmin(values))
-    return [float(np.broadcast_to(c, values.shape).ravel()[idx]) for c in coords]
+def _worst(values, *coords):
+    """The one margin reduction: (worst, where) over an array of margins.
 
-
-def _worst(*values):
-    """The smallest entry over scalars and arrays, NaN if any entry is NaN.
-
-    The one reduction of margins and condition parts: Python's min() skips
-    a NaN that is not its first argument, and would let one pass.
+    worst is the smallest entry, NaN if any entry is (Python's min() can
+    skip a NaN), and where the coords, each broadcast against values, at
+    the first smallest entry or the first NaN.
     """
-    return float(np.min([np.min(v) for v in values]))
+    values = np.asarray(values, dtype=float)
+    idx = int(np.argmin(values))
+    return (float(values.flat[idx]),
+            [float(np.broadcast_to(c, values.shape).flat[idx]) for c in coords])
 
 
 def _cumulative_trapezoid(y, x):
@@ -506,15 +503,16 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
     Margins are the worst slack of each inequality over its grid and a
     condition passes when its margin stays above -grids.slack; a NaN
     anywhere in a condition's evidence makes its margin NaN and fails it.
-    Witnesses carry the individual inequality slacks and the grid points
-    where the worst one occurs.
+    Witnesses carry the individual inequality slacks and, for C2, C5 and
+    C6, the first grid point that attains the worst value, or the first NaN.
     """
     a = grids.alpha
     c = sys.constants
     checks = {}
 
     def add(name, parts, ok=True, **witness):
-        worst = _worst(*parts.values())
+        parts = {part: _worst(margins)[0] for part, margins in parts.items()}
+        worst = _worst(list(parts.values()))[0]
         checks[name] = ConditionCheck(name, ok and worst >= -grids.slack, worst,
                                       {"parts": parts, **witness})
 
@@ -526,21 +524,21 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
     u0a, Ea, v0a, Qa = c.u0 ** a, c.E ** a, c.v0 ** a, c.Q ** a
     add("C1", {
         "u0_alpha_ge_1": u0a - 1.0,
-        "u_ge_u0_alpha": _worst(u_vals) - u0a,
-        "u_le_E_alpha": Ea - float(np.max(u_vals)),
+        "u_ge_u0_alpha": u_vals - u0a,
+        "u_le_E_alpha": Ea - u_vals,
         "v0_alpha_ge_1": v0a - 1.0,
-        "v_ge_v0_alpha": _worst(v_vals) - v0a,
-        "v_le_Q_alpha": Qa - float(np.max(v_vals)),
+        "v_ge_v0_alpha": v_vals - v0a,
+        "v_le_Q_alpha": Qa - v_vals,
     }, u_range=[float(np.min(u_vals)), float(np.max(u_vals))],
         v_range=[float(np.min(v_vals)), float(np.max(v_vals))])
 
     # C2: positive constants and damping shape bounded below by eps0^a
     Ymesh, Zmesh = np.meshgrid(y, z, indexing="ij")
     f_vals = _apply(sys.f, Ymesh, Zmesh)
-    const_floor = _worst(c.lambda1, c.lambda2, c.eps0, c.eps1, c.eps2)
-    add("C2", {"f_ge_eps0_alpha": _worst(f_vals - c.eps0 ** a),
-               "constants_floor": const_floor}, ok=const_floor > 0.0,
-        worst_at_yz=_argmin_point(f_vals - c.eps0 ** a, Ymesh, Zmesh))
+    const_floor, _ = _worst([c.lambda1, c.lambda2, c.eps0, c.eps1, c.eps2])
+    f_margin, f_at = _worst(f_vals - c.eps0 ** a, Ymesh, Zmesh)
+    add("C2", {"f_ge_eps0_alpha": f_margin, "constants_floor": const_floor},
+        ok=const_floor > 0.0, worst_at_yz=f_at)
 
     # C3: restoring force centered and sign definite, slope >= lambda2,
     # potential unbounded in both directions
@@ -554,10 +552,10 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
     grow_neg = float(Hg_neg[-1] / np.maximum(Hg_neg[0], 1e-300))
     add("C3", {
         "h_zero": grids.zero_tol - h0,
-        "h_sign": _worst(sign_vals),
-        "slope_ge_lambda2": _worst(dh_vals) - c.lambda2,
-        "H_increasing": _worst(np.diff(Hg_pos), np.diff(Hg_neg)),
-        "H_growth": _worst(grow_pos, grow_neg) - grids.growth_factor,
+        "h_sign": sign_vals,
+        "slope_ge_lambda2": dh_vals - c.lambda2,
+        "H_increasing": [np.diff(Hg_pos), np.diff(Hg_neg)],
+        "H_growth": [grow_pos - grids.growth_factor, grow_neg - grids.growth_factor],
     }, h_at_zero=h0, H_at_growth_ends=[float(Hg_pos[-1]), float(Hg_neg[-1])],
         growth_ratios=[grow_pos, grow_neg])
 
@@ -575,15 +573,12 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
     # C5: forcing under positive integrable envelopes
     #     |q| <= r1 + r2 [H + z^2]^(sigma^a / 2) + Delta^a |z|
     sigma, Delta = c.sigma, c.delta_value()
-    const_parts = {"sigma_in_unit": _worst(sigma, 1.0 - sigma),
-                   "Delta_in_unit": _worst(Delta, 1.0 - Delta)}
+    const_parts = {"sigma_in_unit": [sigma, 1.0 - sigma], "Delta_in_unit": [Delta, 1.0 - Delta]}
     if sys.q is None:
-        add("C5", const_parts,
-            note="no forcing term; the envelope holds trivially")
+        add("C5", const_parts, note="no forcing term; the envelope holds trivially")
     elif sys.r1 is None or sys.r2 is None:
-        checks["C5"] = ConditionCheck("C5", False, -math.inf, {
-            "parts": const_parts,
-            "note": "forcing present but envelopes r1/r2 missing"})
+        add("C5", const_parts, ok=False, note="forcing present but envelopes r1/r2 missing")
+        checks["C5"] = replace(checks["C5"], worst_margin=-math.inf)
     else:
         r1_vals = _apply(sys.r1, tau)
         r2_vals = _apply(sys.r2, tau)
@@ -602,24 +597,22 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
         r2_3 = _apply(sys.r2, t_sub)[:, None, None]
         base = np.maximum(H_sub[None, :, None] + Z3 ** 2, 0.0)
         envelope = r1_3 + r2_3 * base ** (sigma ** a / 2.0) + Delta ** a * np.abs(Z3)
-        env_margin = envelope - q_abs
+        env_margin, env_at = _worst(envelope - q_abs, T3, Y3, Z3)
         add("C5", {**const_parts,
-                   "envelopes_positive": _worst(r1_vals, r2_vals),
-                   "envelope_bound": _worst(env_margin),
-                   "integral_tails": grids.tail_tol - float(np.max([inc1, inc2]))},
-            worst_at_tau_y_z=_argmin_point(env_margin, T3, Y3, Z3))
+                   "envelopes_positive": [r1_vals, r2_vals],
+                   "envelope_bound": env_margin,
+                   "integral_tails": [grids.tail_tol - inc1, grids.tail_tol - inc2]},
+            worst_at_tau_y_z=env_at)
 
     # C6: damping shape window eps0^a <= f - lambda1 <= eps1^a
     shifted = f_vals - c.lambda1
-    add("C6", {"lower": _worst(shifted - c.eps0 ** a),
-               "upper": _worst(c.eps1 ** a - shifted)},
-        lower_at_yz=_argmin_point(shifted - c.eps0 ** a, Ymesh, Zmesh),
-        upper_at_yz=_argmin_point(c.eps1 ** a - shifted, Ymesh, Zmesh))
+    lower, lower_at = _worst(shifted - c.eps0 ** a, Ymesh, Zmesh)
+    upper, upper_at = _worst(c.eps1 ** a - shifted, Ymesh, Zmesh)
+    add("C6", {"lower": lower, "upper": upper}, lower_at_yz=lower_at, upper_at_yz=upper_at)
 
     # C7: restoring slope window 0 <= lambda2 - h' <= eps2^a
     gap = c.lambda2 - dh_vals
-    add("C7", {"gap_nonnegative": _worst(gap),
-               "gap_le_eps2_alpha": _worst(c.eps2 ** a - gap)},
+    add("C7", {"gap_nonnegative": gap, "gap_le_eps2_alpha": c.eps2 ** a - gap},
         slope_range=[float(np.min(dh_vals)), float(np.max(dh_vals))])
 
     return AssumptionReport(conditions=checks, alpha=a)
@@ -755,7 +748,7 @@ def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
     Yg, Zg = np.meshgrid(gp, gp, indexing="ij")
     L2 = stability_certificate(sys)
     probes = (0.0, 0.5 * tau_end, tau_end)
-    bound_margin = _worst(*(L2(tp, Yg, Zg) - lambda_bar * (Yg ** 2 + Zg ** 2) for tp in probes))
+    bound_margin, _ = _worst([L2(tp, Yg, Zg) - lambda_bar * (Yg ** 2 + Zg ** 2) for tp in probes])
     bound_ok = bound_margin >= 0.0
     zero_value = float(np.max([abs(L2(tp, 0.0, 0.0)) for tp in probes]))
     zero_ok = zero_value <= 1e-12
@@ -816,7 +809,11 @@ def _lemmas(sys: FdeSystem, consts: dict, tau, Y, Z):
 
 @dataclass
 class Theorem2Report:
-    """Boundedness and convergence certificate for the forced family."""
+    """Boundedness and convergence certificate for the forced family.
+
+    The trajectory figures are taken at every ``record_every``-th step only,
+    so ``sup_norm`` may lie below the fan's sup (9.2e-6 on theorem2_toy's).
+    """
 
     assumptions: AssumptionReport
     constants: dict
@@ -892,8 +889,8 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
 
     consts = _theorem2_constants(sys.constants, alpha, k)
     l1_lo, l1_hi, l2, L0, dL0 = _lemmas(sys, consts, taus[:, None], Yb, Zb)
-    lemma1_margin = _worst(l1_lo, l1_hi)
-    lemma2_margin = _worst(l2)
+    lemma1_margin, _ = _worst([l1_lo, l1_hi])
+    lemma2_margin, _ = _worst(l2)
 
     # weight W(tau) integrates the decay factor of the damped certificate
     forcing = 0.0 if sys.q is None else _apply(sys.r1, taus) + _apply(sys.r2, taus)
@@ -902,15 +899,15 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
     W = _cumulative_trapezoid(zeta_line, taus)
     e5a = consts["E3_alpha"] * math.exp(-float(W[-1]))
     dLw = np.exp(-W)[:, None] * (dL0 - zeta_line[:, None] * L0)
-    weighted_margin = _worst(-e5a * Zb ** 2 - dLw)
+    weighted_margin, _ = _worst(-e5a * Zb ** 2 - dLw)
 
     rng = np.random.default_rng(seed)
     r_tau = rng.uniform(0.0, tau_end, n_random)
     r_y = rng.uniform(-3.0, 3.0, n_random)
     r_z = rng.uniform(-3.0, 3.0, n_random)
     r1_lo, r1_hi, r2m, _, _ = _lemmas(sys, consts, r_tau, r_y, r_z)
-    lemma1_random = _worst(r1_lo, r1_hi)
-    lemma2_random = _worst(r2m)
+    lemma1_random, _ = _worst([r1_lo, r1_hi])
+    lemma2_random, _ = _worst(r2m)
 
     conv_at = min(conv_tau, tau_end)
     idx = min(int(np.searchsorted(taus, conv_at)), taus.size - 1)

@@ -99,6 +99,76 @@ def test_rk4_converges_at_fourth_order(long_table):
     assert np.all((3.8 <= orders) & (orders <= 4.2)), orders
 
 
+def _damped_closed_form(p):
+    """y'' + y' + y = p exp(-tau) from (y0, z0), as (y, z) at tau."""
+    w = math.sqrt(3.0) / 2.0
+
+    def exact(tau, y0, z0):
+        A = y0 - p
+        B = (z0 + p + A / 2.0) / w
+        decay, forced = np.exp(-tau / 2.0), p * np.exp(-tau)
+        c, s = np.cos(w * tau), np.sin(w * tau)
+        return (decay * (A * c + B * s) + forced,
+                decay * ((w * B - A / 2.0) * c - (w * A + B / 2.0) * s) - forced)
+    return exact
+
+
+def _spring_closed_form(k):
+    """y'' + k y = 0 from (y0, z0), as (y, z) at tau."""
+    r = math.sqrt(k)
+    return lambda tau, y0, z0: (y0 * np.cos(r * tau) + z0 / r * np.sin(r * tau),
+                                z0 * np.cos(r * tau) - r * y0 * np.sin(r * tau))
+
+
+# (builder, closed form, bound on the largest error in y and z at dtau
+# 1e-3); the damped errors there are about 1e-14, the spring-4 ones 2e-11
+_LINEAR = {
+    "theorem1_toy": (theorem1_toy, _damped_closed_form(0.0), 1e-13),
+    "linear_damped_system": (linear_damped_system, _damped_closed_form(0.0), 1e-13),
+    "theorem2_toy": (theorem2_toy, _damped_closed_form(1.0), 1e-13),
+    "example3_system-0.25": (lambda: example3_system(0.25), _spring_closed_form(0.25), 1e-13),
+    "example3_system-4": (lambda: example3_system(4.0), _spring_closed_form(4.0), 1e-10),
+}
+
+
+@pytest.mark.parametrize("name", list(_LINEAR))
+@pytest.mark.parametrize("depth,extent,mu,start", [
+    (12, 60.0, 0.2, (1.5, -0.5)), (6, 60.0, 0.2, (-2.0, 1.0)),
+    (16, 10.0, 0.3, (0.0, 1.0)), (4, 100.0, 1.0 / 3.0, (-1.0, -1.5)),
+], ids=["depth12-extent60-mu0.2", "depth6-extent60-mu0.2", "depth16-extent10-mu0.3",
+        "depth4-extent100-mu1/3"])
+def test_linear_systems_match_their_closed_forms(name, depth, extent, mu, start):
+    # the march is in tau, so every recorded state sits on the closed form
+    # whatever the table; halving dtau from 1e-2 cuts the error 16-fold
+    make, exact, bound = _LINEAR[name]
+    spec = CantorSpec(mu=mu, depth=depth, origin=0.0, extent=extent)
+    table = build_staircase(spec, hausdorff_dimension(mu))
+    errs = []
+    for dtau in (1e-2, 5e-3, 1e-3):
+        traj = solve_second_order(make(), table, *start, extent, dtau=dtau)
+        y, z = exact(traj.tau, *start)
+        errs.append(max(np.max(np.abs(traj.y - y)), np.max(np.abs(traj.z - z))))
+    assert 3.8 <= math.log2(errs[0] / errs[1]) <= 4.2, errs
+    assert errs[2] <= bound, errs
+
+
+@pytest.mark.parametrize("name,conditions", [
+    ("theorem1_toy", ("C1", "C2", "C3", "C4")),
+    ("theorem2_toy", ("C1", "C2", "C3", "C4", "C5", "C6", "C7")),
+], ids=["verify_theorem1", "verify_theorem2"])
+def test_verifier_fans_match_the_closed_form(long_table, name, conditions):
+    # each verifier's default fan, at its default dtau and record_every, at
+    # every recorded state; the largest error is about 2e-14
+    from fractalcalc.lyapunov import _march_fan
+
+    make, exact, _ = _LINEAR[name]
+    *_, taus, (Y, Z), escaped = _march_fan(make(), long_table, conditions, None, None,
+                                           None, 1e-3, 10)
+    y, z = exact(taus[:, None], Y[0], Z[0])
+    assert Y.shape == (taus.size, 16) and not escaped.any()
+    assert max(np.max(np.abs(Y - y)), np.max(np.abs(Z - z))) <= 1e-13
+
+
 def test_record_every_thins_output(table):
     dense = solve_first_order(lambda y: -y, table, 1.0, 1.0, dtau=1e-3)
     thin = solve_first_order(lambda y: -y, table, 1.0, 1.0, dtau=1e-3,

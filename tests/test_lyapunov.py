@@ -599,19 +599,51 @@ def test_coefficient_slope_never_evaluates_v_before_the_clock(grids, long_table)
     assert min(seen) == 0.0
 
 
-@pytest.mark.parametrize("name,hole", [
-    ("C1", {"u": lambda tau: np.where(np.asarray(tau) > 10.0, np.nan, 1.0)}),
-    ("C3", {"h": lambda y: np.where(np.asarray(y) < 0.0, np.nan, y)}),
+def _f_hole(y, z):
+    return np.where(np.asarray(y) > 1.0, np.nan, 1.0 + 0.0 * z)
+
+
+def _q_hole(tau, y, z):
+    return np.where(np.asarray(z) > 2.0, np.nan, np.exp(-tau) + 0.0 * y)
+
+
+# (condition, system, hole, witness at the first NaN of the evidence); the
+# y x z mesh runs y-major, the C5 cube tau-major, over every 8th point
+@pytest.mark.parametrize("name,make,hole,witness", [
+    ("C1", linear_damped_system,
+     {"u": lambda tau: np.where(np.asarray(tau) > 10.0, np.nan, 1.0)}, {}),
+    ("C2", linear_damped_system, {"f": _f_hole}, {"worst_at_yz": [1.05, -5.0]}),
+    ("C3", linear_damped_system,
+     {"h": lambda y: np.where(np.asarray(y) < 0.0, np.nan, y)}, {}),
     # inside the tail grid only, past none of C4's probes of v' near the end
-    ("C4", {"v_derivative": lambda tau: np.where(
-        (np.asarray(tau) > 20.0) & (np.asarray(tau) < 25.0), np.nan, 0.0)}),
-], ids=["u-nan-after-10", "h-nan-below-0", "v-slope-nan-in-the-tail"])
-def test_nan_evidence_fails_its_condition(grids, name, hole):
-    # Python's min() skipped these NaNs and passed both with margin 0.0
-    rep = check_assumptions(dataclasses.replace(linear_damped_system(), **hole),
-                            grids)
+    ("C4", linear_damped_system, {"v_derivative": lambda tau: np.where(
+        (np.asarray(tau) > 20.0) & (np.asarray(tau) < 25.0), np.nan, 0.0)}, {}),
+    ("C5", theorem2_toy, {"q": _q_hole}, {"worst_at_tau_y_z": [0.0, -5.0, 2.2]}),
+    ("C6", linear_damped_system, {"f": _f_hole},
+     {"lower_at_yz": [1.05, -5.0], "upper_at_yz": [1.05, -5.0]}),
+    ("C7", linear_damped_system,
+     {"h_derivative": lambda y: np.where(np.asarray(y) < -1.0, np.nan, 1.0)}, {}),
+], ids=["u-nan-after-10", "f-nan-above-1", "h-nan-below-0", "v-slope-nan-in-the-tail",
+        "q-nan-above-2", "f-nan-above-1-window", "h-slope-nan-below-minus-1"])
+def test_nan_evidence_fails_its_condition(grids, name, make, hole, witness):
+    # Python's min() skipped such NaNs and passed C1 and C3 with margin 0.0;
+    # a witness sits at the first NaN, as np.argmin picks it
+    rep = check_assumptions(dataclasses.replace(make(), **hole), grids)
     assert not rep[name].passed
     assert math.isnan(rep[name].worst_margin)
+    for key, where in witness.items():
+        assert rep[name].witness[key] == pytest.approx(where, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("names", [["C8"], ("C1", "C9"), "C1", 5, [["C1"]]],
+                         ids=["unknown", "one-unknown", "bare-string", "int", "nested"])
+def test_failing_and_all_pass_name_the_known_conditions(grids, names):
+    # a bare string was read one character at a time, an unknown name ended
+    # in a raw KeyError, and an int or a nested list in a raw TypeError
+    rep = check_assumptions(theorem1_toy(), grids)
+    for query in (rep.failing, rep.all_pass):
+        with pytest.raises(ParameterError, match="C1, C2, C3, C4, C5, C6, C7"):
+            query(names)
 
 
 def test_forced_system_without_envelopes_fails(grids):
