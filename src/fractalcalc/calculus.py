@@ -32,9 +32,12 @@ def set_samples(table: StaircaseTable, per_segment: int = 0) -> np.ndarray:
     which matters for convergence studies: on the bare breakpoint grid the
     difference quotients of any function of the staircase value telescope
     and integrate it exactly, so refinement effects only show up once
-    segments carry interior samples.
+    segments carry interior samples.  The breakpoints are read as pairs of
+    segment ends (l0, r0, l1, r1, ...): an odd count is a ParameterError.
     """
     t = table.t
+    if t.size % 2:
+        raise ParameterError(f"set_samples reads breakpoints in pairs; this table has {t.size}")
     # each of the t.size / 2 segments gets its two ends and per_segment points
     per_segment = _count("per_segment", per_segment, 0, _max_samples() // (t.size // 2) - 2)
     if per_segment == 0:

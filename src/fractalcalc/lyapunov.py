@@ -585,18 +585,16 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
         _, inc1 = _tail_integral(sys.r1, grids.tail_windows)
         _, inc2 = _tail_integral(sys.r2, grids.tail_windows)
         stride = grids.forcing_stride
-        t_sub = tau[::stride]
         y_sub = y[::stride]
         z_sub = z[::stride]
         H_sub = _apply(sys.restoring_integral, y_sub)
-        T3 = t_sub[:, None, None]
+        T3 = tau[::stride, None, None]
         Y3 = y_sub[None, :, None]
         Z3 = z_sub[None, None, :]
         q_abs = np.abs(_apply(sys.q, T3, Y3, Z3))
-        r1_3 = _apply(sys.r1, t_sub)[:, None, None]
-        r2_3 = _apply(sys.r2, t_sub)[:, None, None]
         base = np.maximum(H_sub[None, :, None] + Z3 ** 2, 0.0)
-        envelope = r1_3 + r2_3 * base ** (sigma ** a / 2.0) + Delta ** a * np.abs(Z3)
+        envelope = (r1_vals[::stride, None, None] + r2_vals[::stride, None, None]
+                    * base ** (sigma ** a / 2.0) + Delta ** a * np.abs(Z3))
         env_margin, env_at = _worst(envelope - q_abs, T3, Y3, Z3)
         add("C5", {**const_parts,
                    "envelopes_positive": [r1_vals, r2_vals],
@@ -734,9 +732,7 @@ def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
         sys, table, ("C1", "C2", "C3", "C4"), grids, initial_states, t_end,
         dtau, record_every)
     alpha = table.alpha
-    u_v = _apply(sys.u, taus)[:, None]
-    v_v = _apply(sys.v, taus)[:, None]
-    dv_v = _apply(sys.coefficient_slope, taus)[:, None]
+    u_v, v_v, dv_v = (_apply(fn, taus[:, None]) for fn in (sys.u, sys.v, sys.coefficient_slope))
     f_v = _apply(sys.f, Yb, Zb)
     drift = -dv_v / (2.0 * v_v ** 2) * Zb ** 2 - (u_v / v_v) * f_v * Zb ** 2
     max_drift = float(np.max(drift))
@@ -782,29 +778,33 @@ def _theorem2_constants(c: FdeConstants, alpha: float, k: float) -> dict:
 
 
 def _lemmas(sys: FdeSystem, consts: dict, tau, Y, Z):
-    """Lemma margins of L0 = v H + z^2 / 2 + k at broadcast samples.
+    """Lemma margins of L0 = v H + z^2 / 2 + k, and the weight's integrand.
 
-    Returns (lemma1_lo, lemma1_hi, lemma2, L0, dL0): the two sides of the
-    sandwich, the decrease bound minus dL0, the certificate and its flow
-    derivative.  tau must broadcast against Y and Z.  The derivative uses the
-    closed form dL0 = v' H - u f z^2 + q z, in which the v h z cross terms
-    cancel; a system without forcing has q = r1 = r2 = 0.
+    Returns (lemma1_lo, lemma1_hi, lemma2, zeta, L0, dL0): the two sides of
+    the sandwich, the decrease bound minus dL0, the integrand E4^alpha zeta0
+    + (4 / E1^alpha)(r1 + r2) of the weight W, the certificate and its flow
+    derivative.  tau must broadcast against Y and Z, and each function of tau
+    is evaluated once per clock value, at tau's own shape, so zeta has it
+    too.  The derivative uses the closed form dL0 = v' H - u f z^2 + q z, in
+    which the v h z cross terms cancel; a system without forcing has
+    q = r1 = r2 = 0.
     """
-    T, Y, Z = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (tau, Y, Z)))
-    dv = _apply(sys.coefficient_slope, T)
+    tau, Y, Z = (np.asarray(a, dtype=float) for a in (tau, Y, Z))
+    dv = _apply(sys.coefficient_slope, tau)
     H = _apply(sys.restoring_integral, Y)
     if sys.q is None:
-        q = r1 = r2 = np.zeros(T.shape)
+        q = r1 = r2 = 0.0
     else:
-        q, r1, r2 = _apply(sys.q, T, Y, Z), _apply(sys.r1, T), _apply(sys.r2, T)
+        q, r1, r2 = _apply(sys.q, tau, Y, Z), _apply(sys.r1, tau), _apply(sys.r2, tau)
     k = consts["k"]
-    L0 = _apply(sys.v, T) * H + 0.5 * Z ** 2 + k
-    dL0 = dv * H - _apply(sys.u, T) * _apply(sys.f, Y, Z) * Z ** 2 + q * Z
+    L0 = _apply(sys.v, tau) * H + 0.5 * Z ** 2 + k
+    dL0 = dv * H - _apply(sys.u, tau) * _apply(sys.f, Y, Z) * Z ** 2 + q * Z
     base = H + Z ** 2 + k
     bound = (-consts["E3_alpha"] * Z ** 2 + (r1 + r2) * np.abs(Z) + r2 * (H + Z ** 2)
              + consts["E4_alpha"] * np.maximum(dv, 0.0) * L0)
+    zeta = consts["E4_alpha"] * np.maximum(dv, 0.0) + (4.0 / consts["E1_alpha"]) * (r1 + r2)
     return (L0 - consts["E1_inv_alpha"] * base, consts["E2_inv_alpha"] * base - L0,
-            bound - dL0, L0, dL0)
+            bound - dL0, zeta, L0, dL0)
 
 
 @dataclass
@@ -888,24 +888,21 @@ def verify_theorem2(sys: FdeSystem, table: StaircaseTable, k: float = 1.0 / 32.0
     sup_norm = float(np.max(np.hypot(Yb, Zb)))
 
     consts = _theorem2_constants(sys.constants, alpha, k)
-    l1_lo, l1_hi, l2, L0, dL0 = _lemmas(sys, consts, taus[:, None], Yb, Zb)
+    l1_lo, l1_hi, l2, zeta, L0, dL0 = _lemmas(sys, consts, taus[:, None], Yb, Zb)
     lemma1_margin, _ = _worst([l1_lo, l1_hi])
     lemma2_margin, _ = _worst(l2)
 
     # weight W(tau) integrates the decay factor of the damped certificate
-    forcing = 0.0 if sys.q is None else _apply(sys.r1, taus) + _apply(sys.r2, taus)
-    zeta_line = (consts["E4_alpha"] * np.maximum(_apply(sys.coefficient_slope, taus), 0.0)
-                 + (4.0 / consts["E1_alpha"]) * forcing)
-    W = _cumulative_trapezoid(zeta_line, taus)
+    W = _cumulative_trapezoid(zeta[:, 0], taus)
     e5a = consts["E3_alpha"] * math.exp(-float(W[-1]))
-    dLw = np.exp(-W)[:, None] * (dL0 - zeta_line[:, None] * L0)
+    dLw = np.exp(-W)[:, None] * (dL0 - zeta * L0)
     weighted_margin, _ = _worst(-e5a * Zb ** 2 - dLw)
 
     rng = np.random.default_rng(seed)
     r_tau = rng.uniform(0.0, tau_end, n_random)
     r_y = rng.uniform(-3.0, 3.0, n_random)
     r_z = rng.uniform(-3.0, 3.0, n_random)
-    r1_lo, r1_hi, r2m, _, _ = _lemmas(sys, consts, r_tau, r_y, r_z)
+    r1_lo, r1_hi, r2m, *_ = _lemmas(sys, consts, r_tau, r_y, r_z)
     lemma1_random, _ = _worst([r1_lo, r1_hi])
     lemma2_random, _ = _worst(r2m)
 

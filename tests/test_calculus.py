@@ -10,6 +10,7 @@ from fractalcalc import (
     GridFunction,
     ParameterError,
     ResolutionError,
+    StaircaseTable,
     build_staircase,
     derivative_grid,
     eval_staircase,
@@ -250,6 +251,16 @@ def test_set_samples_layout(table):
     assert np.all(np.diff(grid) > 0.0)
     base = set_samples(table, 0)
     assert np.array_equal(base, table.t)
+
+
+@pytest.mark.parametrize("t", [[0.0], [0.0, 0.5, 1.0], [0.0, 0.2, 0.2, 0.8, 1.0]])
+@pytest.mark.parametrize("per_segment", [0, 2])
+def test_set_samples_refuses_breakpoints_that_do_not_pair_up(t, per_segment):
+    # set_samples reads t as (left, right) pairs, which an odd count lacks:
+    # unchecked, one breakpoint divides by zero and three run backwards
+    odd = StaircaseTable(alpha=0.5, spec=CantorSpec(0.2, 0), t=t, s=np.arange(len(t)), t0=0.0)
+    with pytest.raises(ParameterError, match=f"in pairs; this table has {len(t)}$"):
+        set_samples(odd, per_segment)
 
 
 def test_segment_index_alternates(table):

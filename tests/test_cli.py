@@ -413,14 +413,22 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv,code,digest", GOLDEN,
-    ids=["-".join(a for a in argv if not a.startswith("--"))
-         for argv, _, _ in GOLDEN])
-def test_default_output_is_pinned(argv, code, digest, capsys):
-    assert run_cli(argv + ["--out", "-"]) == code
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+_GOLDEN_IDS = ["-".join(a for a in argv if not a.startswith("--")) for argv, _, _ in GOLDEN]
+
+
+# every run goes to stdout, and again to a file, which must hold the same
+# bytes; a run that fails writes no file
+@pytest.mark.parametrize("argv,code,digest,route", [
+    *(pytest.param(*case, "-", id=name) for case, name in zip(GOLDEN, _GOLDEN_IDS)),
+    *(pytest.param(*case, "file", id=f"{name}-file") for case, name in zip(GOLDEN, _GOLDEN_IDS))])
+def test_default_output_is_pinned(argv, code, digest, route, capsys, tmp_path):
+    path = tmp_path / "out"
+    assert run_cli(argv + ["--out", "-" if route == "-" else str(path)]) == code
+    out = capsys.readouterr().out.encode()
+    if route == "file":
+        assert out == b"" and path.exists() == (code == 0)
+        out = path.read_bytes() if code == 0 else b""
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 _WITHOUT_SCIPY = """

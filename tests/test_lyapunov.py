@@ -827,6 +827,39 @@ def test_theorem2_report_serializes(long_table):
     json.dumps(rep.to_json())
 
 
+def test_theorem2_samples_each_coefficient_once_per_clock(long_table):
+    # r1, r2 and v' are called by C5 (or C4), the tail integral, the fan and
+    # the random probes, each on its clocks alone: the fan's 2,039 record
+    # clocks, not the 2,039 x 16 points of its states
+    sizes = {"r1": [], "r2": [], "v_derivative": []}
+
+    def counted(name, fn):
+        def wrapped(tau):
+            sizes[name].append(np.size(tau))
+            return fn(tau)
+        return wrapped
+
+    toy = theorem2_toy()
+    sys = dataclasses.replace(toy, **{name: counted(name, getattr(toy, name)) for name in sizes})
+    rep = verify_theorem2(sys, long_table)
+    assert rep.passed and rep.meta["recorded_steps"] == 2039
+    assert {name: len(calls) for name, calls in sizes.items()} == dict.fromkeys(sizes, 4)
+    assert max(max(calls) for calls in sizes.values()) == 2039
+
+
+@pytest.mark.parametrize("verify,make", [(verify_theorem1, theorem1_toy),
+                                         (verify_theorem2, theorem2_toy)])
+def test_verifier_reports_do_not_depend_on_depth(verify, make):
+    # at the matching order the span's end maps to one clock value at every
+    # depth, and the fan marches in that clock, so the reports agree bytewise
+    texts = set()
+    for depth in (6, 9, 12, 16):
+        table = build_staircase(CantorSpec(mu=0.2, depth=depth, origin=0.0, extent=60.0), ALPHA)
+        texts.add(json.dumps(verify(make(), table, dtau=1e-2).to_json()))
+    assert len(texts) == 1
+    assert json.loads(texts.pop())["meta"]["tau_end"] == 20.378252746370187
+
+
 # ---------------------------------------------------------------------------
 # re-import
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from fractalcalc import (
     max_depth,
     warp_time,
 )
+from fractalcalc.staircase import _interval_mass
 
 ALPHA_02 = 0.7564707973660301          # order matching the mu=0.2 set
 GAMMA_02 = math.gamma(ALPHA_02 + 1.0)  # 0.9205501437736353
@@ -457,6 +458,27 @@ def test_total_mass_is_gamma_at_every_depth(mu, extent):
         table = build_staircase(CantorSpec(mu=mu, depth=depth, extent=extent), alpha)
         err = abs(eval_staircase(table, extent) - expected)
         assert err <= 4 * EPS * expected, depth
+
+
+@pytest.mark.parametrize("origin,extent", [(0.0, 1.0), (-2.0, 3.0), (0.0, 60.0)])
+@pytest.mark.parametrize("mu", [0.2, 0.5, 0.7])
+def test_depth_is_an_error_bar_of_half_mu_c_m(mu, origin, extent):
+    # at the matching order a deeper table's breakpoints carry the limit
+    # staircase's values, so sup |S_m - S_(m+4)| over them is the distance
+    # (mu/2) c_m from S_m to the limit, attained where each middle gap
+    # begins; depths below float resolution are left out
+    alpha = hausdorff_dimension(mu)
+    checked = []
+    for depth in (4, 8, 12, 16):
+        spec = CantorSpec(mu=mu, depth=depth, origin=origin, extent=extent)
+        try:
+            deep = build_staircase(spec.with_depth(depth + 4), alpha)
+        except ResolutionError:
+            continue
+        sup = np.max(np.abs(eval_staircase(build_staircase(spec, alpha), deep.t) - deep.s))
+        assert sup == pytest.approx(mu / 2 * _interval_mass(spec, alpha), rel=1e-6), depth
+        checked.append(depth)
+    assert checked == ([4, 8, 12] if mu == 0.7 else [4, 8, 12, 16])
 
 
 @settings(max_examples=40)
