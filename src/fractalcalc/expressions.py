@@ -64,12 +64,19 @@ def _validate(node, variables):
 
 @dataclass(frozen=True)
 class Expression:
-    """A validated expression over a fixed set of variables."""
+    """A validated expression over a fixed set of variables, held as a tuple."""
 
     source: str
     variables: tuple
 
     def __post_init__(self):
+        if not (isinstance(self.source, str) and isinstance(self.variables, (tuple, list))
+                and all(isinstance(v, str) and v.isidentifier() and v not in _FUNCTIONS
+                        and self.variables.index(v) == i for i, v in enumerate(self.variables))):
+            raise ExpressionError(f"an expression must be a string over a tuple or list of "
+                                  f"distinct identifiers, none a function name; got "
+                                  f"{self.source!r} over {self.variables!r}")
+        object.__setattr__(self, "variables", tuple(self.variables))
         text = self.source.replace("τ", "tau")
         try:
             tree = ast.parse(text, mode="eval")
@@ -93,8 +100,7 @@ class Expression:
             raise ExpressionError(
                 f"expected {len(self.variables)} argument(s) {self.variables}, "
                 f"got {len(args)}")
-        scope = dict(zip(self.variables, args))
-        scope.update(_FUNCTIONS)
+        scope = dict(zip(self.variables, args), **_FUNCTIONS)
         try:
             return eval(self._code, {"__builtins__": {}}, scope)  # noqa: S307
         except OverflowError as exc:
@@ -102,5 +108,6 @@ class Expression:
 
 
 def compile_expression(source: str, variables) -> Expression:
-    """Validate and compile ``source`` over the given variable names."""
-    return Expression(source=str(source), variables=tuple(variables))
+    """Validate and compile the string ``source`` over ``variables``: a tuple or list
+    of distinct identifiers other than exp, sin, cos, abs, sgn and pow, or an ExpressionError."""
+    return Expression(source=source, variables=variables)

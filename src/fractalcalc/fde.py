@@ -33,10 +33,9 @@ ball does: one state stops the march (the solve_* functions turn this
 into a NumericalBlowupError carrying the partial trajectory), and a block
 clips each escaped column to the ball and holds it there while the other
 columns keep integrating (the batched probes of the lyapunov module).
-``_call`` is the one adapter between a caller's function and arrays, and
-the one judge of it: ``_fit`` rules on what comes back, a TypeError or
-ValueError the function raises per element is a ParameterError naming
-it, and the retried step's first stage goes through it.
+``_call`` is the one adapter between a caller's function and arrays:
+``_fit`` rules on what comes back, and ``_judge`` on what the function
+raises, there and in every march of ``_integrate``.
 """
 
 import math
@@ -195,9 +194,8 @@ def _call(fn, dim, args, arrays=True):
     ValueError, all-scalar arguments, ``arrays`` False) fn runs once per
     element on np.float64 scalars, and each result must pass ``_fit`` as
     scalars.  Returns dim float arrays (one for None) of the broadcast shape.
-    Arguments that do not broadcast, and a TypeError or ValueError raised or
-    a result that fails per element, are a ParameterError naming it; any
-    other exception, a FractalCalcError too, propagates unchanged.
+    Arguments that do not broadcast, or a result that fails per element,
+    are a ParameterError; what fn raises per element meets ``_judge``.
     """
     try:
         arrs = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
@@ -208,10 +206,9 @@ def _call(fn, dim, args, arrays=True):
         return out
     try:
         rows = [fn(*vals) for vals in zip(*(a.flat for a in arrs))]
-    except FractalCalcError:
-        raise
     except (TypeError, ValueError) as err:
-        raise ParameterError(f"a call raised {type(err).__name__}: {err}") from err
+        _judge(err)
+        raise
     try:
         cols = np.array(rows)
     except (TypeError, ValueError):
@@ -226,6 +223,12 @@ def _call(fn, dim, args, arrays=True):
                              f"not {dim or 1} real number(s)")
     cols = np.reshape(cols.astype(float, copy=False), (-1, dim or 1))
     return [col.reshape(arrs[0].shape) for col in cols.T]
+
+
+def _judge(err):
+    """Raise a caller's TypeError or ValueError, no package error, as a ParameterError."""
+    if isinstance(err, (TypeError, ValueError)) and not isinstance(err, FractalCalcError):
+        raise ParameterError(f"a call raised {type(err).__name__}: {err}") from err
 
 
 def _flow(rhs, dim, *args):
@@ -414,21 +417,21 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
     over the arithmetic.  A loop per component count runs the full steps,
     then the shortened last one, testing each inline.  The first step that
     raises any exception or yields anything but Python floats is redone
-    from its start, and the march goes on, in the blocks' loop on
-    np.float64 components; its first stage goes through ``_call``, so the
-    flow meets the adapter's one rule there.  A flow of np.float64 scalars
-    thus costs one repeated step and one more call.  Results match a march
-    on np.float64 components bit for bit whenever the difference shows in
-    the flow's results, as an exception or a type; a flow that turns a
-    complex back into a float (abs() or .real of a complex root) hides it
-    and may not match.
+    from its start, after one ``_call`` of its first stage, in the blocks'
+    loop on np.float64 components, where the march stays: one repeated
+    step and one more call for a flow of np.float64 scalars.  Results match
+    a march on np.float64 components bit for bit whenever the difference
+    shows in the flow's results, as an exception or a type; a flow that
+    turns a complex back into a float (abs() or .real of a complex root)
+    hides it and may not match.
 
     A (dim,) march raises _BlowupSignal with copies of the records so far
     at the first escape.  A (dim, B) march clips each escaped column to the
     ball and holds it at that value from then on, whatever its later steps
     give; the other columns integrate undisturbed.  Each step of a block
     tests it once, with one reduction over the stacked rows; the
-    per-column bookkeeping runs only once some column has escaped.
+    per-column bookkeeping runs only once some column has escaped.  What
+    the flow raises in that loop meets ``_judge``'s rule, as in ``_call``.
 
     dtau and limit must be finite and positive, tau_end finite and >= 0,
     record_every an integer >= 1, the state 1 or 2 components and the march
@@ -478,25 +481,29 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
                 _call(rhs, len(state), (k * dtau, *state))  # the adapter judges the first stage
                 break
     frozen = False
-    for k in range(k, n_steps):
-        new = (last if k == n_steps - 1 else full)(k * dtau, *state)
-        # one reduction over the stacked rows is cheaper than one per row
-        if frozen or not np.abs(new).max() <= limit:
-            if block.ndim == 1:
-                raise blowup(k)
-            # the escaped columns hold their clipped value; test the others
-            new = np.array(new)
-            new[:, escaped] = np.array(state)[:, escaped]
-            bad = ~np.all(np.abs(new) <= limit, axis=0)
-            new[:, bad] = np.clip(
-                np.nan_to_num(new[:, bad], nan=limit, posinf=limit,
-                              neginf=-limit), -limit, limit)
-            escaped |= bad
-            frozen = True
-            new = list(new)
-        state = new
-        if (k + 1) % record_every == 0:
-            states[:, (k + 1) // record_every] = state
+    try:  # around the whole loop: it costs no step anything while nothing raises
+        for k in range(k, n_steps):
+            new = (last if k == n_steps - 1 else full)(k * dtau, *state)
+            # one reduction over the stacked rows is cheaper than one per row
+            if frozen or not np.abs(new).max() <= limit:
+                if block.ndim == 1:
+                    raise blowup(k)
+                # the escaped columns hold their clipped value; test the others
+                new = np.array(new)
+                new[:, escaped] = np.array(state)[:, escaped]
+                bad = ~np.all(np.abs(new) <= limit, axis=0)
+                new[:, bad] = np.clip(
+                    np.nan_to_num(new[:, bad], nan=limit, posinf=limit,
+                                  neginf=-limit), -limit, limit)
+                escaped |= bad
+                frozen = True
+                new = list(new)
+            state = new
+            if (k + 1) % record_every == 0:
+                states[:, (k + 1) // record_every] = state
+    except (TypeError, ValueError) as err:
+        _judge(err)
+        raise
     states[:, -1] = state
     return taus, states, escaped
 

@@ -546,18 +546,16 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
     y_off = y[np.abs(y) > 0.0]
     sign_vals = _apply(sys.h, y_off) * np.sign(y_off)
     dh_vals = _apply(sys.restoring_slope, y)
-    Hg_pos = _apply(sys.restoring_integral, grids.y_growth)
-    Hg_neg = _apply(sys.restoring_integral, -grids.y_growth)
-    grow_pos = float(Hg_pos[-1] / np.maximum(Hg_pos[0], 1e-300))
-    grow_neg = float(Hg_neg[-1] / np.maximum(Hg_neg[0], 1e-300))
+    # H along both growth directions, one row each
+    Hg = _apply(sys.restoring_integral, np.stack([grids.y_growth, -grids.y_growth]))
+    grows = [float(H[-1] / np.maximum(H[0], 1e-300)) for H in Hg]
     add("C3", {
         "h_zero": grids.zero_tol - h0,
         "h_sign": sign_vals,
         "slope_ge_lambda2": dh_vals - c.lambda2,
-        "H_increasing": [np.diff(Hg_pos), np.diff(Hg_neg)],
-        "H_growth": [grow_pos - grids.growth_factor, grow_neg - grids.growth_factor],
-    }, h_at_zero=h0, H_at_growth_ends=[float(Hg_pos[-1]), float(Hg_neg[-1])],
-        growth_ratios=[grow_pos, grow_neg])
+        "H_increasing": np.diff(Hg),
+        "H_growth": [g - grids.growth_factor for g in grows],
+    }, h_at_zero=h0, H_at_growth_ends=Hg[:, -1].tolist(), growth_ratios=grows)
 
     # C4: positive part of v' integrable and v' settling to zero
     def zeta0_of(s):

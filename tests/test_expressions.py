@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fractalcalc import ExpressionError, compile_expression
+from fractalcalc import Expression, ExpressionError, compile_expression
 
 
 def test_basic_arithmetic():
@@ -117,3 +117,21 @@ def test_source_round_trip():
     f = compile_expression("t + 1", ("t",))
     assert f.source == "t + 1"
     assert f.variables == ("t",)
+
+
+@pytest.mark.parametrize("source,variables", [
+    ("t", None), ("t", object()), ("x + y", "xy"), ("exp", ("exp",)), ("t", ("t", "t")),
+    ("t", ("t", 1)), ("t", ("t", ["y"])), ("t", ("t", np.ones(2))), ("t", ("1t",)),
+    ("t", ("t y",)), (1.0, ("t",)),
+], ids=["none", "object", "string", "function-name", "repeated", "number", "list", "array",
+        "not-an-identifier", "two-words", "source-not-a-string"])
+def test_variables_are_distinct_identifiers_other_than_the_functions(source, variables):
+    with pytest.raises(ExpressionError, match="must be a"):
+        compile_expression(source, variables)
+    with pytest.raises(ExpressionError, match="must be a"):
+        Expression(source=source, variables=variables)
+
+
+def test_a_list_of_variables_is_stored_as_a_tuple():
+    f = compile_expression("x - y", ["x", "y"])
+    assert f.variables == ("x", "y") and f(3.0, 1.0) == 2.0

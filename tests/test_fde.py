@@ -21,6 +21,7 @@ from fractalcalc import (
     StaircaseTable,
     Trajectory,
     build_staircase,
+    classify_stability,
     eval_staircase,
     example1_exact,
     example1_field,
@@ -33,6 +34,7 @@ from fractalcalc import (
     theorem1_toy,
     theorem2_toy,
     verify_theorem1,
+    verify_theorem2,
     warp_time,
 )
 from fractalcalc.expressions import compile_expression
@@ -41,6 +43,7 @@ from fractalcalc.fde import (
     _BlowupSignal,
     _integrate,
 )
+from fractalcalc.staircase import _interval_mass
 
 ALPHA = 0.7564707973660301
 
@@ -63,6 +66,24 @@ def test_linear_decay_matches_exact_solution(table):
         assert np.max(np.abs(traj.y - exact)) <= 1e-9
         rel = abs(traj.y[-1] - exact[-1]) / abs(exact[-1])
         assert rel <= 1e-6
+
+
+@pytest.mark.parametrize("extent", [1.0, 60.0])
+@pytest.mark.parametrize("mu", [0.2, 0.5])
+def test_example1_is_within_half_mu_c_m_of_the_limit(mu, extent):
+    # exp(-S_m(t)) lies within (mu/2) c_m of the limit's exp(-S(t)), since
+    # |e^-a - e^-b| <= |a - b|, and S_(m+4) within (mu/2) c_(m+4) of S; the
+    # solver adds about 3e-11, and the ratio to (mu/2) c_m reads 0.64-0.97
+    # (every depth here, and its depth + 4, is within float resolution)
+    alpha = hausdorff_dimension(mu)
+    for depth in (4, 8, 12, 16):
+        spec = CantorSpec(mu=mu, depth=depth, extent=extent)
+        deep = build_staircase(spec.with_depth(depth + 4), alpha)
+        traj = solve_first_order(example1_field, build_staircase(spec, alpha), 1.0, extent,
+                                 dtau=1e-2)
+        sup = np.max(np.abs(traj.y - np.exp(-eval_staircase(deep, traj.t))))
+        bar = mu / 2 * _interval_mass(spec, alpha)
+        assert bar / 2 <= sup <= bar + mu / 2 * _interval_mass(deep.spec, alpha) + 1e-10, depth
 
 
 def test_trajectory_time_axes_are_consistent(table):
@@ -352,6 +373,63 @@ def test_a_flows_own_package_error_propagates_unchanged(table):
 
     with pytest.raises(ParameterError, match="^the flow's own error$"):
         solve_first_order(g, table, 1.0, 1.0)
+
+
+@pytest.fixture(scope="module")
+def depth10_table():
+    return build_staircase(CantorSpec(mu=0.2, depth=10, origin=0.0, extent=60.0), ALPHA)
+
+
+def _u_until(fail):
+    # theorem1_toy's u = 1 up to tau = 20.2; the (C1)-(C7) grid stops at 20,
+    # so only the verifier's fan march calls fail()
+    return lambda tau: 1.0 if np.all(np.asarray(tau) <= 20.2) else fail()
+
+
+def _planar_until(fail):
+    # a damped planar field, marched on the block's rows, that calls fail() past tau = 1
+    return lambda tau, y, z: (z, -y - z) if tau <= 1.0 else (z, fail())
+
+
+# marches whose flow calls fail() well after the march has begun, each on
+# np.float64 components, by (fail, depth-10 table, depth-12 table)
+_MID_MARCH = {
+    # a later RK4 stage goes negative; the hand-over checks only the first
+    "sqrt-rk4": lambda fail, t10, t12: solve_first_order(
+        lambda y: -math.sqrt(y) if y >= 0.0 else fail(), t10, 1.0, 60.0, dtau=1e-2),
+    # np.float64 results hand the march over at step 0, long before y = 0.5
+    **{f"float64-{method}": lambda fail, t10, t12, method=method: solve_first_order(
+        lambda y: np.float64(-y) if y > 0.5 else fail(), t10, 1.0, 60.0, dtau=1e-2,
+        method=method) for method in ("rk4", "euler")},
+    "classify_stability": lambda fail, t10, t12: classify_stability(
+        _planar_until(fail), t10, (0.0, 0.0), dtau=1e-2),
+    "verify_theorem1": lambda fail, t10, t12: verify_theorem1(
+        dataclasses.replace(theorem1_toy(), u=_u_until(fail)), t12, dtau=1e-2),
+    "verify_theorem2": lambda fail, t10, t12: verify_theorem2(
+        dataclasses.replace(theorem2_toy(), u=_u_until(fail)), t12, dtau=1e-2),
+}
+
+
+@pytest.mark.parametrize("march", list(_MID_MARCH))
+def test_every_march_names_what_its_flow_raises(march, depth10_table, long_table):
+    own = ParameterError("the flow's own error")
+
+    def run(fail):
+        _MID_MARCH[march](fail, depth10_table, long_table)
+
+    def own_error():
+        raise own
+
+    with pytest.raises(ParameterError, match="a call raised ValueError: math domain") as exc:
+        run(lambda: math.log(-1.0))
+    assert isinstance(exc.value, ValueError) and type(exc.value.__cause__) is ValueError
+    assert str(exc.value.__cause__) == "math domain error"
+    # a package error is the flow's own, and no other error is the rule's
+    with pytest.raises(ParameterError) as exc:
+        run(own_error)
+    assert exc.value is own
+    with pytest.raises(ZeroDivisionError):
+        run(lambda: 1 // 0)
 
 
 def test_a_trajectorys_arrays_must_match(table):
