@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import _built, _max_samples, _query, _search, _Value
-from .errors import ParameterError, ResolutionError, _count, _real, _reals
+from .errors import ParameterError, ResolutionError, _count, _kind, _real, _reals
 from .fde import _apply
 from .staircase import StaircaseTable, eval_staircase
 
@@ -21,7 +21,8 @@ def in_set(table: StaircaseTable, t: float) -> bool:
     """Whether the real number t lies in the depth-m set the table was built from."""
     if _reals("t", t).ndim:
         raise ParameterError("t must be one real number")
-    return _query("t", t, lambda x: _search(table.t, x)[1], *table.span)
+    return _query("t", t, lambda x: _search(table.t, x)[1],
+                  *_kind("table", table, StaircaseTable).span)
 
 
 def set_samples(table: StaircaseTable, per_segment: int = 0) -> np.ndarray:
@@ -35,7 +36,7 @@ def set_samples(table: StaircaseTable, per_segment: int = 0) -> np.ndarray:
     segments carry interior samples.  The breakpoints are read as pairs of
     segment ends (l0, r0, l1, r1, ...): an odd count is a ParameterError.
     """
-    t = table.t
+    t = _kind("table", table, StaircaseTable).t
     if t.size % 2:
         raise ParameterError(f"set_samples reads breakpoints in pairs; this table has {t.size}")
     # each of the t.size / 2 segments gets its two ends and per_segment points
@@ -82,7 +83,8 @@ class GridFunction(_Value):
         copied like the values ``fn`` returns, so an array the caller holds
         stays theirs; the default grid is the table's own ``t``, uncopied.
         """
-        grid, s, theirs = cls._at_set_points(table, table.t if t is None else t)
+        grid, s, theirs = cls._at_set_points(
+            table, _kind("table", table, StaircaseTable).t if t is None else t)
         values = _apply(fn, grid)
         return _built(cls, theirs + (values,), table=table, t=grid, s=s, values=values)
 
@@ -102,7 +104,7 @@ class GridFunction(_Value):
         S comes from ``eval_staircase`` and membership from ``_search``.
         """
         grid = np.atleast_1d(_reals("t", t))
-        if grid is not table.t and np.array_equal(grid, table.t):
+        if grid is not _kind("table", table, StaircaseTable).t and np.array_equal(grid, table.t):
             grid = table.t
         s = eval_staircase(table, grid)
         bad = grid[~_search(table.t, grid)[1]]
@@ -136,7 +138,7 @@ def fractal_derivative(f: GridFunction, t: float) -> float:
     Points off the set return 0.0 by convention; at a stored sample this is
     the value ``derivative_grid`` gives there.
     """
-    if not in_set(f.table, t):  # raises DomainError outside the span
+    if not in_set(_kind("f", f, GridFunction).table, t):  # raises DomainError outside the span
         return 0.0
     t = float(t)
     i = int(np.searchsorted(f.t, t))
@@ -152,7 +154,7 @@ def derivative_grid(f: GridFunction) -> GridFunction:
     Interior samples take the symmetric quotient, the first and last the
     one-sided quotient to their one neighbour.
     """
-    n = len(f)
+    n = len(_kind("f", f, GridFunction))
     interior = _quotients(f, slice(0, n - 2), slice(2, n))
     out = np.concatenate(([_quotients(f, 0, 1)], interior, [_quotients(f, n - 2, n - 1)]))
     return _built(GridFunction, table=f.table, t=f.t, s=f.s, values=out)
@@ -167,7 +169,7 @@ def fractal_integral(f: GridFunction, a: float, b: float) -> float:
     is empty, 0.0.  Each bound is one real number in the table's span; a
     NaN bound, like one outside the span, is a DomainError.
     """
-    a = _query("a", _real("a", a), lambda x: x, *f.table.span)
+    a = _query("a", _real("a", a), lambda x: x, *_kind("f", f, GridFunction).table.span)
     b = _query("b", _real("b", b), lambda x: x, *f.table.span)
     if not a < b:
         raise ParameterError("integration bounds need a < b")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ResolutionError, _count, _real, _reals
+from .errors import DomainError, ParameterError, ResolutionError, _count, _kind, _real, _reals
 
 DEFAULT_MAX_DEPTH = 24
 
@@ -304,7 +304,7 @@ def generate(spec: CantorSpec) -> IntervalSet:
     interleaved endpoints, the one every set and table of an equal spec
     shares while any of them lives.
     """
-    return _built(IntervalSet, _t=_breakpoints(spec))
+    return _built(IntervalSet, _t=_breakpoints(_kind("spec", spec, CantorSpec)))
 
 
 def _in_key_order(search):
@@ -363,7 +363,8 @@ def contains(iset: IntervalSet, t):
     outside the base span are simply reported as absent; a NaN raises
     DomainError.
     """
-    return _query("t", t, _in_key_order(lambda x: _search(iset._t, x)[1]))
+    ends = _kind("iset", iset, IntervalSet)._t
+    return _query("t", t, _in_key_order(lambda x: _search(ends, x)[1]))
 
 
 def covering_measure(obj) -> float:
@@ -375,10 +376,8 @@ def covering_measure(obj) -> float:
     digits to cancellation once intervals are much shorter than their
     distance from zero, so prefer the CantorSpec form for deep realizations.
     """
-    if isinstance(obj, CantorSpec):
+    if isinstance(_kind("obj", obj, CantorSpec, IntervalSet), CantorSpec):
         return (1.0 - obj.mu) ** obj.depth * obj.base_length
-    if not isinstance(obj, IntervalSet):
-        raise ParameterError(f"need a CantorSpec or an IntervalSet, got {type(obj).__name__}")
     return float(np.sum(obj.right - obj.left))
 
 
@@ -398,5 +397,5 @@ def iter_levels(spec: CantorSpec):
     A depth-0 spec yields the bare base interval; otherwise the generations
     1 through spec.depth are produced in order.
     """
-    for level in range(min(spec.depth, 1), spec.depth + 1):
+    for level in range(min(_kind("spec", spec, CantorSpec).depth, 1), spec.depth + 1):
         yield level, generate(spec.with_depth(level))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .calculus import GridFunction, derivative_grid, fractal_integral
 from .cantor import CantorSpec, _max_samples, hausdorff_dimension, iter_levels
-from .errors import FractalCalcError, NumericalBlowupError, ParameterError, _count
+from .errors import FractalCalcError, ParameterError, _count
 from .expressions import compile_expression
 from .fde import FdeSystem, _apply, solve_first_order, solve_second_order
 from .lyapunov import classify_stability, verify_theorem1, verify_theorem2
@@ -344,19 +344,13 @@ def _run(args):
     try:
         _write(args.out, args.func(args), args.format)
         return 0
-    except ParameterError as exc:  # an ExpressionError too
+    except FractalCalcError as exc:  # exit code 2 for a ParameterError, an ExpressionError too
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except NumericalBlowupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        traj = exc.trajectory
+        traj = getattr(exc, "trajectory", None)  # a blow-up's partial trajectory
         if traj is not None and args.out != "-":
             _write(args.out, _trajectory_columns(traj), args.format)
             print(f"partial trajectory written to {args.out}", file=sys.stderr)
-        return RUNTIME_ERROR
-    except FractalCalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RUNTIME_ERROR
+        return USAGE_ERROR if isinstance(exc, ParameterError) else RUNTIME_ERROR
 
 
 if __name__ == "__main__":

@@ -130,8 +130,15 @@ def _count(name, value, minimum, maximum=None):
     raise ParameterError(f"{name} must be an integer {bound}, got {value!r}")
 
 
-def _function(name, fn, optional=False):
-    """Raise a ParameterError unless ``fn`` is callable, or None when ``optional``."""
-    if not (callable(fn) or optional and fn is None):
-        what = "a callable or None" if optional else "a callable"
-        raise ParameterError(f"{name} must be {what}, got {type(fn).__name__}")
+def _kind(name, value, *kinds, optional=False):
+    """Return ``value`` if it is one of ``kinds`` or, where ``optional``, None.
+
+    ``callable`` among the kinds stands for any callable.  Anything else is a
+    ParameterError such as "table must be a StaircaseTable, got NoneType".
+    """
+    for kind in kinds:
+        if kind(value) if kind is callable else isinstance(value, kind):
+            return value
+    if not (optional and value is None):
+        wanted = " or ".join([f"a {kind.__name__}" for kind in kinds] + ["None"] * optional)
+        raise ParameterError(f"{name} must be {wanted}, got {type(value).__name__}")

@@ -45,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cantor import _built, _Value
-from .errors import (FractalCalcError, NumericalBlowupError, ParameterError, _count, _function,
+from .errors import (FractalCalcError, NumericalBlowupError, ParameterError, _count, _kind,
                      _real, _reals)
 from .staircase import StaircaseTable, _tau_horizon, eval_staircase, warp_time
 
@@ -127,13 +127,10 @@ class FdeSystem:
     v_derivative: Optional[Callable[[float], float]] = None
 
     def __setattr__(self, name, value):
-        # u, v, f and h are required, the hooks and q may be None
-        if name != "constants":
-            _function(name, value, optional=name not in ("u", "v", "f", "h"))
-        elif not isinstance(value, FdeConstants):
-            raise ParameterError(f"constants must be an FdeConstants, "
-                                 f"got {type(value).__name__}")
-        object.__setattr__(self, name, value)
+        # u, v, f, h and constants are required, the hooks and q may be None
+        kind = FdeConstants if name == "constants" else callable
+        optional = name not in ("u", "v", "f", "h", "constants")
+        object.__setattr__(self, name, _kind(name, value, kind, optional=optional))
 
     def rhs(self, tau, y, z):
         """Right-hand side (Dy, Dz) of the first order form in tau."""
@@ -431,7 +428,9 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
     give; the other columns integrate undisturbed.  Each step of a block
     tests it once, with one reduction over the stacked rows; the
     per-column bookkeeping runs only once some column has escaped.  What
-    the flow raises in that loop meets ``_judge``'s rule, as in ``_call``.
+    the flow raises in that loop meets ``_judge``'s rule, as in ``_call``,
+    and a step whose rows do not stack to float64 of the state's shape (a
+    complex or object result) is a ParameterError naming the dtype and tau.
 
     dtau and limit must be finite and positive, tau_end finite and >= 0,
     record_every an integer >= 1, the state 1 or 2 components and the march
@@ -484,12 +483,16 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
     try:  # around the whole loop: it costs no step anything while nothing raises
         for k in range(k, n_steps):
             new = (last if k == n_steps - 1 else full)(k * dtau, *state)
-            # one reduction over the stacked rows is cheaper than one per row
-            if frozen or not np.abs(new).max() <= limit:
+            # one stack for the kind test and the reduction; new unpacks faster than it
+            stack = np.asarray(new)
+            if stack.dtype != block.dtype or stack.shape != block.shape:
+                raise ParameterError(f"the step from tau={k * dtau:.6g} gave {stack.dtype} values "
+                                     f"of shape {stack.shape}, not float64 of shape {block.shape}")
+            if frozen or not np.abs(stack).max() <= limit:
                 if block.ndim == 1:
                     raise blowup(k)
                 # the escaped columns hold their clipped value; test the others
-                new = np.array(new)
+                new = stack
                 new[:, escaped] = np.array(state)[:, escaped]
                 bad = ~np.all(np.abs(new) <= limit, axis=0)
                 new[:, bad] = np.clip(
@@ -497,7 +500,6 @@ def _integrate(rhs, tau_end, state0, dtau, method, record_every, limit=BLOWUP_LI
                                   neginf=-limit), -limit, limit)
                 escaped |= bad
                 frozen = True
-                new = list(new)
             state = new
             if (k + 1) % record_every == 0:
                 states[:, (k + 1) // record_every] = state
@@ -546,7 +548,7 @@ def _second_order(sys):
     system holds when it starts; a later reassignment, checked when it is
     made, takes effect at the next march.
     """
-    u, f, v, h, q = sys.u, sys.f, sys.v, sys.h, sys.q
+    u, f, v, h, q = _kind("sys", sys, FdeSystem).u, sys.f, sys.v, sys.h, sys.q
     if q is None:
         def rhs(tau, y, z):
             return z, -u(tau) * f(y, z) * z - v(tau) * h(y)
@@ -566,8 +568,9 @@ def solve_first_order(g, table: StaircaseTable, h0: float, t_end: float,
     that leaves the blow-up ball, ends in a NumericalBlowupError carrying
     the partial trajectory.
     """
-    return _solve(_first_order(g), table, [_real("h0", h0, "[-inf, inf]")],
-                  t_end, dtau, method, record_every, blowup_limit)
+    return _solve(_first_order(_kind("g", g, callable)), table,
+                  [_real("h0", h0, "[-inf, inf]")], t_end, dtau, method, record_every,
+                  blowup_limit)
 
 
 def solve_second_order(sys: FdeSystem, table: StaircaseTable, y0: float,

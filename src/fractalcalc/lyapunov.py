@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cantor import _max_samples, _query, _Value
-from .errors import ParameterError, PreconditionError, _count, _function, _grid, _real, _reals
+from .errors import ParameterError, PreconditionError, _count, _grid, _kind, _real, _reals
 from .fde import (FdeConstants, FdeSystem, _apply, _call, _central_diff, _first_order,
                   _flow, _integrate, _second_order)
 from .staircase import StaircaseTable, _tau_horizon, warp_time
@@ -57,15 +57,10 @@ class LyapunovFunction:
 
     def __setattr__(self, name, value):
         if name != "grad_state":
-            _function(name, value, optional=name == "grad_tau")
-        elif value is not None:
-            if not isinstance(value, (tuple, list)):
-                raise ParameterError(f"grad_state must be a tuple of callables, "
-                                     f"got {type(value).__name__}")
+            _kind(name, value, callable, optional=name == "grad_tau")
+        elif _kind(name, value, tuple, list, optional=True) is not None:
             # a tuple, so no change in place gets past this check
-            value = tuple(value)
-            for i, g in enumerate(value):
-                _function(f"grad_state[{i}]", g)
+            value = tuple(_kind(f"grad_state[{i}]", g, callable) for i, g in enumerate(value))
         object.__setattr__(self, name, value)
 
     def __call__(self, tau, *state):
@@ -100,11 +95,8 @@ def as_tau_field(flow):
     functions bound by fde._second_order, the field itself, or g wrapped as
     (tau, y) -> (g(y),).
     """
-    if isinstance(flow, FdeSystem):
+    if isinstance(_kind("flow", flow, FdeSystem, callable), FdeSystem):
         return _second_order(flow), 2
-    if not callable(flow):
-        raise ParameterError(
-            f"flow must be callable or an FdeSystem, got {type(flow).__name__}")
     try:
         n_params = len(inspect.signature(flow).parameters)
     except (TypeError, ValueError):
@@ -128,6 +120,7 @@ def lyapunov_derivative(L: LyapunovFunction, flow, state, tau=0.0):
     that returns the wrong number of components is a ParameterError, as is
     a NaN in the state; a NaN tau is a DomainError.
     """
+    _kind("L", L, LyapunovFunction)
     rhs, dim = as_tau_field(flow)
     tau = _query("tau", tau, lambda x: x)
     if isinstance(state, tuple):
@@ -273,7 +266,7 @@ def classify_stability(flow, table: StaircaseTable, equilibrium=None,
     fit_min_r2 = _real("fit_min_r2", fit_min_r2, "[0, 1]")
     bound_slack = _real("bound_slack", bound_slack, "[0, inf)")
 
-    alpha = table.alpha
+    alpha = _kind("table", table, StaircaseTable).alpha
     tau_end = min(horizon, table.s_range[1])
     notes = ["deviation balls scale as radius**alpha with alpha from the table"]
     if tau_end < horizon:
@@ -506,8 +499,8 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
     Witnesses carry the individual inequality slacks and, for C2, C5 and
     C6, the first grid point that attains the worst value, or the first NaN.
     """
-    a = grids.alpha
-    c = sys.constants
+    a = _kind("grids", grids, AssumptionGrids).alpha
+    c = _kind("sys", sys, FdeSystem).constants
     checks = {}
 
     def add(name, parts, ok=True, **witness):
@@ -620,6 +613,7 @@ def check_assumptions(sys: FdeSystem, grids: AssumptionGrids) -> AssumptionRepor
 
 def stability_certificate(sys: FdeSystem) -> LyapunovFunction:
     """Energy certificate H(y) + z^2 / (2 v(tau)) for the unforced family."""
+    _kind("sys", sys, FdeSystem)
     return LyapunovFunction(
         value=lambda tau, y, z: sys.restoring_integral(y) + z * z / (2.0 * sys.v(tau)),
         grad_state=(lambda tau, y, z: sys.h(y), lambda tau, y, z: z / sys.v(tau)),
@@ -629,7 +623,7 @@ def stability_certificate(sys: FdeSystem) -> LyapunovFunction:
 
 def boundedness_certificate(sys: FdeSystem, k: float = 1.0 / 32.0) -> LyapunovFunction:
     """Shifted certificate v(tau) H(y) + z^2 / 2 + k for the forced family."""
-    k = _real("k", k, "(0, inf)")
+    sys, k = _kind("sys", sys, FdeSystem), _real("k", k, "(0, inf)")
     return LyapunovFunction(
         value=lambda tau, y, z: sys.v(tau) * sys.restoring_integral(y) + 0.5 * z * z + k,
         grad_state=(lambda tau, y, z: sys.v(tau) * sys.h(y), lambda tau, y, z: z),
@@ -645,7 +639,8 @@ def _march_fan(sys, table, conditions, grids, initial_states, t_end, dtau,
     alpha are a ParameterError.  Returns (report, t_end, tau_end, taus,
     blocks, escaped) with blocks of shape (2, n_records, n_states).
     """
-    t_end, tau_end = _tau_horizon(table, table.span[1] if t_end is None else t_end)
+    end = _kind("table", table, StaircaseTable).span[1] if t_end is None else t_end
+    t_end, tau_end = _tau_horizon(table, end)
     if tau_end <= 0.0:
         raise ParameterError("t_end must advance the staircase past the anchor")
     if initial_states is None:
@@ -655,7 +650,8 @@ def _march_fan(sys, table, conditions, grids, initial_states, t_end, dtau,
     if not (Y0.ndim == 2 and Y0.shape[1] == 2 and Y0.size > 0):
         raise ParameterError(
             "initial_states must be a non-empty list of finite (y, z) pairs")
-    grids = grids or AssumptionGrids(alpha=table.alpha)
+    if _kind("grids", grids, AssumptionGrids, optional=True) is None:
+        grids = AssumptionGrids(alpha=table.alpha)
     if grids.alpha != table.alpha:
         raise ParameterError(
             f"grids.alpha={grids.alpha!r} differs from the table's alpha={table.alpha!r}")
@@ -718,7 +714,7 @@ def verify_theorem1(sys: FdeSystem, table: StaircaseTable,
     below by lambda_bar (y^2 + z^2), lambda_bar = min(lambda2, 1/(2 Q^alpha)),
     on a state grid crossed with probe times.
     """
-    if sys.q is not None:
+    if _kind("sys", sys, FdeSystem).q is not None:
         raise ParameterError(
             "the decrease certificate applies to unforced systems; "
             "use the boundedness verifier for forced ones")

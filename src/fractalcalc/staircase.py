@@ -28,7 +28,7 @@ import numpy as np
 from .cantor import (CantorSpec, IntervalSet, _breakpoints, _built, _check_resolution,
                      _in_key_order, _live_spec, _query, _search, _Value, contains, generate,
                      max_depth)
-from .errors import EstimationError, ParameterError, ResolutionError, _real, _reals
+from .errors import EstimationError, ParameterError, ResolutionError, _kind, _real, _reals
 
 _RAMP = 2 ** 14  # values per row of the s fill; 2^16 shows in a depth-18 build's peak
 
@@ -108,7 +108,7 @@ def l_alpha_sum(iset: IntervalSet, alpha: float, subdivision) -> float:
     starts, ends = q[:-1], q[1:]
     # a start inside a covering interval flags its subinterval; one in a gap
     # flags it when the next interval, starting at t[j], begins before its end
-    t = iset._t
+    t = _kind("iset", iset, IntervalSet)._t
     j = _search(t, starts)[0]
     flag = ((j & 1) == 1) | ((j < t.size) & (t[np.minimum(j, t.size - 1)] < ends))
     return float(math.gamma(alpha + 1.0) * np.sum((ends - starts) ** alpha * flag))
@@ -117,9 +117,9 @@ def l_alpha_sum(iset: IntervalSet, alpha: float, subdivision) -> float:
 def depth_for_resolution(spec: CantorSpec, delta: float) -> int:
     """Coarsest depth d with base_length * keep_ratio**d <= delta."""
     delta = _real("delta", delta, "(0, inf]")
-    cap = max_depth()
-    depth = 0
-    while spec.base_length * spec.keep_ratio ** depth > delta:
+    length, r = _kind("spec", spec, CantorSpec).base_length, spec.keep_ratio
+    cap, depth = max_depth(), 0
+    while length * r ** depth > delta:
         depth += 1
         if depth > cap:
             raise ResolutionError(
@@ -147,7 +147,7 @@ def estimate_mass(spec: CantorSpec, alpha: float, c1: float, c2: float,
     c1, c2 = _real("c1", c1, "[-inf, inf]"), _real("c2", c2, "[-inf, inf]")
     if not c1 < c2:
         raise ParameterError("mass window needs c1 < c2")
-    spec = spec.with_depth(depth_for_resolution(spec, delta))
+    spec = _kind("spec", spec, CantorSpec).with_depth(depth_for_resolution(spec, delta))
     _check_resolution(spec)
     # a piece with k levels to go lying wholly in [c1, c2] holds 2^k intervals;
     # only pieces an end cuts are split, by the float operations of _descend
@@ -180,7 +180,8 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
     values.
     """
     alpha = _real("alpha", alpha, "(0, 1]")
-    t0 = spec.origin if t0 is None else _real("t0", t0, f"[{spec.origin}, {spec.extent}]")
+    origin = _kind("spec", spec, CantorSpec).origin
+    t0 = origin if t0 is None else _real("t0", t0, f"[{origin}, {spec.extent}]")
     t = _breakpoints(spec)
     c = _interval_mass(spec, alpha)
     # s[j] = (j + j%2) * (c/2), so s[2k] = k*c and s[2k+1] = (k+1)*c, each
@@ -202,7 +203,7 @@ def build_staircase(spec: CantorSpec, alpha: float, t0=None) -> StaircaseTable:
 def eval_staircase(table: StaircaseTable, t):
     """Evaluate S(t); vectorized, exact at breakpoints and constant on gaps."""
     return _query("t", t, _in_key_order(lambda x: np.interp(x, table._t, table._s)),
-                  *table.span)
+                  *_kind("table", table, StaircaseTable).span)
 
 
 def _tau_horizon(table, t_end):
@@ -229,7 +230,7 @@ def warp_time(table: StaircaseTable, tau):
     j = 0 always fails, are searched for; so on every nondecreasing s,
     hand-built ones too, the answers are a binary search's, bit for bit.
     """
-    s, t = table.s, table.t
+    s, t = _kind("table", table, StaircaseTable).s, table.t
     lo, hi = table.s_range
     n = s.size
     step = n / (hi - lo) if hi > lo else 0.0

@@ -8,7 +8,10 @@ call must return normally or raise a FractalCalcError, never another
 exception.  Every array argument and query point, which go through
 ``errors._reals``, is called with values that hold no real numbers and must
 raise a ParameterError.  A guard keeps every public name in these tables
-or in an explicit list of names that take no numbers.
+or in an explicit list of names that take no numbers.  Every required
+parameter of every public function, the two ready-made flows aside, is
+also given values of the wrong kind (None, a string, a tuple, an object,
+a table, a system, a field), which must end the same way.
 """
 
 import contextlib
@@ -585,3 +588,83 @@ def test_bisection_stops_at_float_resolution():
     coarse = gamma_dimension(SPEC, 0.1, 1e-3)
     fine = gamma_dimension(SPEC, 0.1, 1e-3, tol=1e-300)
     assert abs(fine - coarse) <= 1e-10
+
+
+# one good value per parameter name of a public function: a function added
+# later with a name this table lacks fails the test below until it learns it
+GOOD = {
+    "spec": SPEC, "obj": SPEC, "iset": ISET, "table": TABLE, "f": SAMPLES,
+    "sys": theorem1_toy(), "grids": _grids(), "L": example3_lyapunov(),
+    "flow": example3_field(), "g": _decay, "mu": MU, "alpha": ALPHA,
+    "t": 0.0, "tau": 0.5, "a": 0.0, "b": 2.0, "c": 1.0, "c1": 0.0, "c2": 1.0,
+    "delta": 0.01, "delta1": 0.1, "delta2": 1e-3, "subdivision": [0.0, 0.5, 2.0],
+    "h0": 1.0, "y0": 1.0, "z0": 0.0, "t_end": 1.0, "state": (1.0, 0.0),
+    "source": "y", "variables": ("y",),
+}
+# the two ready-made flows take numbers and return numbers, as any caller's
+# flow does: a march's adapter judges what they raise, and a check inside
+# them would run at every stage of every step
+KIND_EXEMPT = {"example1_field", "example2_lienard_field"}
+HOSTILE = (None, "x", (0.2, 3), object(), build_staircase(CantorSpec(MU, 4), ALPHA),
+           theorem1_toy(), example3_field())
+PUBLIC_FUNCTIONS = sorted(name for name in fractalcalc.__all__
+                          if inspect.isfunction(getattr(fractalcalc, name)))
+
+
+def _run(fn, args):
+    out = fn(**args)
+    if inspect.isgenerator(out):
+        out = list(out)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(set(PUBLIC_FUNCTIONS) - KIND_EXEMPT))
+def test_every_required_argument_of_the_wrong_kind_is_a_package_error(name):
+    # each hostile value in each required parameter, the others good, ends
+    # in a result or a FractalCalcError, never another exception
+    fn = getattr(fractalcalc, name)
+    required = [p.name for p in inspect.signature(fn).parameters.values()
+                if p.default is p.empty]
+    assert [p for p in required if p not in GOOD] == []
+    good = {p: GOOD[p] for p in required}
+    _run(fn, good)
+    raw = []
+    for param in required:
+        for value in HOSTILE:
+            try:
+                _run(fn, {**good, param: value})
+            except FractalCalcError:
+                pass
+            except Exception as exc:  # any other exception is the failure
+                raw.append(f"{param}={value!r}: {type(exc).__name__}: {exc}")
+    assert raw == []
+
+
+# what the rule says, for each kind of argument it guards
+KIND_MESSAGES = {
+    "table": (lambda: eval_staircase(None, 0.5), "table must be a StaircaseTable, got NoneType"),
+    "spec": (lambda: generate((0.2, 3)), "spec must be a CantorSpec, got tuple"),
+    "set-or-spec": (lambda: covering_measure(TABLE),
+                    "obj must be a CantorSpec or a IntervalSet, got StaircaseTable"),
+    "grids": (lambda: check_assumptions(theorem1_toy(), None),
+              "grids must be a AssumptionGrids, got NoneType"),
+    "system": (lambda: verify_theorem1(example3_field(), TABLE),
+               "sys must be a FdeSystem, got function"),
+    "optional-grids": (lambda: verify_theorem2(theorem2_toy(), TABLE, grids=TABLE),
+                       "grids must be a AssumptionGrids or None, got StaircaseTable"),
+    "flow": (lambda: classify_stability(TABLE, TABLE),
+             "flow must be a FdeSystem or a callable, got StaircaseTable"),
+    "constants": (lambda: dataclasses.replace(theorem1_toy(), constants=None),
+                  "constants must be a FdeConstants, got NoneType"),
+    "grad-state": (lambda: LyapunovFunction(abs, grad_state=abs),
+                   "grad_state must be a tuple or a list or None, "
+                   "got builtin_function_or_method"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KIND_MESSAGES))
+def test_the_kind_rule_names_the_argument_and_what_it_got(name):
+    call, message = KIND_MESSAGES[name]
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call()

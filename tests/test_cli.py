@@ -53,6 +53,24 @@ def test_a_closed_pipe_exits_1_without_a_traceback():
     assert "Traceback" not in err and "Error" not in err
 
 
+def test_a_pipe_closed_after_the_header_exits_1_in_silence():
+    # the reader takes one line and closes: the 200000 samples fill the
+    # pipe's buffer many times over, so the write meets the closed pipe
+    src = os.path.dirname(os.path.dirname(fractalcalc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fractalcalc", "staircase", "--samples", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=path))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first == "t,s\n"
+    assert err == ""
+
+
 def test_cantor_row_count(tmp_path):
     out = tmp_path / "levels.csv"
     assert run_cli(["cantor", "--depth", "6", "--out", str(out)]) == 0

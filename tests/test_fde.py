@@ -432,6 +432,26 @@ def test_every_march_names_what_its_flow_raises(march, depth10_table, long_table
         run(lambda: 1 // 0)
 
 
+# marches whose flow turns complex once the march is under way, each on
+# np.float64 components, by the depth-10 table
+_TURNS_COMPLEX = {
+    **{f"float64-{method}": lambda t10, method=method: solve_first_order(
+        lambda y: np.float64(-y) if y > 0.5 else 1j, t10, 1.0, 60.0, dtau=1e-2,
+        method=method) for method in ("rk4", "euler")},
+    "classify_stability": lambda t10: classify_stability(
+        lambda tau, y, z: (z, -y) if tau < 1.0 else (z + 0j, -y + 0j), t10, dtau=1e-2),
+}
+
+
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")  # the flow's own cast
+@pytest.mark.parametrize("march", list(_TURNS_COMPLEX))
+def test_a_marchs_state_stays_float64_of_its_shape(march, depth10_table):
+    # the real parts were stored with only a ComplexWarning: the solves
+    # ended near y = 0.499, and the undamped field read lyapunov-stable
+    with pytest.raises(ParameterError, match=r"^the step from tau=\S+ gave complex128 "):
+        _TURNS_COMPLEX[march](depth10_table)
+
+
 def test_a_trajectorys_arrays_must_match(table):
     with pytest.raises(ParameterError, match="must be matching 1-d arrays"):
         Trajectory(t=[0.0, 0.5], tau=[0.0, 0.5, 1.0], y=[1.0, 0.5, 0.25], z=None,

@@ -27,7 +27,7 @@ from fractalcalc import (
     max_depth,
     warp_time,
 )
-from fractalcalc.staircase import _interval_mass
+from fractalcalc.staircase import _crossing, _interval_mass
 
 ALPHA_02 = 0.7564707973660301          # order matching the mu=0.2 set
 GAMMA_02 = math.gamma(ALPHA_02 + 1.0)  # 0.9205501437736353
@@ -319,11 +319,28 @@ def test_gamma_dimension_requires_a_crossing():
 
 
 def test_gamma_dimension_stops_at_adjacent_floats():
-    # no bracket is 1e-300 wide, so the bisection ends where it holds two
-    # adjacent floats and answers between them
+    # no bracket is 1e-300 wide; this sweep's ratio reads exactly 1 at
+    # a midpoint a few floats from the answer, where the bisection returns
+    # before its bracket is down to two adjacent floats (the case below)
     est = gamma_dimension(CantorSpec(0.2, 12), 1e-3, 1e-5, tol=1e-300)
     assert abs(est - ALPHA_02) <= 4 * EPS
     assert abs(est - gamma_dimension(CantorSpec(0.2, 12), 1e-3, 1e-5)) <= 1e-10
+
+
+def test_crossing_stops_at_two_adjacent_floats():
+    # a ratio that is never exactly 1 leaves no early return: below the
+    # smallest tolerance the bisection must stop when the bracket holds two
+    # adjacent floats, and the count turns a missing stop into a failure
+    calls = []
+
+    def ratio(alpha):
+        calls.append(alpha)
+        if len(calls) > 200:
+            raise AssertionError("the bisection does not stop")
+        return 2.0 if alpha > 0.3 else 0.5
+
+    est = _crossing(np.array([0.25, 0.35]), np.array([0.5, 2.0]), ratio, tol=5e-324)
+    assert abs(est - 0.3) <= math.ulp(0.3)
 
 
 def test_rejects_equal_resolution_depths():
