@@ -140,5 +140,6 @@ def _kind(name, value, *kinds, optional=False):
         if kind(value) if kind is callable else isinstance(value, kind):
             return value
     if not (optional and value is None):
-        wanted = " or ".join([f"a {kind.__name__}" for kind in kinds] + ["None"] * optional)
+        wanted = " or ".join([("an " if k.__name__[0] in "AEIOUaeiou" else "a ") + k.__name__
+                              for k in kinds] + ["None"] * optional)
         raise ParameterError(f"{name} must be {wanted}, got {type(value).__name__}")

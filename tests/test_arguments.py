@@ -646,13 +646,13 @@ KIND_MESSAGES = {
     "table": (lambda: eval_staircase(None, 0.5), "table must be a StaircaseTable, got NoneType"),
     "spec": (lambda: generate((0.2, 3)), "spec must be a CantorSpec, got tuple"),
     "set-or-spec": (lambda: covering_measure(TABLE),
-                    "obj must be a CantorSpec or a IntervalSet, got StaircaseTable"),
+                    "obj must be a CantorSpec or an IntervalSet, got StaircaseTable"),
     "grids": (lambda: check_assumptions(theorem1_toy(), None),
-              "grids must be a AssumptionGrids, got NoneType"),
+              "grids must be an AssumptionGrids, got NoneType"),
     "system": (lambda: verify_theorem1(example3_field(), TABLE),
                "sys must be a FdeSystem, got function"),
     "optional-grids": (lambda: verify_theorem2(theorem2_toy(), TABLE, grids=TABLE),
-                       "grids must be a AssumptionGrids or None, got StaircaseTable"),
+                       "grids must be an AssumptionGrids or None, got StaircaseTable"),
     "flow": (lambda: classify_stability(TABLE, TABLE),
              "flow must be a FdeSystem or a callable, got StaircaseTable"),
     "constants": (lambda: dataclasses.replace(theorem1_toy(), constants=None),

@@ -845,6 +845,83 @@ def test_an_escape_on_the_last_step_matches_the_reference(dim, method):
     _assert_same_outcome(got, _outcome(_reference_march, *args))
 
 
+def _fates_flow(fates):
+    # from tau = 0.25 the last component's slope is each column's fate, 0.0
+    # (held), nan, inf or -inf, and 0.0 before; the slope is a numpy value,
+    # so one state marches on np.float64 from its first step
+    def rhs(tau, *x):
+        return [0.0] * (len(x) - 1) + [np.where(tau >= 0.25, fates, 0.0)]
+
+    return rhs
+
+
+FATES = [0.0, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("limit", [2.0, 1e200, 1e-170],
+                         ids=["sum-above-limit-squared", "square-overflows", "square-underflows"])
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_escape_pre_test_defers_to_the_exact_test(dim, method, limit):
+    # every component starts at 0.9 limit, so the sum of squares of a block
+    # (or two components) is above limit**2, or overflows, or limit**2
+    # underflows to 0, while no component leaves the ball: the exact test
+    # decides, the held column stays and the ones turning nan, inf or -inf escape
+    args = (6.5 * 0.125, np.full((dim, len(FATES)), 0.9 * limit), 0.125, method, 3, limit)
+    got = _integrate(_fates_flow(FATES), *args)
+    assert got[2].tolist() == [False, True, True, True]
+    assert np.all(got[1][:, :, 0] == 0.9 * limit)
+    _assert_same_outcome(got, _reference_march(_fates_flow(FATES), *args))
+    # one state, on np.float64 after the retry
+    for fate in FATES:
+        args = (6.5 * 0.125, [0.9 * limit] * dim, 0.125, method, 3, limit)
+        got = _outcome(_integrate, _fates_flow(fate), *args)
+        assert isinstance(got[0], str) is (fate != 0.0)
+        _assert_same_outcome(got, _outcome(_reference_march, _fates_flow(fate), *args))
+
+
+@pytest.mark.parametrize("method,per_step", [("rk4", 4), ("euler", 1)])
+@pytest.mark.parametrize("shape", [(1,), (2,), (1, 3), (2, 3)],
+                         ids=["one-state-1", "one-state-2", "block-1", "block-2"])
+def test_the_flow_gets_a_float_clock_at_every_stage(shape, method, per_step):
+    # a block's step factors are 0-d arrays, but the clock adds Python
+    # floats; one state also hands the flow Python float components
+    seen = []
+
+    def rhs(tau, *x):
+        seen.append((type(tau), *map(type, x)))
+        return [-c for c in x]
+
+    _integrate(rhs, 6.5 * 0.125, np.full(shape, 0.5), 0.125, method, 3)
+    comp = float if len(shape) == 1 else np.ndarray
+    assert seen == [(float,) + (comp,) * shape[0]] * (per_step * 7)
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="numpy 1 keeps float32 rows at a 0-d float64 factor")
+def test_float32_rows_in_a_block_are_widened_by_the_step_factors():
+    # README "Numerical notes": a block's step factors are 0-d float64
+    # arrays, which widen a flow's float32 rows under numpy 2 promotion,
+    # where the reference's Python float factors keep each product float32;
+    # float64 rows give the reference's bits
+    def flow(dtype):
+        return lambda tau, y, z: (z.astype(dtype), (-y - 0.1 * z).astype(dtype))
+
+    Y0 = np.array([[0.7, 1.0, -2.0], [-0.3, 0.1, 0.5]])
+    for method in ("rk4", "euler"):
+        args = (1.0, Y0, 0.1, method, 1, BLOWUP_LIMIT)
+        _assert_same_outcome(_integrate(flow(np.float64), *args),
+                             _reference_march(flow(np.float64), *args))
+        assert not np.array_equal(_integrate(flow(np.float32), *args)[1],
+                                  _reference_march(flow(np.float32), *args)[1])
+    # one Euler step is y + h a with a widened before the product
+    a = np.array(flow(np.float32)(0.0, *Y0))
+    got = _integrate(flow(np.float32), 0.1, Y0, 0.1, "euler", 1)[1][:, -1]
+    assert np.array_equal(got, Y0 + 0.1 * a.astype(np.float64))
+    assert not np.array_equal(got, Y0 + 0.1 * a)
+
+
 def test_a_long_energy_run_matches_the_reference(long_table):
     # the benchmark's energy run in small: 20,379 steps of example3,
     # recording every 10th
